@@ -3,7 +3,10 @@
 Covers the eigenvalue-product determinant of I + K, its log-series form for
 ||K||_1 < 1, the determining function E(z, w) of a Cartesian pair, and the
 rank-one determinant 1 - <(T* - conj(w))^{-1} x, (T* - conj(z))^{-1} x> that a
-shift with rank-one self-commutator produces.
+shift with rank-one self-commutator produces.  That last one never forms a
+matrix: both resolvent vectors are O(n) back-substitutions on the weight band
+(shifts.adjoint_resolvent_solve).  The other functions act on general dense
+matrices.
 
 multiplicative_commutator_pitfall documents the trap this module is built
 around: the determinant of the finite multiplicative commutator is identically
@@ -18,8 +21,8 @@ import numpy as np
 
 from .errors import NotPSD, NotRankOne, SeriesDivergent, SingularResolvent, SpectrumHit
 from . import linalg
-from .linalg import adjoint, as_matrix, inner, resolvent_solve, trace, trace_norm
-from .shifts import ShiftModel, exact_commutator_diagonal, materialize
+from .linalg import adjoint, as_matrix, inner, trace, trace_norm
+from .shifts import ShiftModel, adjoint_resolvent_solve, exact_commutator_diagonal
 
 LOGSERIES_TERM_TOL = 1e-16
 LOGSERIES_MAX_TERMS = 200
@@ -94,10 +97,11 @@ def determining_det(model: ShiftModel, x: np.ndarray, z: complex, w: complex, n:
     diag = exact_commutator_diagonal(model, max(n, 8))
     if np.max(np.abs(diag[1:])) > 1e-14:
         raise NotRankOne("infinite-model self-commutator is not rank one")
-    t = materialize(model, n)
     x = np.asarray(x, dtype=np.complex128)
-    u_w = resolvent_solve(adjoint(t), np.conj(w), x)
-    u_z = resolvent_solve(adjoint(t), np.conj(z), x)
+    if x.shape != (n,):
+        raise ValueError(f"x must have shape ({n},), got {x.shape}")
+    u_w = adjoint_resolvent_solve(model, w, x)
+    u_z = adjoint_resolvent_solve(model, z, x)
     return 1.0 - inner(u_w, u_z)
 
 

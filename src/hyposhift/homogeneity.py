@@ -10,11 +10,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SpectrumHit
-from .linalg import adjoint, inner, resolvent_solve
+from .linalg import inner
 from .mobius import MobiusMap, mobius_eval, mobius_invert
 from .principal import principal_value_at, winding_number
 from .reporting import Check, make_check
-from .shifts import ShiftModel, materialize, symbol_curve
+from .shifts import ShiftModel, adjoint_resolvent_smin, adjoint_resolvent_solve, symbol_curve
 
 # Default automorphism grid: center, two moduli, two phases.
 DEFAULT_MAP_GRID = tuple(
@@ -141,17 +141,15 @@ def resolvent_norm_probe(model: ShiftModel, w: complex, n: int) -> ResolventProb
     bounds, plus the exact rank-one vector norm (1/|w| scaled by w_0 for shifts).
 
     This probe reports rather than asserts: the two bounds differ and the data
-    is the point.
+    is the point.  Both numbers come from the weight band in O(n); raises
+    SingularResolvent when T_n* - conj(w) is numerically singular.
     """
     if abs(w) <= 1.0 + 1e-6:
         raise SpectrumHit(f"|w| must exceed 1, got {abs(w)}")
-    t = materialize(model, n)
-    shifted = adjoint(t) - np.conj(w) * np.eye(n)
-    s = np.linalg.svd(shifted, compute_uv=False)
-    op_norm = 1.0 / float(s[-1])
+    op_norm = 1.0 / adjoint_resolvent_smin(model, w, n)
     x = np.zeros(n, dtype=np.complex128)
     x[0] = model.weights.weight(0)
-    u = resolvent_solve(adjoint(t), np.conj(w), x)
+    u = adjoint_resolvent_solve(model, w, x)
     return ResolventProbe(
         w=complex(w),
         operator_norm=op_norm,

@@ -1,4 +1,10 @@
-"""Dense complex matrix algebra: traces, singular spectra, commutators, resolvents.
+"""Dense complex matrix algebra: traces, singular spectra, commutators.
+
+Serves the paths that act on general matrices: the Moebius operator action,
+Cartesian pairs, the multiplicative-determinant tripwire, and the dense test
+oracles.  Weighted-shift resolvents, determinants and tracial forms do not
+come through here; they are computed from the weight band (see shifts and
+traceforms).
 
 Matrices are plain numpy complex arrays.  Every function is pure; nothing is
 mutated in place.  Inner products follow the convention <u, v> = sum u_k conj(v_k)
@@ -8,10 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonHermitianInput, SingularResolvent
+from .errors import NonHermitianInput
 
 HERMITIAN_TOL = 1e-12
-RESOLVENT_CUTOFF = 1e-13
 RANK_TOL = 1e-8
 
 
@@ -91,17 +96,3 @@ def hermitian_min_eig(m: np.ndarray, tol: float = HERMITIAN_TOL) -> float:
     sym = (m + adjoint(m)) / 2.0
     return float(np.linalg.eigvalsh(sym)[0])
 
-
-def resolvent_solve(m: np.ndarray, lam: complex, v: np.ndarray) -> np.ndarray:
-    """Solve (m - lam I) u = v.
-
-    Raises SingularResolvent when lam is numerically in the spectrum
-    (smallest singular value of m - lam I below RESOLVENT_CUTOFF * s_1).
-    """
-    m = as_matrix(m)
-    v = np.asarray(v, dtype=np.complex128)
-    shifted = m - lam * np.eye(m.shape[0])
-    s = np.linalg.svd(shifted, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= RESOLVENT_CUTOFF * s[0]:
-        raise SingularResolvent(f"m - ({lam})I is numerically singular")
-    return np.linalg.solve(shifted, v)

@@ -1,23 +1,35 @@
-"""Weighted unilateral shift models.
+"""Weighted unilateral shift models and their banded truncations.
 
 A ShiftModel carries a weight sequence (closed-form or tabulated) together
-with its limit value.  It can be materialized as a finite truncation, but the
-exact infinite-model self-commutator data comes from closed forms, never from
-truncations: the finite self-commutator is always traceless, so truncating
-before commuting destroys every trace identity.  All trace and rank claims
-therefore go through exact_commutator_diagonal.
+with its limit value.  The n-truncation T_n is stored as its band: entry
+(k+1, k) = w_k, zero elsewhere.  The adjoint resolvent (T_n* - conj(w))^{-1},
+its singularity guard and its norm are computed from that band in O(n);
+materialize builds the dense matrix only for the dense Moebius action and
+for tests.
+
+The exact infinite-model self-commutator data comes from closed forms, never
+from truncations: the finite self-commutator is always traceless, so
+truncating before commuting destroys every trace identity.  All trace and rank
+claims therefore go through exact_commutator_diagonal.
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidDimension, NoLimitDeclared
+from .errors import InvalidDimension, NoLimitDeclared, SingularResolvent
 
 KIND_UNILATERAL = "unilateral"
 KIND_RATIONAL = "rational"
 KIND_TABULATED = "tabulated"
+
+# T_n* - conj(w) counts as singular when s_min <= RESOLVENT_CUTOFF * s_max.
+RESOLVENT_CUTOFF = 1e-13
+# Stand-in for an exactly zero Sturm pivot.
+_PIVOT_FLOOR = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -67,7 +79,23 @@ class WeightSequence:
         return self.limit
 
     def weights(self, n: int) -> np.ndarray:
-        return np.array([self.weight(k) for k in range(n)])
+        """(w_0, ..., w_{n-1}), bit-identical to [weight(k) for k in range(n)]."""
+        if self.kind == KIND_UNILATERAL:
+            return np.ones(n)
+        if self.kind == KIND_RATIONAL:
+            k = np.arange(n, dtype=np.float64)
+            return (k + 1.0) / (k + self.lam)
+        stored = len(self.table)
+        if n <= stored:
+            return np.array(self.table[:n], dtype=np.float64)
+        if self.limit is None:
+            raise NoLimitDeclared(
+                f"tabulated sequence of length {stored} has no declared "
+                f"limit; cannot extend to index {stored}"
+            )
+        out = np.full(n, float(self.limit))
+        out[:stored] = self.table
+        return out
 
     @property
     def sup(self) -> float:
@@ -104,14 +132,124 @@ def shift_model(weights: WeightSequence) -> ShiftModel:
     return ShiftModel(weights)
 
 
-def materialize(model: ShiftModel, n: int) -> np.ndarray:
-    """N x N truncation: entry (k+1, k) = w_k, zero elsewhere.  Nilpotent."""
+def band(model: ShiftModel, n: int) -> np.ndarray:
+    """Subdiagonal (w_0, ..., w_{n-2}) of the n-truncation: entry (k+1, k) = w_k."""
     if n < 2:
         raise InvalidDimension(f"truncation dimension must be >= 2, got {n}")
+    return model.weights.weights(n - 1)
+
+
+def materialize(model: ShiftModel, n: int) -> np.ndarray:
+    """N x N truncation: entry (k+1, k) = w_k, zero elsewhere.  Nilpotent."""
+    sub = band(model, n)
     m = np.zeros((n, n), dtype=np.complex128)
-    for k in range(n - 1):
-        m[k + 1, k] = model.weights.weight(k)
+    k = np.arange(n - 1)
+    m[k + 1, k] = sub
     return m
+
+
+def adjoint_resolvent_solve(model: ShiftModel, w: complex, x) -> np.ndarray:
+    """u = (T_n* - conj(w))^{-1} x with n = len(x), by back-substitution.
+
+    T_n* - conj(w) is upper bidiagonal (diagonal -conj(w), superdiagonal w_k),
+    so u_{n-1} = -x_{n-1}/conj(w) and u_k = (x_k - w_k u_{k+1}) / (-conj(w)).
+    The recurrence runs in sequence: its cumulative products would overflow.
+    Raises SingularResolvent like the dense guard (s_min <= 1e-13 s_max).
+    """
+    x = np.asarray(x, dtype=np.complex128)
+    if x.ndim != 1:
+        raise ValueError(f"expected a vector, got shape {x.shape}")
+    sub = band(model, x.size)
+    _resolvent_guard(sub, w)
+    diag = -complex(np.conj(w))
+    xs = x.tolist()
+    ws = sub.tolist()
+    acc = xs[-1] / diag
+    u = [acc]
+    for k in range(x.size - 2, -1, -1):
+        acc = (xs[k] - ws[k] * acc) / diag
+        u.append(acc)
+    return np.array(u[::-1], dtype=np.complex128)
+
+
+def adjoint_resolvent_smin(model: ShiftModel, w: complex, n: int) -> float:
+    """Smallest singular value of T_n* - conj(w), i.e. 1 / ||(T_n* - conj(w))^{-1}||.
+
+    Raises SingularResolvent when it is at most 1e-13 s_max.  Otherwise
+    bisects with Sturm counts on the Golub-Kahan tridiagonal (see
+    _count_below), to relative accuracy.
+    """
+    sub = band(model, n)
+    lo = _resolvent_guard(sub, w)
+    return _bisect_singular_value(_golub_kahan_squares(sub, w), 1, lo, abs(w))
+
+
+def _resolvent_guard(sub: np.ndarray, w: complex) -> float:
+    """Positive lower bound on s_min of T_n* - conj(w); raises SingularResolvent
+    when s_min <= RESOLVENT_CUTOFF * s_max.
+
+    Weyl's inequality gives |w| - max w_k <= s_min and s_max <= |w| + max w_k,
+    which decides the guard without matrix work once |w| clears the weights.
+    Otherwise s_max is bisected and one Sturm count at the threshold decides.
+    """
+    a, top = abs(w), float(np.max(sub))
+    if not math.isfinite(a):
+        raise ValueError(f"resolvent point {w} is not finite")
+    if a - top > RESOLVENT_CUTOFF * (a + top):
+        return a - top
+    e2 = _golub_kahan_squares(sub, w)
+    s_max = _bisect_singular_value(e2, sub.size + 1, max(a, top), a + top)
+    threshold = RESOLVENT_CUTOFF * s_max
+    if _count_below(e2, threshold) > 0:
+        raise SingularResolvent(f"T* - ({np.conj(w)})I is numerically singular")
+    return threshold
+
+
+def _golub_kahan_squares(sub: np.ndarray, w: complex) -> list:
+    """Squared off-diagonal |w|, w_0, |w|, w_1, ..., |w| of the Golub-Kahan matrix.
+
+    Diagonal unitaries take T_n* - conj(w) to the real bidiagonal with
+    diagonal |w| and superdiagonal w_k, leaving its singular values alone;
+    the Golub-Kahan tridiagonal [[0, B*], [B, 0]], reordered, has zero
+    diagonal, these off-diagonal entries and eigenvalues +-s_j.
+    """
+    e = np.full(2 * sub.size + 1, abs(w))
+    e[1::2] = sub
+    return (e * e).tolist()
+
+
+def _count_below(e2: list, lam: float) -> int:
+    """Number of singular values below lam > 0 (Sturm count on the Golub-Kahan
+    tridiagonal minus the n negative eigenvalues).
+
+    The LDL* pivots of a zero-diagonal tridiagonal are computed to high
+    relative accuracy, so bisection on this count resolves small singular
+    values relative to themselves, not to s_max (Demmel and Kahan 1990).
+    """
+    lam = float(lam)
+    negative = 1
+    q = -lam
+    for sq in e2:
+        q = -lam - sq / (q if q != 0.0 else -_PIVOT_FLOOR)
+        if q < 0.0:
+            negative += 1
+    return negative - (len(e2) + 1) // 2
+
+
+def _bisect_singular_value(e2: list, k: int, lo: float, hi: float) -> float:
+    """k-th smallest singular value in [lo, hi], to relative accuracy.
+
+    Halves geometrically while the bracket spans more than a factor of two,
+    then arithmetically until it stops shrinking in floating point.
+    """
+    while True:
+        mid = math.sqrt(lo * hi) if lo > 0.0 and hi > 2.0 * lo else 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return 0.5 * (lo + hi)
+        if _count_below(e2, mid) >= k:
+            hi = mid
+        else:
+            lo = mid
 
 
 def exact_commutator_diagonal(model: ShiftModel, n: int) -> np.ndarray:

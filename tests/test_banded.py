@@ -1,0 +1,170 @@
+"""Banded weighted-shift kernels against their dense n x n oracles.
+
+Tolerances are fixed here, not tuned to the data: 1e-10 times the size of the
+summed terms for traces, 1e-12 relative for the solve and the smallest
+singular value, 1e-12 times max(1, |<u_w, u_z>|) for the determining determinant.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
+from hyposhift.determinants import determining_det
+from hyposhift.errors import DimensionTooSmall, NoLimitDeclared, SingularResolvent
+from hyposhift.homogeneity import resolvent_norm_probe
+from hyposhift.shifts import (
+    adjoint_resolvent_smin,
+    adjoint_resolvent_solve,
+    band,
+    materialize,
+    rational_family,
+    shift_model,
+    tabulated,
+    unilateral,
+)
+from hyposhift.traceforms import (
+    BivariatePolynomial,
+    full_finite_trace,
+    tracial_form,
+    window_margin,
+)
+
+TRACE_TOL = 1e-10
+REL_TOL = 1e-12
+
+positive_weight = st.floats(0.05, 3.0, allow_nan=False, allow_infinity=False)
+coefficient = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+monomial_key = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda jk: sum(jk) <= 3)
+polynomials = st.dictionaries(monomial_key, coefficient, min_size=1, max_size=4).map(
+    BivariatePolynomial.from_dict
+)
+
+
+@st.composite
+def tabulated_models(draw):
+    table = draw(st.lists(positive_weight, min_size=1, max_size=12))
+    return shift_model(tabulated(table, limit=draw(positive_weight)))
+
+
+@st.composite
+def outside_points(draw, radius):
+    """|w| in [1.1, 4] x radius, so T_n* - conj(w) is well conditioned."""
+    modulus = radius * draw(st.floats(1.1, 4.0))
+    return modulus * np.exp(1j * draw(st.floats(-np.pi, np.pi)))
+
+
+def random_vector(seed, n):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+class TestWeightVector:
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            unilateral(),
+            rational_family(2.0),
+            rational_family(1.0 + 1e-9),
+            rational_family(7.3),
+            tabulated([0.5, 0.25, 3.0], limit=0.9),
+        ],
+        ids=["unilateral", "rational-2", "rational-near-1", "rational-7.3", "tabulated"],
+    )
+    def test_bit_equal_to_scalar_weights(self, weights):
+        for n in (0, 1, 2, 3, 4, 17, 1000):
+            vec = weights.weights(n)
+            scalar = np.array([weights.weight(k) for k in range(n)])
+            assert vec.dtype == np.float64
+            assert np.array_equal(vec, scalar)
+
+    def test_tabulated_without_limit_raises_where_scalar_does(self):
+        weights = tabulated([0.5, 0.6])
+        for n in (0, 1, 2):
+            assert np.array_equal(weights.weights(n), [weights.weight(k) for k in range(n)])
+        with pytest.raises(NoLimitDeclared):
+            weights.weight(2)
+        with pytest.raises(NoLimitDeclared, match="index 2"):
+            weights.weights(3)
+
+    def test_materialize_places_band_on_subdiagonal(self):
+        model = shift_model(tabulated([0.5, 2.0], limit=1.5))
+        np.testing.assert_array_equal(band(model, 5), [0.5, 2.0, 1.5, 1.5])
+        np.testing.assert_array_equal(materialize(model, 5), np.diag(band(model, 5), -1))
+
+
+@given(tabulated_models(), st.integers(8, 64), polynomials, polynomials)
+@settings(max_examples=60, deadline=None)
+def test_traces_match_dense_oracle(model, n, p, q):
+    oracle_diag = oracles.commutator_diagonal(p, q, model, n)
+    t = materialize(model, n)
+    pm = oracles.eval_poly_at_operator(p, t)
+    qm = oracles.eval_poly_at_operator(q, t)
+    scale = max(1.0, float(np.sum(np.abs(np.diagonal(pm @ qm)) + np.abs(np.diagonal(qm @ pm)))))
+    full = full_finite_trace(p, q, model, n)
+    assert abs(full - np.sum(oracle_diag)) <= TRACE_TOL * scale
+    assert abs(full) <= TRACE_TOL * scale
+    margin = window_margin(p, q)
+    if n <= 4 * margin:
+        with pytest.raises(DimensionTooSmall):
+            tracial_form(p, q, model, n)
+    else:
+        windowed = tracial_form(p, q, model, n)
+        assert abs(windowed - np.sum(oracle_diag[: n - margin])) <= TRACE_TOL * scale
+
+
+@given(st.data(), tabulated_models(), st.integers(8, 64), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_solve_and_smin_match_dense_oracle(data, model, n, seed):
+    w = data.draw(outside_points(model.declared_norm))
+    x = random_vector(seed, n)
+    u = adjoint_resolvent_solve(model, w, x)
+    u_dense = oracles.adjoint_resolvent_solve(model, w, x)
+    assert np.linalg.norm(u - u_dense) <= REL_TOL * np.linalg.norm(u_dense)
+    s_min = adjoint_resolvent_smin(model, w, n)
+    dense_min = oracles.adjoint_resolvent_svals(model, w, n)[-1]
+    assert abs(s_min - dense_min) <= REL_TOL * dense_min
+
+
+@given(st.data(), positive_weight, st.integers(8, 64), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_determining_det_matches_dense_oracle(data, weight, n, seed):
+    # determining_det admits constant weights only (rank-one self-commutator)
+    model = shift_model(tabulated([weight], limit=weight))
+    z = data.draw(outside_points(weight))
+    w = data.draw(outside_points(weight))
+    x = random_vector(seed, n)
+    val = determining_det(model, x, z, w, n)
+    oracle = oracles.determining_det(model, x, z, w)
+    assert abs(val - oracle) <= REL_TOL * max(1.0, abs(1.0 - oracle))
+
+
+class TestGuardEquivalence:
+    """T_n* - 2 with all weights 3: s_min ~ (2/3)^n crosses 1e-13 s_max between n = 60 and 80."""
+
+    MODEL = shift_model(tabulated([3.0], limit=3.0))
+
+    # expected: the dense-SVD norms before the banded kernels replaced them
+    @pytest.mark.parametrize("n, expected", [(40, 6634399.392562833), (60, 22061081230.15984)])
+    def test_norm_matches_dense_svd(self, n, expected):
+        probe = resolvent_norm_probe(self.MODEL, 2.0, n)
+        dense = 1.0 / oracles.adjoint_resolvent_svals(self.MODEL, 2.0, n)[-1]
+        assert probe.operator_norm == pytest.approx(dense, rel=1e-8)
+        assert probe.operator_norm == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize("n", [80, 100])
+    def test_raises_like_dense_guard(self, n):
+        with pytest.raises(SingularResolvent):
+            oracles.adjoint_resolvent_solve(self.MODEL, 2.0, np.eye(n)[0])
+        with pytest.raises(SingularResolvent):
+            resolvent_norm_probe(self.MODEL, 2.0, n)
+
+    def test_zero_point_is_singular(self):
+        with pytest.raises(SingularResolvent):
+            adjoint_resolvent_smin(shift_model(unilateral()), 0.0, 8)
+
+    def test_inside_point_above_threshold(self):
+        # |w| below sup w_k: the guard runs a Sturm count instead of the Weyl bound
+        model = shift_model(tabulated([0.5, 2.0, 0.7], limit=1.1))
+        s_min = adjoint_resolvent_smin(model, 1.05j, 50)
+        dense = oracles.adjoint_resolvent_svals(model, 1.05j, 50)[-1]
+        assert s_min == pytest.approx(dense, rel=REL_TOL)

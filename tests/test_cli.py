@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -218,3 +221,12 @@ class TestMain:
             ]
         )
         assert code == 2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # the runtime dependency is numpy alone; importing scipy would also slow start-up
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, hyposhift.cli; sys.exit('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert result.returncode == 0

@@ -10,7 +10,6 @@ from hyposhift.linalg import (
     numerical_rank,
     operator_norm,
     rank_one,
-    resolvent_solve,
     self_commutator,
     singular_spectrum,
     trace,
@@ -19,6 +18,7 @@ from hyposhift.linalg import (
 from hyposhift.shifts import materialize, shift_model, unilateral
 
 from conftest import basis_vector, householder_unitary, random_complex_matrix
+from oracles import resolvent_solve
 
 
 def truncated_shift(n):

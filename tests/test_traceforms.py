@@ -9,7 +9,6 @@ from hyposhift.shifts import materialize, rational_family, shift_model, tabulate
 from hyposhift.traceforms import (
     BivariatePolynomial,
     berger_shaw_putnam_check,
-    eval_poly_at_operator,
     full_finite_trace,
     helton_howe_check,
     monomial,
@@ -17,6 +16,8 @@ from hyposhift.traceforms import (
     window_margin,
     wirtinger_jacobian,
 )
+
+from oracles import eval_poly_at_operator
 
 
 small_coeffs = st.dictionaries(
