@@ -32,7 +32,7 @@ from .homogeneity import (
     witness_search,
 )
 from .mobius import MobiusMap
-from .principal import GridFunction, constant_grid, pincus_consistency, principal_value_at
+from .principal import GridFunction, constant_grid, pincus_consistency, winding_numbers
 from .reporting import (
     VerificationReport,
     make_bound_check,
@@ -41,7 +41,7 @@ from .reporting import (
     write_grid_csv,
     write_report,
 )
-from .shifts import ShiftModel, rational_family, shift_model, tabulated, unilateral
+from .shifts import ShiftModel, rational_family, shift_model, symbol_curve, tabulated, unilateral
 from .traceforms import BivariatePolynomial, berger_shaw_putnam_check, helton_howe_check
 
 DEFAULT_TRUNCATION = 256
@@ -374,16 +374,20 @@ def _cmd_grid(args) -> int:
     if args.experiment not in EXPERIMENTS:
         print(f"config error: unknown experiment {args.experiment!r}", file=sys.stderr)
         return 2
+    if args.n_r < 1 or args.n_theta < 1:
+        print("config error: --n-r and --n-theta must be >= 1", file=sys.stderr)
+        return 2
+    if args.samples < 3:
+        print("config error: --samples must be >= 3", file=sys.stderr)
+        return 2
     n_r, n_theta = args.n_r, args.n_theta
-    values = np.empty((n_r, n_theta))
-    radii = (np.arange(n_r) + 0.5) / n_r
-    angles = 2.0 * np.pi * (np.arange(n_theta) + 0.5) / n_theta
-    for i, r in enumerate(radii):
-        for j, th in enumerate(angles):
-            zeta = r * np.exp(1j * th)
-            values[i, j] = principal_value_at(model, zeta, samples=args.samples).g_value
-    grid = GridFunction(n_r, n_theta, values)
-    write_grid_csv(grid, args.out)
+    try:
+        nodes = constant_grid(0.0, n_r, n_theta).nodes()
+        values = winding_numbers(symbol_curve(model, args.samples), nodes)
+        write_grid_csv(GridFunction(n_r, n_theta, values), args.out)
+    except HyposhiftError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {n_r * n_theta} grid rows to {args.out}")
     return 0
 

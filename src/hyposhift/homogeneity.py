@@ -9,10 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SpectrumHit
+from .errors import DomainError, OnEssentialSpectrum, SpectrumHit, TooCloseToCurve
 from .linalg import inner
 from .mobius import MobiusMap, mobius_eval, mobius_invert
-from .principal import principal_value_at, winding_number
+from .principal import principal_value_at, winding_numbers
 from .reporting import Check, make_check
 from .shifts import ShiftModel, adjoint_resolvent_smin, adjoint_resolvent_solve, symbol_curve
 
@@ -64,24 +64,26 @@ def transformed_symbol_curve(model: ShiftModel, phi: MobiusMap, samples: int = 4
     of phi(T) - mu is the winding of the mapped curve; no operator needs to be
     materialized.
     """
-    curve = symbol_curve(model, samples)
-    return np.array([mobius_eval(phi, z) for z in curve])
+    return mobius_eval(phi, symbol_curve(model, samples))
 
 
 def change_of_variable_check(
     model: ShiftModel, phi: MobiusMap, points, samples: int = 4096
 ) -> list[Check]:
     """Index of phi(T) at zeta vs index of T at phi^{-1}(zeta), integer equality."""
-    image = transformed_symbol_curve(model, phi, samples)
-    phi_inv = mobius_invert(phi)
-    checks = []
-    for zeta in points:
-        lhs = winding_number(image, zeta)
-        rhs = principal_value_at(model, mobius_eval(phi_inv, zeta), samples).g_value
-        checks.append(
-            make_check(f"index transport at zeta={zeta}", lhs, rhs, 0.0)
-        )
-    return checks
+    lhs = winding_numbers(transformed_symbol_curve(model, phi, samples), points)
+    pulled_back = mobius_eval(mobius_invert(phi), np.asarray(points, dtype=np.complex128))
+    try:
+        rhs = winding_numbers(symbol_curve(model, samples), pulled_back)
+    except TooCloseToCurve as exc:
+        raise OnEssentialSpectrum(
+            f"pulled-back point too close to the essential circle of radius "
+            f"{model.weights.limit}: {exc}"
+        ) from exc
+    return [
+        make_check(f"index transport at zeta={zeta}", int(left), int(right), 0.0)
+        for zeta, left, right in zip(points, lhs, rhs)
+    ]
 
 
 def constancy_check(
@@ -101,18 +103,16 @@ def constancy_check(
     checks = []
     for phi in maps:
         image = transformed_symbol_curve(model, phi, samples)
-        for zeta in interior_points:
-            checks.append(
-                make_check(
-                    f"constant index at zeta={zeta}, a={phi.a}", winding_number(image, zeta), base, 0.0
-                )
-            )
-        for zeta in exterior_points:
-            checks.append(
-                make_check(
-                    f"zero index outside at zeta={zeta}, a={phi.a}", winding_number(image, zeta), 0, 0.0
-                )
-            )
+        inside = winding_numbers(image, interior_points)
+        outside = winding_numbers(image, exterior_points)
+        checks.extend(
+            make_check(f"constant index at zeta={zeta}, a={phi.a}", int(w), base, 0.0)
+            for zeta, w in zip(interior_points, inside)
+        )
+        checks.extend(
+            make_check(f"zero index outside at zeta={zeta}, a={phi.a}", int(w), 0, 0.0)
+            for zeta, w in zip(exterior_points, outside)
+        )
     return checks
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAContraction, PoleHit, SingularInput, ZeroCenter
-from .linalg import adjoint, as_matrix, operator_norm, rank_one, self_commutator
+from .linalg import adjoint, as_matrix, operator_norm, self_commutator
 
 UNIMODULAR_TOL = 1e-12
 CONTRACTION_TOL = 1e-10
@@ -39,14 +39,13 @@ class MobiusMap:
         return self.a == 0 and self.beta == 1
 
 
-def identity_map() -> MobiusMap:
-    return MobiusMap()
-
-
-def mobius_eval(phi: MobiusMap, z: complex) -> complex:
+def mobius_eval(phi: MobiusMap, z):
+    """phi(z), elementwise when z is an array; PoleHit if any z hits 1/conj(a)."""
     denom = 1.0 - np.conj(phi.a) * z
-    if abs(denom) < 1e-15:
-        raise PoleHit(f"1 - conj(a) z vanishes at z = {z}")
+    hit = np.abs(denom) < 1e-15
+    if np.any(hit):
+        first = np.asarray(z).flat[np.argmax(hit)]
+        raise PoleHit(f"1 - conj(a) z vanishes at z = {first}")
     return phi.beta * (z - phi.a) / denom
 
 
@@ -107,11 +106,6 @@ def closed_form_selfcommutator(phi: MobiusMap, t: np.ndarray, x: np.ndarray) -> 
     y = np.linalg.solve(left, x)
     z = np.linalg.solve(right, x)  # right factor is Hermitian: (M^{-1})* x = M^{-1} x
     return abs(c) ** 2 * np.outer(y, z.conj())
-
-
-def affine_selfcommutator(t: np.ndarray) -> np.ndarray:
-    """Self-commutator of beta(T - a I) with a arbitrary: |beta|^2 [T*, T] = [T*, T]."""
-    return self_commutator(t)
 
 
 def inverse_commutator_rank_one(t: np.ndarray, x: np.ndarray) -> np.ndarray:

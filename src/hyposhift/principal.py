@@ -2,9 +2,13 @@
 
 The principal function of a weighted shift with convergent weights equals the
 winding number of its symbol curve (the essential-spectrum circle) about the
-evaluation point, i.e. minus the Fredholm index of T - lambda.  The disc
-integral exp(-(1/pi) int g(zeta) / ((zeta - z)(conj(zeta) - conj(w))) dA) is
-computed by midpoint polar quadrature and cross-checked against the closed
+evaluation point, i.e. minus the Fredholm index of T - lambda.  Windings are
+computed for a batch of points on one shared sampled curve: the curve's
+adjacent gaps, and with them the margin of CURVE_MARGIN_FACTOR x the largest
+gap, are computed once, and the argument increments run over the points in
+chunks of WINDING_CHUNK so that no points x samples matrix is ever formed.
+The disc integral exp(-(1/pi) int g(zeta) / ((zeta - z)(conj(zeta) - conj(w))) dA)
+is computed by midpoint polar quadrature and cross-checked against the closed
 form (1 - 1/(z conj(w)))^c, itself evaluated through an independent scalar
 series.
 """
@@ -19,6 +23,7 @@ from .shifts import ShiftModel, symbol_curve
 
 DEFAULT_CURVE_SAMPLES = 4096
 CURVE_MARGIN_FACTOR = 10.0
+WINDING_CHUNK = 8  # points per argument-increment pass; bounds each temporary to 8 x samples
 
 
 @dataclass(frozen=True)
@@ -74,25 +79,42 @@ class IndexEstimate:
         return self.winding
 
 
-def winding_number(curve: np.ndarray, point: complex) -> int:
-    """Winding of a closed sampled curve about a point, by argument increments.
+def winding_numbers(curve: np.ndarray, points) -> np.ndarray:
+    """Windings of a closed sampled curve about each point, by argument increments.
 
-    The point must keep a distance of at least 10x the maximal adjacent-point
-    spacing from the curve, which makes the rounded argument sum
-    refinement-stable.
+    Every point must keep a distance of more than CURVE_MARGIN_FACTOR x the
+    maximal adjacent-point spacing from the curve, which makes the rounded
+    argument sum refinement-stable; otherwise TooCloseToCurve names the first
+    offending point in input order.  Returns an int array shaped like points.
     """
     curve = np.asarray(curve, dtype=np.complex128)
-    gaps = np.abs(np.roll(curve, -1) - curve)
-    min_dist = float(np.min(np.abs(curve - point)))
-    if min_dist <= CURVE_MARGIN_FACTOR * float(np.max(gaps)):
-        raise TooCloseToCurve(
-            f"point {point} is {min_dist:.3e} from the curve; need > "
-            f"{CURVE_MARGIN_FACTOR * float(np.max(gaps)):.3e}"
-        )
-    rel = curve - point
-    increments = np.angle(np.roll(rel, -1) / rel)
-    total = float(np.sum(increments)) / (2.0 * np.pi)
-    return int(np.rint(total))
+    points = np.asarray(points, dtype=np.complex128)
+    flat = points.reshape(-1)
+    following = np.roll(curve, -1)
+    margin = CURVE_MARGIN_FACTOR * float(np.max(np.abs(following - curve)))
+    out = np.empty(flat.shape, dtype=np.int64)
+    for start in range(0, flat.size, WINDING_CHUNK):
+        chunk = flat[start : start + WINDING_CHUNK, None]
+        rel = curve - chunk
+        min_dist = np.min(np.abs(rel), axis=1)
+        close = np.flatnonzero(min_dist <= margin)
+        if close.size:
+            i = close[0]
+            raise TooCloseToCurve(
+                f"point {complex(chunk[i, 0])} is {min_dist[i]:.3e} from the curve; "
+                f"need > {margin:.3e}"
+            )
+        # arg((next - p) / (curve - p)) without the division, reusing the buffers
+        step = following - chunk
+        step *= np.conjugate(rel, out=rel)
+        turns = np.sum(np.angle(step), axis=1) / (2.0 * np.pi)
+        out[start : start + WINDING_CHUNK] = np.rint(turns)
+    return out.reshape(points.shape)
+
+
+def winding_number(curve: np.ndarray, point: complex) -> int:
+    """Winding of a closed sampled curve about one point; see winding_numbers."""
+    return int(winding_numbers(curve, point))
 
 
 def principal_value_at(

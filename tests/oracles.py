@@ -1,13 +1,16 @@
-"""Dense n x n oracles for the banded weighted-shift kernels.
+"""Direct oracles for the library's structured and batched kernels.
 
 The library computes resolvents, smallest singular values, determining
-determinants and tracial forms from the weight band in O(n).  These are the
-direct dense computations on materialize(model, n) that the property tests
-compare them against; they are O(n^3) and meant for small n only.
+determinants and tracial forms from the weight band in O(n).  Most of these
+are the direct dense computations on materialize(model, n) that the property
+tests compare them against; they are O(n^3) and meant for small n only.
+winding_number is the one-point, division-form winding that the batched
+principal.winding_numbers is compared against.
 """
 import numpy as np
 
-from hyposhift.errors import SingularResolvent
+from hyposhift.errors import SingularResolvent, TooCloseToCurve
+from hyposhift.principal import CURVE_MARGIN_FACTOR
 from hyposhift.linalg import adjoint, as_matrix, inner
 from hyposhift.shifts import RESOLVENT_CUTOFF, materialize
 
@@ -67,3 +70,19 @@ def adjoint_resolvent_svals(model, w: complex, n: int) -> np.ndarray:
 
 def determining_det(model, x: np.ndarray, z: complex, w: complex) -> complex:
     return 1.0 - inner(adjoint_resolvent_solve(model, w, x), adjoint_resolvent_solve(model, z, x))
+
+
+def winding_number(curve: np.ndarray, point: complex) -> int:
+    """Winding about one point by argument increments arg((next - p) / (curve - p))."""
+    curve = np.asarray(curve, dtype=np.complex128)
+    gaps = np.abs(np.roll(curve, -1) - curve)
+    min_dist = float(np.min(np.abs(curve - point)))
+    if min_dist <= CURVE_MARGIN_FACTOR * float(np.max(gaps)):
+        raise TooCloseToCurve(
+            f"point {point} is {min_dist:.3e} from the curve; need > "
+            f"{CURVE_MARGIN_FACTOR * float(np.max(gaps)):.3e}"
+        )
+    rel = curve - point
+    increments = np.angle(np.roll(rel, -1) / rel)
+    total = float(np.sum(increments)) / (2.0 * np.pi)
+    return int(np.rint(total))

@@ -5,8 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import oracles
 from hyposhift.cli import EXPERIMENTS, main, parse_config, run_experiment
 from hyposhift.errors import ConfigError
 from hyposhift.reporting import (
@@ -18,6 +20,7 @@ from hyposhift.reporting import (
     write_report,
 )
 from hyposhift.principal import constant_grid
+from hyposhift.shifts import rational_family, shift_model, symbol_curve, unilateral
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -221,6 +224,52 @@ class TestMain:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "extra, model",
+        [
+            ([], shift_model(unilateral())),
+            (["--model-lambda", "2.0"], shift_model(rational_family(2.0))),
+        ],
+    )
+    def test_grid_matches_oracle_loop(self, tmp_path, extra, model):
+        out = tmp_path / "grid.csv"
+        argv = ["grid", "--experiment", "pincus-check", "--out", str(out)]
+        argv += ["--n-r", "3", "--n-theta", "5", "--samples", "1024"] + extra
+        assert main(argv) == 0
+        with open(out, newline="") as fh:
+            values = [float(row[4]) for row in list(csv.reader(fh))[1:]]
+        curve = symbol_curve(model, 1024)
+        expected = [
+            float(oracles.winding_number(curve, r * np.exp(1j * th)))
+            for r in (np.arange(3) + 0.5) / 3
+            for th in 2.0 * np.pi * (np.arange(5) + 0.5) / 5
+        ]
+        assert values == expected
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--n-r", "0"],
+            ["--n-theta", "0"],
+            ["--samples", "2"],
+            # the default outer ring falls inside the winding margin of 64 samples
+            ["--samples", "64"],
+        ],
+        ids=["n_r_zero", "n_theta_zero", "two_samples", "ring_inside_margin"],
+    )
+    def test_grid_bad_input_exits_two(self, tmp_path, capsys, extra):
+        argv = ["grid", "--experiment", "pincus-check", "--out", str(tmp_path / "g.csv")]
+        assert main(argv + extra) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_grid_unwritable_out_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "missing-dir" / "g.csv"
+        argv = ["grid", "--experiment", "pincus-check", "--out", str(out), "--n-r", "2"]
+        assert main(argv + ["--n-theta", "4"]) == 2
+        assert "cannot write grid CSV" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_unloaded():

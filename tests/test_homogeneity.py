@@ -16,7 +16,7 @@ from hyposhift.homogeneity import (
     transformed_symbol_curve,
     witness_search,
 )
-from hyposhift.mobius import MobiusMap, identity_map
+from hyposhift.mobius import MobiusMap
 from hyposhift.shifts import rational_family, shift_model, symbol_curve, unilateral
 
 
@@ -63,7 +63,7 @@ class TestSymbolCurveTransport:
     def test_identity_map_fixes_curve(self):
         model = shift_model(unilateral())
         np.testing.assert_allclose(
-            transformed_symbol_curve(model, identity_map(), 64), symbol_curve(model, 64)
+            transformed_symbol_curve(model, MobiusMap(), 64), symbol_curve(model, 64)
         )
 
     def test_image_stays_on_unit_circle(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyposhift.errors import NotAContraction, ZeroCenter
+from hyposhift.errors import NotAContraction, PoleHit, ZeroCenter
 from hyposhift.linalg import (
     adjoint,
     hermitian_min_eig,
@@ -15,7 +15,6 @@ from hyposhift.mobius import (
     MobiusMap,
     apply_to_operator,
     closed_form_selfcommutator,
-    identity_map,
     inverse_commutator_rank_one,
     mobius_compose,
     mobius_eval,
@@ -45,7 +44,7 @@ phases = st.floats(0.0, 2 * np.pi)
 
 class TestMapAlgebra:
     def test_identity_map(self):
-        phi = identity_map()
+        phi = MobiusMap()
         assert mobius_eval(phi, 0.3 + 0.1j) == pytest.approx(0.3 + 0.1j)
 
     def test_center_maps_to_zero(self):
@@ -93,10 +92,48 @@ class TestMapAlgebra:
             assert mobius_eval(left, z) == pytest.approx(mobius_eval(right, z), abs=1e-12)
 
 
+class TestArrayEval:
+    @given(
+        phases,
+        centers,
+        st.lists(
+            st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_array_matches_scalar(self, t, a, zs):
+        phi = MobiusMap(beta=np.exp(1j * t), a=a)
+        # drop points too near the pole 1/conj(a), where the scalar call raises too
+        zs = [z for z in zs if abs(1.0 - np.conj(phi.a) * z) >= 1e-6]
+        got = mobius_eval(phi, np.array(zs, dtype=complex))
+        assert got.shape == (len(zs),)
+        for z, w in zip(zs, got):
+            expected = mobius_eval(phi, z)
+            assert abs(w - expected) <= 1e-15 * abs(expected)
+
+    def test_keeps_shape_and_scalar_stays_scalar(self):
+        phi = MobiusMap(beta=np.exp(0.3j), a=0.4 - 0.1j)
+        zs = np.array([[0.0, 0.5j], [-0.7, 2.0 + 1j]])
+        assert mobius_eval(phi, zs).shape == (2, 2)
+        assert np.ndim(mobius_eval(phi, 0.5j)) == 0
+        assert not isinstance(mobius_eval(phi, 0.5j), np.ndarray)
+
+    def test_pole_in_array_raises(self):
+        phi = MobiusMap(a=0.5)
+        with pytest.raises(PoleHit, match=r"z = \(2\+0j\)"):
+            mobius_eval(phi, np.array([0.1, 0.3j, 2.0, -0.4]))
+
+    def test_pole_scalar_raises(self):
+        with pytest.raises(PoleHit):
+            mobius_eval(MobiusMap(a=0.5j), 1.0 / np.conj(0.5j))
+
+
 class TestOperatorAction:
     def test_identity_fixes_operator(self):
         s = materialize(shift_model(unilateral()), 8)
-        np.testing.assert_allclose(apply_to_operator(identity_map(), s), s, atol=1e-14)
+        np.testing.assert_allclose(apply_to_operator(MobiusMap(), s), s, atol=1e-14)
 
     def test_zero_operator(self):
         phi = MobiusMap(a=0.4 + 0.1j)

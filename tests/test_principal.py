@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from hyposhift.errors import (
     EvaluationInsideDisc,
     OnEssentialSpectrum,
     TooCloseToCurve,
 )
+from hyposhift.mobius import MobiusMap, mobius_eval
 from hyposhift.principal import (
+    WINDING_CHUNK,
     GridFunction,
     closed_form_oracle,
     constant_grid,
@@ -15,6 +18,7 @@ from hyposhift.principal import (
     pincus_consistency,
     principal_value_at,
     winding_number,
+    winding_numbers,
 )
 from hyposhift.shifts import rational_family, shift_model, tabulated, unilateral
 
@@ -70,6 +74,68 @@ class TestWindingNumber:
     def test_any_interior_point(self, theta, r):
         point = r * np.exp(1j * theta)
         assert winding_number(unit_circle(1024), point) == 1
+
+
+def oracle_windings(curve, points):
+    return [oracles.winding_number(curve, p) for p in points]
+
+
+class TestWindingNumbers:
+    """The batched winding against the one-point division-form oracle."""
+
+    @given(
+        st.floats(0.0, 2 * np.pi),
+        st.complex_numbers(max_magnitude=0.8, allow_nan=False, allow_infinity=False),
+        st.sampled_from([(1, False), (1, True), (2, False), (2, True)]),
+        st.lists(
+            st.complex_numbers(max_magnitude=2.5, allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=3 * WINDING_CHUNK,
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_oracle_on_mobius_images(self, beta_arg, a, variant, points):
+        loops, reverse = variant
+        curve = mobius_eval(MobiusMap(beta=np.exp(1j * beta_arg), a=a), unit_circle(2048, loops))
+        if reverse:
+            curve = curve[::-1]
+        try:
+            expected = oracle_windings(curve, points)
+        except TooCloseToCurve:
+            with pytest.raises(TooCloseToCurve):
+                winding_numbers(curve, points)
+            return
+        got = winding_numbers(curve, points)
+        assert got.dtype.kind == "i"
+        assert got.tolist() == expected
+
+    def test_no_points(self):
+        got = winding_numbers(unit_circle(256), [])
+        assert got.shape == (0,)
+        assert got.dtype.kind == "i"
+
+    @pytest.mark.parametrize("count", [1, WINDING_CHUNK, WINDING_CHUNK + 1])
+    def test_chunk_boundaries(self, count):
+        curve = unit_circle(512)
+        k = np.arange(count)
+        # alternate inside and outside points, so each chunk holds both windings
+        points = np.where(k % 2 == 0, 0.3, 1.7) * np.exp(0.7j * k)
+        got = winding_numbers(curve, points)
+        assert got.shape == (count,)
+        assert got.tolist() == oracle_windings(curve, points)
+
+    def test_keeps_2d_shape(self):
+        curve = unit_circle(512, loops=2)
+        points = np.array([[0.0, 0.5j, 2.0], [-0.4, 3.0 + 1j, 0.2 - 0.2j]])
+        got = winding_numbers(curve, points)
+        assert got.shape == (2, 3)
+        assert got.tolist() == [[2, 2, 0], [2, 0, 2]]
+
+    def test_names_first_close_point_in_input_order(self):
+        points = [0.0] * (WINDING_CHUNK + 2) + [0.99, 1.01]
+        points[WINDING_CHUNK + 1] = 1.0 + 1e-3j
+        with pytest.raises(TooCloseToCurve, match=r"point \(1\+0\.001j\)"):
+            winding_numbers(unit_circle(256), points)
 
 
 class TestPrincipalValue:
