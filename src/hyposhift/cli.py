@@ -5,7 +5,8 @@ Subcommands:
   list                                         print the registered experiments
   grid --experiment NAME --out PATH [...]      dump a principal-function grid CSV
 
-Exit codes: 0 every check passed, 1 a check failed, 2 invalid config.
+Exit codes: 0 every check passed, 1 a check failed, 2 invalid config or
+arguments, or an output that cannot be written.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, HyposhiftError
+from .errors import ConfigError, HyposhiftError, IoError
 from .homogeneity import (
     DEFAULT_MAP_GRID,
     DEFAULT_WITNESS_GRID,
@@ -41,7 +42,7 @@ from .reporting import (
     write_grid_csv,
     write_report,
 )
-from .shifts import ShiftModel, rational_family, shift_model, symbol_curve, tabulated, unilateral
+from .shifts import WeightSequence, rational_family, symbol_curve, tabulated, unilateral
 from .traceforms import BivariatePolynomial, berger_shaw_putnam_check, helton_howe_check
 
 DEFAULT_TRUNCATION = 256
@@ -53,7 +54,7 @@ MIN_GRID = 16
 @dataclass
 class ExperimentConfig:
     experiment: str
-    model: ShiftModel | None = None
+    model: WeightSequence = field(default_factory=unilateral)
     mobius: MobiusMap | None = None
     truncation: int = DEFAULT_TRUNCATION
     n_r: int = DEFAULT_GRID[0]
@@ -67,23 +68,20 @@ class ExperimentConfig:
     raw: dict = field(default_factory=dict)
 
 
-def _parse_model(spec, path: str) -> ShiftModel:
+def _parse_model(spec, path: str) -> WeightSequence:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"{path}: expected an object with a 'kind' field")
     kind = spec["kind"]
-    try:
-        if kind == "unilateral":
-            return shift_model(unilateral())
-        if kind == "rational":
-            if "lambda" not in spec:
-                raise ConfigError(f"{path}.lambda: required for rational weights")
-            return shift_model(rational_family(float(spec["lambda"])))
-        if kind == "tabulated":
-            if "weights" not in spec:
-                raise ConfigError(f"{path}.weights: required for tabulated weights")
-            return shift_model(tabulated(spec["weights"], spec.get("limit")))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    if kind == "unilateral":
+        return unilateral()
+    if kind == "rational":
+        if "lambda" not in spec:
+            raise ConfigError(f"{path}.lambda: required for rational weights")
+        return rational_family(float(spec["lambda"]))
+    if kind == "tabulated":
+        if "weights" not in spec:
+            raise ConfigError(f"{path}.weights: required for tabulated weights")
+        return tabulated(spec["weights"], spec.get("limit"))
     raise ConfigError(f"{path}.kind: unknown kind {kind!r}")
 
 
@@ -94,10 +92,7 @@ def _parse_mobius(spec, path: str) -> MobiusMap:
     a_pair = spec.get("a", [0.0, 0.0])
     if not (isinstance(a_pair, list) and len(a_pair) == 2):
         raise ConfigError(f"{path}.a: expected [re, im]")
-    try:
-        return MobiusMap(beta=beta, a=complex(a_pair[0], a_pair[1]))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return MobiusMap(beta=beta, a=complex(a_pair[0], a_pair[1]))
 
 
 def _parse_points(raw, path: str) -> list[complex]:
@@ -111,6 +106,12 @@ def _parse_points(raw, path: str) -> list[complex]:
     return out
 
 
+def _integer(value) -> int:
+    if int(value) != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _parse_poly(raw, path: str) -> BivariatePolynomial:
     """Coefficient triples [j, k, re, im] for monomials z^j conj(z)^k."""
     if not isinstance(raw, list):
@@ -119,104 +120,116 @@ def _parse_poly(raw, path: str) -> BivariatePolynomial:
     for i, row in enumerate(raw):
         if not (isinstance(row, list) and len(row) == 4):
             raise ConfigError(f"{path}[{i}]: expected [j, k, re, im]")
-        j, k = int(row[0]), int(row[1])
+        j, k = _integer(row[0]), _integer(row[1])
         if j < 0 or k < 0:
             raise ConfigError(f"{path}[{i}]: exponents must be non-negative")
         coeffs[(j, k)] = coeffs.get((j, k), 0) + complex(row[2], row[3])
     return BivariatePolynomial.from_dict(coeffs)
 
 
+def _finite_number(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ConfigError(f"config: non-finite number {token} is not allowed")
+    return value
+
+
+# Rejects NaN, Infinity and float literals that overflow.
+_DECODER = json.JSONDecoder(parse_constant=_finite_number, parse_float=_finite_number)
+
+
+def _parse_field(cfg: ExperimentConfig, key: str, value) -> None:
+    if key == "model":
+        cfg.model = _parse_model(value, key)
+    elif key == "mobius":
+        cfg.mobius = _parse_mobius(value, key)
+    elif key == "truncation":
+        cfg.truncation = _integer(value)
+        if cfg.truncation < MIN_TRUNCATION:
+            raise ConfigError(f"truncation: must be >= {MIN_TRUNCATION}")
+    elif key == "grid":
+        if not isinstance(value, dict):
+            raise ConfigError("grid: expected an object with n_r, n_theta")
+        cfg.n_r = _integer(value.get("n_r", DEFAULT_GRID[0]))
+        cfg.n_theta = _integer(value.get("n_theta", DEFAULT_GRID[1]))
+        if cfg.n_r < MIN_GRID or cfg.n_theta < MIN_GRID:
+            raise ConfigError(f"grid: sizes must be >= {MIN_GRID}")
+    elif key == "points":
+        cfg.points = _parse_points(value, key)
+    elif key in ("p", "q"):
+        setattr(cfg, key, _parse_poly(value, key))
+    elif key == "c_values":
+        cfg.c_values = [float(c) for c in value]
+        if any(not (0.0 < c <= 1.0) for c in cfg.c_values):
+            raise ConfigError("c_values: every value must lie in (0, 1]")
+    elif key == "area":
+        cfg.area = float(value)
+        if cfg.area <= 0:
+            raise ConfigError("area: must be positive")
+    elif key == "tolerance":
+        cfg.tolerance = float(value)
+        if cfg.tolerance < 0:
+            raise ConfigError("tolerance: must be non-negative")
+
+
 def parse_config(text: str) -> ExperimentConfig:
+    """Parse and validate a JSON config; every malformed value raises ConfigError."""
     try:
-        raw = json.loads(text)
+        raw = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     name = raw.get("experiment")
-    if name not in EXPERIMENTS:
+    if not isinstance(name, str) or name not in EXPERIMENTS:
         raise ConfigError(
             f"experiment: unknown name {name!r}; known: {', '.join(sorted(EXPERIMENTS))}"
         )
     cfg = ExperimentConfig(experiment=name, raw=raw)
-    if "model" in raw:
-        cfg.model = _parse_model(raw["model"], "model")
-    if "mobius" in raw:
-        cfg.mobius = _parse_mobius(raw["mobius"], "mobius")
-    if "truncation" in raw:
-        cfg.truncation = int(raw["truncation"])
-        if cfg.truncation < MIN_TRUNCATION:
-            raise ConfigError(f"truncation: must be >= {MIN_TRUNCATION}")
-    if "grid" in raw:
-        g = raw["grid"]
-        if not isinstance(g, dict):
-            raise ConfigError("grid: expected an object with n_r, n_theta")
-        cfg.n_r = int(g.get("n_r", DEFAULT_GRID[0]))
-        cfg.n_theta = int(g.get("n_theta", DEFAULT_GRID[1]))
-        if cfg.n_r < MIN_GRID or cfg.n_theta < MIN_GRID:
-            raise ConfigError(f"grid: sizes must be >= {MIN_GRID}")
-    if "points" in raw:
-        cfg.points = _parse_points(raw["points"], "points")
-    if "p" in raw:
-        cfg.p = _parse_poly(raw["p"], "p")
-    if "q" in raw:
-        cfg.q = _parse_poly(raw["q"], "q")
-    if "c_values" in raw:
-        cfg.c_values = [float(c) for c in raw["c_values"]]
-        if any(not (0.0 < c <= 1.0) for c in cfg.c_values):
-            raise ConfigError("c_values: every value must lie in (0, 1]")
-    if "area" in raw:
-        cfg.area = float(raw["area"])
-        if cfg.area <= 0:
-            raise ConfigError("area: must be positive")
-    if "tolerance" in raw:
-        cfg.tolerance = float(raw["tolerance"])
+    for key, value in raw.items():
+        try:
+            _parse_field(cfg, key, value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
     # experiment-specific requirements
-    if name == "t-lambda-trace":
-        if cfg.model is None or cfg.model.weights.kind != "rational":
-            raise ConfigError("model: t-lambda-trace requires rational weights with lambda > 1")
+    if name == "t-lambda-trace" and cfg.model.kind != "rational":
+        raise ConfigError("model: t-lambda-trace requires rational weights with lambda > 1")
     if name == "helton-howe" and (cfg.p is None or cfg.q is None):
         raise ConfigError("p/q: helton-howe requires both polynomials")
+    if name == "berger-shaw-putnam" and cfg.model.limit is None:
+        raise ConfigError("model.limit: berger-shaw-putnam requires a declared limit")
     return cfg
 
 
-def _default_model(cfg: ExperimentConfig) -> ShiftModel:
-    return cfg.model if cfg.model is not None else shift_model(unilateral())
-
-
 def _run_pincus(cfg: ExperimentConfig) -> list:
-    model = _default_model(cfg)
     points = cfg.points or [2.0 + 0j, 3.0 + 0j]
     checks = []
     for i, z in enumerate(points):
         for w in points[i:]:
             checks.extend(
                 pincus_consistency(
-                    model, z, w, n=cfg.truncation, n_r=cfg.n_r, n_theta=cfg.n_theta
+                    cfg.model, z, w, n=cfg.truncation, n_r=cfg.n_r, n_theta=cfg.n_theta
                 )
             )
     return checks
 
 
 def _run_helton_howe(cfg: ExperimentConfig) -> list:
-    model = _default_model(cfg)
     g = constant_grid(1.0, cfg.n_r, cfg.n_theta)
     tol = cfg.tolerance if cfg.tolerance is not None else 1e-3
-    return [helton_howe_check(cfg.p, cfg.q, model, g, cfg.truncation, tol)]
+    return [helton_howe_check(cfg.p, cfg.q, cfg.model, g, cfg.truncation, tol)]
 
 
 def _run_change_of_variable(cfg: ExperimentConfig) -> list:
-    model = _default_model(cfg)
     phi = cfg.mobius if cfg.mobius is not None else MobiusMap()
     points = cfg.points or default_interior_points()
-    return change_of_variable_check(model, phi, points)
+    return change_of_variable_check(cfg.model, phi, points)
 
 
 def _run_constancy(cfg: ExperimentConfig) -> list:
-    model = _default_model(cfg)
     maps = (cfg.mobius,) if cfg.mobius is not None else DEFAULT_MAP_GRID
     interior = cfg.points or None
-    return constancy_check(model, maps=maps, interior_points=interior)
+    return constancy_check(cfg.model, maps=maps, interior_points=interior)
 
 
 def _run_theorem_inequality(cfg: ExperimentConfig) -> list:
@@ -249,12 +262,11 @@ def _bool_check(name: str, ok: bool, value: float):
 
 
 def _run_t_lambda(cfg: ExperimentConfig) -> list:
-    lam = cfg.model.weights.lam
-    return [t_lambda_trace_check(lam, cfg.truncation)]
+    return [t_lambda_trace_check(cfg.model.lam, cfg.truncation)]
 
 
 def _run_resolvent_probe(cfg: ExperimentConfig) -> list:
-    model = _default_model(cfg)
+    model = cfg.model
     points = cfg.points or [2.0 + 0j, 10.0 + 0j]
     checks = []
     for w in points:
@@ -271,7 +283,7 @@ def _run_resolvent_probe(cfg: ExperimentConfig) -> list:
             make_bound_check(
                 f"rank-one vector norm vs ||x||/|w| at w={w}",
                 probe.vector_norm,
-                model.weights.weight(0) / abs(w),
+                model.weights(1)[0] / abs(w),
                 1e-12,
             )
         )
@@ -279,9 +291,8 @@ def _run_resolvent_probe(cfg: ExperimentConfig) -> list:
 
 
 def _run_berger_shaw_putnam(cfg: ExperimentConfig) -> list:
-    model = _default_model(cfg)
-    area = cfg.area if cfg.area is not None else math.pi * model.weights.limit ** 2
-    return berger_shaw_putnam_check(model, area)
+    area = cfg.area if cfg.area is not None else math.pi * cfg.model.limit ** 2
+    return berger_shaw_putnam_check(cfg.model, area)
 
 
 EXPERIMENTS = {
@@ -341,15 +352,18 @@ def _cmd_run(args) -> int:
     try:
         cfg = parse_config(text)
         report = run_experiment(cfg)
+        write_report(report, args.out)
+        if args.csv:
+            write_checks_csv(report, args.csv)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except IoError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except HyposhiftError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    write_report(report, args.out)
-    if args.csv:
-        write_checks_csv(report, args.csv)
     for c in report.checks:
         status = "PASS" if c.passed else "FAIL"
         print(f"[{status}] {c.name}")
@@ -364,10 +378,10 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    model = shift_model(unilateral())
+    model = unilateral()
     if args.model_lambda is not None:
         try:
-            model = shift_model(rational_family(args.model_lambda))
+            model = rational_family(args.model_lambda)
         except ValueError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2

@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import NotPSD, NotRankOne, SeriesDivergent, SingularResolvent, SpectrumHit
 from . import linalg
-from .linalg import adjoint, as_matrix, inner, trace, trace_norm
-from .shifts import ShiftModel, adjoint_resolvent_solve, exact_commutator_diagonal
+from .linalg import adjoint, as_matrix, inner, is_singular, trace, trace_norm
+from .shifts import WeightSequence, adjoint_resolvent_solve, exact_commutator_diagonal
 
 LOGSERIES_TERM_TOL = 1e-16
 LOGSERIES_MAX_TERMS = 200
@@ -85,15 +85,15 @@ def det_logseries(k: np.ndarray) -> complex:
     return complex(np.exp(log_trace))
 
 
-def determining_det(model: ShiftModel, x: np.ndarray, z: complex, w: complex, n: int) -> complex:
+def determining_det(model: WeightSequence, x: np.ndarray, z: complex, w: complex, n: int) -> complex:
     """1 - <(T* - conj(w))^{-1} x, (T* - conj(z))^{-1} x> on the n-truncation.
 
     Only models whose infinite self-commutator is rank one (constant weights,
     [T*, T] = w_0^2 e_0 (x) e_0) are admitted; z, w must lie outside the closed
     disc of radius ||T||.
     """
-    if abs(z) <= model.declared_norm or abs(w) <= model.declared_norm:
-        raise SpectrumHit(f"|z| and |w| must exceed {model.declared_norm}")
+    if abs(z) <= model.sup or abs(w) <= model.sup:
+        raise SpectrumHit(f"|z| and |w| must exceed {model.sup}")
     diag = exact_commutator_diagonal(model, max(n, 8))
     if np.max(np.abs(diag[1:])) > 1e-14:
         raise NotRankOne("infinite-model self-commutator is not rank one")
@@ -118,8 +118,7 @@ def determining_function_E(pair: CartesianPair, z: complex, w: complex) -> np.nd
     n = pair.a.shape[0]
     eye = np.eye(n)
     for name, h, point in (("A", pair.a, z), ("B", pair.b, w)):
-        s = np.linalg.svd(h - point * eye, compute_uv=False)
-        if s[0] == 0.0 or s[-1] <= 1e-13 * max(s[0], 1.0):
+        if is_singular(h - point * eye):
             raise SpectrumHit(f"{point} is numerically in the spectrum of {name}")
     d_sqrt = _psd_sqrt(pair.d)
     inner_block = np.linalg.solve(pair.b - w * eye, d_sqrt)
@@ -144,9 +143,7 @@ def multiplicative_commutator_pitfall(t: np.ndarray, z: complex, w: complex) -> 
     eye = np.eye(n)
     c1 = t - z * eye
     c2 = adjoint(t) - np.conj(w) * eye
-    for c in (c1, c2):
-        s = np.linalg.svd(c, compute_uv=False)
-        if s[0] == 0.0 or s[-1] <= 1e-13 * s[0]:
-            raise SingularResolvent("resolvent does not exist on the truncation")
+    if is_singular(c1) or is_singular(c2):
+        raise SingularResolvent("resolvent does not exist on the truncation")
     m = c1 @ c2 @ np.linalg.inv(c1) @ np.linalg.inv(c2)
     return complex(np.linalg.det(m))

@@ -14,7 +14,7 @@ from .linalg import inner
 from .mobius import MobiusMap, mobius_eval, mobius_invert
 from .principal import principal_value_at, winding_numbers
 from .reporting import Check, make_check
-from .shifts import ShiftModel, adjoint_resolvent_smin, adjoint_resolvent_solve, symbol_curve
+from .shifts import WeightSequence, adjoint_resolvent_smin, adjoint_resolvent_solve, symbol_curve
 
 # Default automorphism grid: center, two moduli, two phases.
 DEFAULT_MAP_GRID = tuple(
@@ -57,7 +57,7 @@ def witness_search(c: float, r_grid=DEFAULT_WITNESS_GRID) -> float | None:
     return None
 
 
-def transformed_symbol_curve(model: ShiftModel, phi: MobiusMap, samples: int = 4096) -> np.ndarray:
+def transformed_symbol_curve(model: WeightSequence, phi: MobiusMap, samples: int = 4096) -> np.ndarray:
     """Image of the symbol curve under phi.
 
     phi(T) - mu is invertible exactly when T - phi^{-1}(mu) is, so the index
@@ -68,7 +68,7 @@ def transformed_symbol_curve(model: ShiftModel, phi: MobiusMap, samples: int = 4
 
 
 def change_of_variable_check(
-    model: ShiftModel, phi: MobiusMap, points, samples: int = 4096
+    model: WeightSequence, phi: MobiusMap, points, samples: int = 4096
 ) -> list[Check]:
     """Index of phi(T) at zeta vs index of T at phi^{-1}(zeta), integer equality."""
     lhs = winding_numbers(transformed_symbol_curve(model, phi, samples), points)
@@ -78,7 +78,7 @@ def change_of_variable_check(
     except TooCloseToCurve as exc:
         raise OnEssentialSpectrum(
             f"pulled-back point too close to the essential circle of radius "
-            f"{model.weights.limit}: {exc}"
+            f"{model.limit}: {exc}"
         ) from exc
     return [
         make_check(f"index transport at zeta={zeta}", int(left), int(right), 0.0)
@@ -87,7 +87,7 @@ def change_of_variable_check(
 
 
 def constancy_check(
-    model: ShiftModel,
+    model: WeightSequence,
     maps=DEFAULT_MAP_GRID,
     interior_points=None,
     exterior_points=None,
@@ -136,7 +136,7 @@ class ResolventProbe:
     vector_norm: float  # ||(T* - conj(w))^{-1} x|| for the rank-one vector x
 
 
-def resolvent_norm_probe(model: ShiftModel, w: complex, n: int) -> ResolventProbe:
+def resolvent_norm_probe(model: WeightSequence, w: complex, n: int) -> ResolventProbe:
     """Report the resolvent norm of the truncated adjoint next to both candidate
     bounds, plus the exact rank-one vector norm (1/|w| scaled by w_0 for shifts).
 
@@ -148,7 +148,7 @@ def resolvent_norm_probe(model: ShiftModel, w: complex, n: int) -> ResolventProb
         raise SpectrumHit(f"|w| must exceed 1, got {abs(w)}")
     op_norm = 1.0 / adjoint_resolvent_smin(model, w, n)
     x = np.zeros(n, dtype=np.complex128)
-    x[0] = model.weights.weight(0)
+    x[0] = model.weights(1)[0]
     u = adjoint_resolvent_solve(model, w, x)
     return ResolventProbe(
         w=complex(w),

@@ -18,6 +18,9 @@ from .errors import NonHermitianInput
 
 HERMITIAN_TOL = 1e-12
 RANK_TOL = 1e-8
+# Singularity cutoff: s_min <= SINGULAR_CUTOFF * max(s_max, 1) for dense matrices
+# (is_singular), s_min <= SINGULAR_CUTOFF * s_max for the banded shift resolvent.
+SINGULAR_CUTOFF = 1e-13
 
 
 def as_matrix(m) -> np.ndarray:
@@ -61,6 +64,16 @@ def trace_norm(m: np.ndarray) -> float:
 def operator_norm(m: np.ndarray) -> float:
     s = singular_spectrum(m)
     return float(s[0]) if s.size else 0.0
+
+
+def is_singular(m: np.ndarray) -> bool:
+    """Invertibility guard shared by the dense solves.
+
+    Relative to s_max, with an absolute floor: below unit scale a smallest
+    singular value under SINGULAR_CUTOFF counts as zero.
+    """
+    s = singular_spectrum(m)
+    return bool(s[-1] <= SINGULAR_CUTOFF * max(float(s[0]), 1.0))
 
 
 def numerical_rank(m: np.ndarray, tol: float = RANK_TOL) -> int:

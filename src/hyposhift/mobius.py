@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAContraction, PoleHit, SingularInput, ZeroCenter
-from .linalg import adjoint, as_matrix, operator_norm, self_commutator
+from .linalg import adjoint, as_matrix, is_singular, operator_norm, self_commutator
 
 UNIMODULAR_TOL = 1e-12
 CONTRACTION_TOL = 1e-10
@@ -70,8 +70,9 @@ def mobius_compose(phi: MobiusMap, psi: MobiusMap) -> MobiusMap:
 def apply_to_operator(phi: MobiusMap, t: np.ndarray) -> np.ndarray:
     """beta (T - aI)(I - conj(a) T)^{-1}; requires ||T|| <= 1 (up to tolerance)."""
     t = as_matrix(t)
-    if operator_norm(t) > 1.0 + CONTRACTION_TOL:
-        raise NotAContraction(f"||T|| = {operator_norm(t)} exceeds 1")
+    norm = operator_norm(t)
+    if norm > 1.0 + CONTRACTION_TOL:
+        raise NotAContraction(f"||T|| = {norm} exceeds 1")
     n = t.shape[0]
     eye = np.eye(n)
     numer = t - phi.a * eye
@@ -112,8 +113,7 @@ def inverse_commutator_rank_one(t: np.ndarray, x: np.ndarray) -> np.ndarray:
     """[(T*)^{-1}, T^{-1}] when [T*, T] = x (x) x: equals (TT*)^{-1}(x(x)x)(T*T)^{-1}."""
     t = as_matrix(t)
     x = np.asarray(x, dtype=np.complex128)
-    s = np.linalg.svd(t, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= 1e-13 * s[0]:
+    if is_singular(t):
         raise SingularInput("T is numerically singular")
     ta = adjoint(t)
     y = np.linalg.solve(t @ ta, x)  # (TT*)^{-1} x

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationInsideDisc, OnEssentialSpectrum, TooCloseToCurve
-from .shifts import ShiftModel, symbol_curve
+from .shifts import WeightSequence, symbol_curve
 
 DEFAULT_CURVE_SAMPLES = 4096
 CURVE_MARGIN_FACTOR = 10.0
@@ -118,7 +118,7 @@ def winding_number(curve: np.ndarray, point: complex) -> int:
 
 
 def principal_value_at(
-    model: ShiftModel, point: complex, samples: int = DEFAULT_CURVE_SAMPLES
+    model: WeightSequence, point: complex, samples: int = DEFAULT_CURVE_SAMPLES
 ) -> IndexEstimate:
     """g(point) = winding of the symbol curve about the point."""
     curve = symbol_curve(model, samples)
@@ -127,7 +127,7 @@ def principal_value_at(
     except TooCloseToCurve as exc:
         raise OnEssentialSpectrum(
             f"{point} is too close to the essential circle of radius "
-            f"{model.weights.limit}"
+            f"{model.limit}"
         ) from exc
     return IndexEstimate(point=complex(point), winding=w)
 
@@ -167,7 +167,7 @@ def closed_form_oracle(z: complex, w: complex, c: float = 1.0) -> complex:
 
 
 def pincus_consistency(
-    model: ShiftModel,
+    model: WeightSequence,
     z: complex,
     w: complex,
     n: int = 256,
@@ -187,7 +187,7 @@ def pincus_consistency(
     from .reporting import make_check
 
     x = np.zeros(n, dtype=np.complex128)
-    x[0] = model.weights.weight(0)
+    x[0] = model.weights(1)[0]
     det_val = determining_det(model, x, z, w, n)
     quad_val = disc_cauchy_exponential(constant_grid(1.0, n_r, n_theta), z, w)
     oracle_val = closed_form_oracle(z, w, 1.0)

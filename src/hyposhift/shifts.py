@@ -1,7 +1,7 @@
 """Weighted unilateral shift models and their banded truncations.
 
-A ShiftModel carries a weight sequence (closed-form or tabulated) together
-with its limit value.  The n-truncation T_n is stored as its band: entry
+The model is a WeightSequence: closed-form or tabulated weights together with
+their limit value.  The n-truncation T_n is stored as its band: entry
 (k+1, k) = w_k, zero elsewhere.  The adjoint resolvent (T_n* - conj(w))^{-1},
 its singularity guard and its norm are computed from that band in O(n);
 materialize builds the dense matrix only for the dense Moebius action and
@@ -21,20 +21,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidDimension, NoLimitDeclared, SingularResolvent
+from .linalg import SINGULAR_CUTOFF
 
 KIND_UNILATERAL = "unilateral"
 KIND_RATIONAL = "rational"
 KIND_TABULATED = "tabulated"
 
-# T_n* - conj(w) counts as singular when s_min <= RESOLVENT_CUTOFF * s_max.
-RESOLVENT_CUTOFF = 1e-13
 # Stand-in for an exactly zero Sturm pivot.
 _PIVOT_FLOOR = sys.float_info.min
 
 
 @dataclass(frozen=True)
 class WeightSequence:
-    """Shift weights w_0, w_1, ... with a declared limit w_inf.
+    """Weighted shift model: weights w_0, w_1, ... with a declared limit w_inf.
 
     kinds:
       unilateral  w_n = 1
@@ -64,22 +63,8 @@ class WeightSequence:
         else:
             raise ValueError(f"unknown weight kind {self.kind!r}")
 
-    def weight(self, n: int) -> float:
-        if self.kind == KIND_UNILATERAL:
-            return 1.0
-        if self.kind == KIND_RATIONAL:
-            return (n + 1) / (n + self.lam)
-        if n < len(self.table):
-            return self.table[n]
-        if self.limit is None:
-            raise NoLimitDeclared(
-                f"tabulated sequence of length {len(self.table)} has no declared "
-                f"limit; cannot extend to index {n}"
-            )
-        return self.limit
-
     def weights(self, n: int) -> np.ndarray:
-        """(w_0, ..., w_{n-1}), bit-identical to [weight(k) for k in range(n)]."""
+        """(w_0, ..., w_{n-1}); a tabulated table extends by its declared limit."""
         if self.kind == KIND_UNILATERAL:
             return np.ones(n)
         if self.kind == KIND_RATIONAL:
@@ -119,27 +104,14 @@ def tabulated(weights, limit: float | None = None) -> WeightSequence:
     return WeightSequence(KIND_TABULATED, table=tuple(float(w) for w in weights), limit=limit)
 
 
-@dataclass(frozen=True)
-class ShiftModel:
-    weights: WeightSequence
-
-    @property
-    def declared_norm(self) -> float:
-        return self.weights.sup
-
-
-def shift_model(weights: WeightSequence) -> ShiftModel:
-    return ShiftModel(weights)
-
-
-def band(model: ShiftModel, n: int) -> np.ndarray:
+def band(model: WeightSequence, n: int) -> np.ndarray:
     """Subdiagonal (w_0, ..., w_{n-2}) of the n-truncation: entry (k+1, k) = w_k."""
     if n < 2:
         raise InvalidDimension(f"truncation dimension must be >= 2, got {n}")
-    return model.weights.weights(n - 1)
+    return model.weights(n - 1)
 
 
-def materialize(model: ShiftModel, n: int) -> np.ndarray:
+def materialize(model: WeightSequence, n: int) -> np.ndarray:
     """N x N truncation: entry (k+1, k) = w_k, zero elsewhere.  Nilpotent."""
     sub = band(model, n)
     m = np.zeros((n, n), dtype=np.complex128)
@@ -148,13 +120,13 @@ def materialize(model: ShiftModel, n: int) -> np.ndarray:
     return m
 
 
-def adjoint_resolvent_solve(model: ShiftModel, w: complex, x) -> np.ndarray:
+def adjoint_resolvent_solve(model: WeightSequence, w: complex, x) -> np.ndarray:
     """u = (T_n* - conj(w))^{-1} x with n = len(x), by back-substitution.
 
     T_n* - conj(w) is upper bidiagonal (diagonal -conj(w), superdiagonal w_k),
     so u_{n-1} = -x_{n-1}/conj(w) and u_k = (x_k - w_k u_{k+1}) / (-conj(w)).
     The recurrence runs in sequence: its cumulative products would overflow.
-    Raises SingularResolvent like the dense guard (s_min <= 1e-13 s_max).
+    Raises SingularResolvent like the dense oracle (s_min <= 1e-13 s_max).
     """
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 1:
@@ -172,7 +144,7 @@ def adjoint_resolvent_solve(model: ShiftModel, w: complex, x) -> np.ndarray:
     return np.array(u[::-1], dtype=np.complex128)
 
 
-def adjoint_resolvent_smin(model: ShiftModel, w: complex, n: int) -> float:
+def adjoint_resolvent_smin(model: WeightSequence, w: complex, n: int) -> float:
     """Smallest singular value of T_n* - conj(w), i.e. 1 / ||(T_n* - conj(w))^{-1}||.
 
     Raises SingularResolvent when it is at most 1e-13 s_max.  Otherwise
@@ -186,7 +158,7 @@ def adjoint_resolvent_smin(model: ShiftModel, w: complex, n: int) -> float:
 
 def _resolvent_guard(sub: np.ndarray, w: complex) -> float:
     """Positive lower bound on s_min of T_n* - conj(w); raises SingularResolvent
-    when s_min <= RESOLVENT_CUTOFF * s_max.
+    when s_min <= SINGULAR_CUTOFF * s_max.
 
     Weyl's inequality gives |w| - max w_k <= s_min and s_max <= |w| + max w_k,
     which decides the guard without matrix work once |w| clears the weights.
@@ -195,11 +167,11 @@ def _resolvent_guard(sub: np.ndarray, w: complex) -> float:
     a, top = abs(w), float(np.max(sub))
     if not math.isfinite(a):
         raise ValueError(f"resolvent point {w} is not finite")
-    if a - top > RESOLVENT_CUTOFF * (a + top):
+    if a - top > SINGULAR_CUTOFF * (a + top):
         return a - top
     e2 = _golub_kahan_squares(sub, w)
     s_max = _bisect_singular_value(e2, sub.size + 1, max(a, top), a + top)
-    threshold = RESOLVENT_CUTOFF * s_max
+    threshold = SINGULAR_CUTOFF * s_max
     if _count_below(e2, threshold) > 0:
         raise SingularResolvent(f"T* - ({np.conj(w)})I is numerically singular")
     return threshold
@@ -252,7 +224,7 @@ def _bisect_singular_value(e2: list, k: int, lo: float, hi: float) -> float:
             lo = mid
 
 
-def exact_commutator_diagonal(model: ShiftModel, n: int) -> np.ndarray:
+def exact_commutator_diagonal(model: WeightSequence, n: int) -> np.ndarray:
     """First n diagonal entries of the INFINITE operator's [T*, T].
 
     (w_0^2, w_1^2 - w_0^2, ..., w_{n-1}^2 - w_{n-2}^2); partial sums telescope
@@ -261,18 +233,18 @@ def exact_commutator_diagonal(model: ShiftModel, n: int) -> np.ndarray:
     """
     if n < 1:
         raise InvalidDimension(f"need n >= 1, got {n}")
-    w2 = model.weights.weights(n) ** 2
+    w2 = model.weights(n) ** 2
     diag = np.empty(n)
     diag[0] = w2[0]
     diag[1:] = w2[1:] - w2[:-1]
     return diag
 
 
-def symbol_curve(model: ShiftModel, samples: int) -> np.ndarray:
+def symbol_curve(model: WeightSequence, samples: int) -> np.ndarray:
     """Essential-spectrum circle w_inf * exp(2 pi i k / samples), k = 0..samples-1."""
     if samples < 3:
         raise ValueError(f"need at least 3 samples, got {samples}")
-    w_inf = model.weights.limit
+    w_inf = model.limit
     if w_inf is None:
         raise NoLimitDeclared("tabulated sequence has no declared limit")
     k = np.arange(samples)

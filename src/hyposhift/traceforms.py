@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionTooSmall
+from .errors import DimensionTooSmall, NoLimitDeclared
 from .reporting import Check, make_bound_check, make_check
-from .shifts import ShiftModel, band, exact_commutator_diagonal
+from .shifts import WeightSequence, band, exact_commutator_diagonal
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ def _offset_diagonals(p: BivariatePolynomial, sub: np.ndarray, n: int) -> dict:
 
 
 def _commutator_diagonal(
-    p: BivariatePolynomial, q: BivariatePolynomial, model: ShiftModel, n: int
+    p: BivariatePolynomial, q: BivariatePolynomial, model: WeightSequence, n: int
 ) -> np.ndarray:
     """Main diagonal of [p(T_n, T_n*), q(T_n, T_n*)]: (PQ)[c, c] = sum_e P_{-e}[c+e] Q_e[c]."""
     sub = band(model, n)
@@ -154,7 +154,7 @@ def window_margin(p: BivariatePolynomial, q: BivariatePolynomial) -> int:
 
 
 def tracial_form(
-    p: BivariatePolynomial, q: BivariatePolynomial, model: ShiftModel, n: int
+    p: BivariatePolynomial, q: BivariatePolynomial, model: WeightSequence, n: int
 ) -> complex:
     """Windowed trace of [p(T_n, T_n*), q(T_n, T_n*)].
 
@@ -169,7 +169,7 @@ def tracial_form(
 
 
 def full_finite_trace(
-    p: BivariatePolynomial, q: BivariatePolynomial, model: ShiftModel, n: int
+    p: BivariatePolynomial, q: BivariatePolynomial, model: WeightSequence, n: int
 ) -> complex:
     """Unwindowed trace of the finite commutator; identically 0 by construction."""
     return complex(np.sum(_commutator_diagonal(p, q, model, n)))
@@ -178,7 +178,7 @@ def full_finite_trace(
 def helton_howe_check(
     p: BivariatePolynomial,
     q: BivariatePolynomial,
-    model: ShiftModel,
+    model: WeightSequence,
     g,
     n: int,
     tol: float,
@@ -193,7 +193,7 @@ def helton_howe_check(
 
 
 def berger_shaw_putnam_check(
-    model: ShiftModel,
+    model: WeightSequence,
     area: float,
     multiplicity: int = 1,
     diag_samples: int = 4096,
@@ -205,7 +205,9 @@ def berger_shaw_putnam_check(
     ||[T*, T]|| (largest exact diagonal entry) against area/pi.  The area of
     the spectrum is supplied analytically by the caller.
     """
-    w_inf = model.weights.limit
+    w_inf = model.limit
+    if w_inf is None:
+        raise NoLimitDeclared("tabulated sequence has no declared limit")
     trace_val = w_inf * w_inf
     diag = exact_commutator_diagonal(model, diag_samples)
     norm_val = float(np.max(diag))

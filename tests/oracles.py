@@ -5,27 +5,44 @@ determinants and tracial forms from the weight band in O(n).  Most of these
 are the direct dense computations on materialize(model, n) that the property
 tests compare them against; they are O(n^3) and meant for small n only.
 winding_number is the one-point, division-form winding that the batched
-principal.winding_numbers is compared against.
+principal.winding_numbers is compared against, and weight the scalar weight
+rule that the vectorized WeightSequence.weights is compared against.
 """
 import numpy as np
 
-from hyposhift.errors import SingularResolvent, TooCloseToCurve
+from hyposhift.errors import NoLimitDeclared, SingularResolvent, TooCloseToCurve
 from hyposhift.principal import CURVE_MARGIN_FACTOR
-from hyposhift.linalg import adjoint, as_matrix, inner
-from hyposhift.shifts import RESOLVENT_CUTOFF, materialize
+from hyposhift.linalg import SINGULAR_CUTOFF, adjoint, as_matrix, inner
+from hyposhift.shifts import KIND_RATIONAL, KIND_UNILATERAL, materialize
+
+
+def weight(model, n: int) -> float:
+    """w_n of the weight sequence, one index at a time."""
+    if model.kind == KIND_UNILATERAL:
+        return 1.0
+    if model.kind == KIND_RATIONAL:
+        return (n + 1) / (n + model.lam)
+    if n < len(model.table):
+        return model.table[n]
+    if model.limit is None:
+        raise NoLimitDeclared(
+            f"tabulated sequence of length {len(model.table)} has no declared "
+            f"limit; cannot extend to index {n}"
+        )
+    return model.limit
 
 
 def resolvent_solve(m: np.ndarray, lam: complex, v: np.ndarray) -> np.ndarray:
     """Solve (m - lam I) u = v.
 
     Raises SingularResolvent when lam is numerically in the spectrum
-    (smallest singular value of m - lam I below RESOLVENT_CUTOFF * s_1).
+    (smallest singular value of m - lam I below SINGULAR_CUTOFF * s_1).
     """
     m = as_matrix(m)
     v = np.asarray(v, dtype=np.complex128)
     shifted = m - lam * np.eye(m.shape[0])
     s = np.linalg.svd(shifted, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= RESOLVENT_CUTOFF * s[0]:
+    if s[0] == 0.0 or s[-1] <= SINGULAR_CUTOFF * s[0]:
         raise SingularResolvent(f"m - ({lam})I is numerically singular")
     return np.linalg.solve(shifted, v)
 

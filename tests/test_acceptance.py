@@ -41,7 +41,6 @@ from hyposhift.shifts import (
     exact_commutator_diagonal,
     materialize,
     rational_family,
-    shift_model,
     unilateral,
 )
 from hyposhift.traceforms import berger_shaw_putnam_check, monomial, tracial_form
@@ -55,7 +54,7 @@ def report(label: str, ok: bool) -> None:
 
 
 def test_criterion_01_shift_commutator_trace():
-    model = shift_model(unilateral())
+    model = unilateral()
     exact = float(np.sum(exact_commutator_diagonal(model, 256)))
     windowed = complex(np.sum(np.diagonal(self_commutator(materialize(model, 256)))[:255]))
     ok = exact == 1.0 and abs(windowed - 1.0) <= 1e-12
@@ -64,7 +63,7 @@ def test_criterion_01_shift_commutator_trace():
 
 def test_criterion_02_determinant_triangle():
     start = time.perf_counter()
-    model = shift_model(unilateral())
+    model = unilateral()
     g = constant_grid(1.0, 400, 400)
     ok = True
     for z, w in ((2.0, 2.0), (2.0, 3.0), (2j, 2j)):
@@ -88,7 +87,7 @@ def basis(n):
 
 
 def test_criterion_03_multiplicative_tripwire():
-    model = shift_model(unilateral())
+    model = unilateral()
     t = materialize(model, 32)
     ok = True
     for z, w in ((2.0, 3.0), (2j, 2j), (-1.7, 2.5 + 1j)):
@@ -100,7 +99,7 @@ def test_criterion_03_multiplicative_tripwire():
 
 
 def test_criterion_04_polynomial_trace_formula():
-    model = shift_model(unilateral())
+    model = unilateral()
     g = constant_grid(1.0, 400, 400)
     zeta = g.nodes()
     measure = g.cell_measure()
@@ -121,7 +120,7 @@ def test_criterion_04_polynomial_trace_formula():
 
 
 def test_criterion_05_berger_shaw_putnam_equality():
-    checks = berger_shaw_putnam_check(shift_model(unilateral()), np.pi)
+    checks = berger_shaw_putnam_check(unilateral(), np.pi)
     ok = all(c.passed for c in checks)
     ok &= all(abs(c.lhs - 1.0) <= 1e-12 and abs(c.rhs - 1.0) <= 1e-12 for c in checks)
     report("criterion 5: Berger-Shaw and Putnam bounds hold with equality 1 <= 1", ok)
@@ -129,7 +128,7 @@ def test_criterion_05_berger_shaw_putnam_equality():
 
 def test_criterion_06_mobius_invariance():
     n, internal = 150, 300
-    s = materialize(shift_model(unilateral()), internal)
+    s = materialize(unilateral(), internal)
     x = basis(internal)
     ok = True
     for phi in DEFAULT_MAP_GRID:
@@ -148,14 +147,12 @@ def test_criterion_06_mobius_invariance():
 def test_criterion_07_principal_function_index():
     interior = default_interior_points()
     exterior = default_exterior_points()
-    models = [shift_model(unilateral())] + [
-        shift_model(rational_family(lam)) for lam in (1.5, 2.0, 5.0)
-    ]
+    models = [unilateral()] + [rational_family(lam) for lam in (1.5, 2.0, 5.0)]
     ok = True
     for model in models:
         ok &= all(principal_value_at(model, z).g_value == 1 for z in interior)
         ok &= all(principal_value_at(model, z).g_value == 0 for z in exterior)
-    base = shift_model(unilateral())
+    base = unilateral()
     for phi in DEFAULT_MAP_GRID:
         ok &= all(c.passed for c in change_of_variable_check(base, phi, interior))
     ok &= all(c.passed for c in constancy_check(base))

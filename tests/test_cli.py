@@ -20,7 +20,7 @@ from hyposhift.reporting import (
     write_report,
 )
 from hyposhift.principal import constant_grid
-from hyposhift.shifts import rational_family, shift_model, symbol_curve, unilateral
+from hyposhift.shifts import rational_family, symbol_curve, unilateral
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -59,6 +59,13 @@ class TestParseConfig:
     def test_rejects_bad_point_shape(self):
         with pytest.raises(ConfigError, match="points"):
             parse_config('{"experiment": "pincus-check", "points": [[1.0]]}')
+
+    def test_berger_shaw_putnam_requires_limit(self):
+        with pytest.raises(ConfigError, match="limit"):
+            parse_config(
+                '{"experiment": "berger-shaw-putnam",'
+                ' "model": {"kind": "tabulated", "weights": [1, 2]}}'
+            )
 
     def test_parses_full_config(self):
         cfg = parse_config(
@@ -228,8 +235,8 @@ class TestMain:
     @pytest.mark.parametrize(
         "extra, model",
         [
-            ([], shift_model(unilateral())),
-            (["--model-lambda", "2.0"], shift_model(rational_family(2.0))),
+            ([], unilateral()),
+            (["--model-lambda", "2.0"], rational_family(2.0)),
         ],
     )
     def test_grid_matches_oracle_loop(self, tmp_path, extra, model):
@@ -270,6 +277,57 @@ class TestMain:
         argv = ["grid", "--experiment", "pincus-check", "--out", str(out), "--n-r", "2"]
         assert main(argv + ["--n-theta", "4"]) == 2
         assert "cannot write grid CSV" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    def test_run_unwritable_output_exits_two(self, tmp_path, capsys, flag):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"experiment": "berger-shaw-putnam"}')
+        outputs = {"--out": str(tmp_path / "r.json"), "--csv": str(tmp_path / "r.csv")}
+        outputs[flag] = str(tmp_path / "missing-dir" / "x")
+        argv = ["run", "--config", str(cfg_path)]
+        for name, path in outputs.items():
+            argv += [name, path]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "cannot write" in err
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            pytest.param('"truncation": "abc"', id="truncation_str"),
+            pytest.param('"c_values": ["x"]', id="c_value_str"),
+            pytest.param('"c_values": 5', id="c_values_scalar"),
+            pytest.param('"truncation": 256.5', id="truncation_fraction"),
+            pytest.param('"grid": {"n_r": "a"}', id="grid_str"),
+            pytest.param('"grid": {"n_r": 32, "n_theta": 32.5}', id="grid_fraction"),
+            pytest.param('"p": [["x", 0, 1.0, 0.0]]', id="exponent_str"),
+            pytest.param('"p": [[1.5, 0, 1.0, 0.0]]', id="exponent_fraction"),
+            pytest.param('"mobius": {"beta_arg": "x"}', id="beta_arg_str"),
+            pytest.param('"mobius": {"a": [NaN, 0]}', id="mobius_a_nan"),
+            pytest.param('"points": [["x", 0]]', id="point_str"),
+            pytest.param('"area": "x"', id="area_str"),
+            pytest.param('"area": 1e400', id="area_overflow"),
+            pytest.param('"area": 1' + "0" * 400, id="area_int_overflow"),
+            pytest.param('"model": {"kind": "rational", "lambda": NaN}', id="lambda_nan"),
+            pytest.param('"model": {"kind": "rational", "lambda": Infinity}', id="lambda_inf"),
+            pytest.param(
+                '"model": {"kind": "tabulated", "weights": "x", "limit": 1}', id="weights_str"
+            ),
+            pytest.param('"tolerance": -1e-3', id="tolerance_negative"),
+        ],
+    )
+    def test_run_malformed_value_exits_two(self, tmp_path, capsys, fields):
+        # a valid helton-howe config; a later duplicate key overrides an earlier one
+        valid = '"experiment": "helton-howe", "p": [[0, 1, 1.0, 0.0]], "q": [[1, 0, 1.0, 0.0]]'
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("{" + valid + ", " + fields + "}")
+        argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyposhift.determinants import (
+    CartesianPair,
     cartesian_parts,
     det_eigenproduct,
     det_logseries,
@@ -19,7 +20,7 @@ from hyposhift.errors import (
     SpectrumHit,
 )
 from hyposhift.linalg import adjoint, rank_one, trace, trace_norm
-from hyposhift.shifts import materialize, rational_family, shift_model, unilateral
+from hyposhift.shifts import materialize, rational_family, unilateral
 
 from conftest import basis_vector, random_complex_matrix
 
@@ -73,20 +74,20 @@ class TestDetLogseries:
 
 class TestDeterminingDet:
     def test_real_points(self):
-        model = shift_model(unilateral())
+        model = unilateral()
         x = basis_vector(256, 0)
         val = determining_det(model, x, 2.0, 3.0, 256)
         assert val == pytest.approx(1.0 - 1.0 / 6.0, abs=1e-12)
 
     def test_imaginary_point(self):
-        model = shift_model(unilateral())
+        model = unilateral()
         x = basis_vector(64, 0)
         val = determining_det(model, x, 2j, 2j, 64)
         assert val == pytest.approx(0.75, abs=1e-12)
 
     def test_truncation_invariant(self):
         # the adjoint resolvent acts on e_0 identically at every truncation size
-        model = shift_model(unilateral())
+        model = unilateral()
         vals = [
             determining_det(model, basis_vector(n, 0), 2.0 - 1j, 3.0 + 0.5j, n)
             for n in (8, 32, 256)
@@ -95,7 +96,7 @@ class TestDeterminingDet:
         assert vals[1] == pytest.approx(vals[2], abs=1e-14)
 
     def test_closed_form_all_points(self):
-        model = shift_model(unilateral())
+        model = unilateral()
         x = basis_vector(32, 0)
         for z in (2.0, 3.0 - 1j, 2j, -1.5 + 1.5j):
             for w in (2.0, 2j, 4.0 + 1j):
@@ -103,21 +104,21 @@ class TestDeterminingDet:
                 assert val == pytest.approx(1.0 - 1.0 / (z * np.conj(w)), abs=1e-12)
 
     def test_rejects_points_in_disc(self):
-        model = shift_model(unilateral())
+        model = unilateral()
         with pytest.raises(SpectrumHit):
             determining_det(model, basis_vector(16, 0), 0.5, 2.0, 16)
         with pytest.raises(SpectrumHit):
             determining_det(model, basis_vector(16, 0), 2.0, 1.0, 16)
 
     def test_rejects_higher_rank_model(self):
-        model = shift_model(rational_family(2.0))
+        model = rational_family(2.0)
         with pytest.raises(NotRankOne):
             determining_det(model, basis_vector(16, 0), 2.0, 3.0, 16)
 
 
 class TestCartesianPair:
     def test_splits_shift(self):
-        t = materialize(shift_model(unilateral()), 8)
+        t = materialize(unilateral(), 8)
         d = np.zeros((8, 8))
         d[0, 0] = 1.0
         pair = cartesian_parts(t, d)
@@ -126,25 +127,25 @@ class TestCartesianPair:
         np.testing.assert_allclose(pair.b, adjoint(pair.b), atol=1e-14)
 
     def test_rejects_non_hermitian_model(self):
-        t = materialize(shift_model(unilateral()), 4)
+        t = materialize(unilateral(), 4)
         with pytest.raises(NotPSD):
             cartesian_parts(t, t)
 
     def test_rejects_indefinite_model(self):
-        t = materialize(shift_model(unilateral()), 4)
+        t = materialize(unilateral(), 4)
         with pytest.raises(NotPSD):
             cartesian_parts(t, np.diag([1.0, -1.0, 0.0, 0.0]))
 
 
 class TestDeterminingFunction:
     def pair(self, n=6):
-        t = materialize(shift_model(unilateral()), n)
+        t = materialize(unilateral(), n)
         d = np.zeros((n, n))
         d[0, 0] = 1.0
         return cartesian_parts(t, d)
 
     def test_zero_model_gives_identity(self):
-        t = materialize(shift_model(unilateral()), 5)
+        t = materialize(unilateral(), 5)
         pair = cartesian_parts(t, np.zeros((5, 5)))
         e = determining_function_E(pair, 2.0, 3.0)
         np.testing.assert_allclose(e, np.eye(5), atol=1e-14)
@@ -169,10 +170,18 @@ class TestDeterminingFunction:
         with pytest.raises(SpectrumHit):
             determining_function_E(pair, 2.0, 0.0)
 
+    def test_absolute_floor_near_zero_spectrum(self):
+        # A = 0: every singular value of A - z equals |z| = 1e-14, so only the
+        # guard's absolute floor (1e-13 below unit scale) can reject the point
+        n = 3
+        pair = CartesianPair(a=np.zeros((n, n)), b=np.diag([1.0, 2.0, 4.0]), d=np.eye(n))
+        with pytest.raises(SpectrumHit, match="spectrum of A"):
+            determining_function_E(pair, 1e-14, 3.0)
+
 
 class TestMultiplicativePitfall:
     def test_always_one_on_shift(self):
-        t = materialize(shift_model(unilateral()), 24)
+        t = materialize(unilateral(), 24)
         for z, w in ((2.0, 3.0), (2j, 2j), (-1.7, 2.2 + 1j)):
             assert multiplicative_commutator_pitfall(t, z, w) == pytest.approx(
                 1.0, abs=1e-10
@@ -187,11 +196,11 @@ class TestMultiplicativePitfall:
 
     def test_differs_from_determining_det(self):
         # the tripwire: the finite product collapses to 1 while the true value does not
-        model = shift_model(unilateral())
+        model = unilateral()
         val = determining_det(model, basis_vector(32, 0), 2.0, 2.0, 32)
         assert abs(val - 1.0) > 0.2
 
     def test_singular_factor_raises(self):
-        t = materialize(shift_model(unilateral()), 4)
+        t = materialize(unilateral(), 4)
         with pytest.raises(SingularResolvent):
             multiplicative_commutator_pitfall(t, 0.0, 2.0)

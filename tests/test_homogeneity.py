@@ -17,7 +17,7 @@ from hyposhift.homogeneity import (
     witness_search,
 )
 from hyposhift.mobius import MobiusMap
-from hyposhift.shifts import rational_family, shift_model, symbol_curve, unilateral
+from hyposhift.shifts import rational_family, symbol_curve, unilateral
 
 
 class TestInequality:
@@ -61,40 +61,40 @@ class TestInequality:
 
 class TestSymbolCurveTransport:
     def test_identity_map_fixes_curve(self):
-        model = shift_model(unilateral())
+        model = unilateral()
         np.testing.assert_allclose(
             transformed_symbol_curve(model, MobiusMap(), 64), symbol_curve(model, 64)
         )
 
     def test_image_stays_on_unit_circle(self):
-        model = shift_model(unilateral())
+        model = unilateral()
         for phi in DEFAULT_MAP_GRID:
             image = transformed_symbol_curve(model, phi, 256)
             np.testing.assert_allclose(np.abs(image), 1.0, atol=1e-12)
 
     def test_change_of_variable_default_points(self):
-        model = shift_model(unilateral())
+        model = unilateral()
         phi = MobiusMap(a=0.5)
         checks = change_of_variable_check(model, phi, default_interior_points())
         assert len(checks) == 20
         assert all(c.passed for c in checks)
 
     def test_change_of_variable_exterior(self):
-        model = shift_model(unilateral())
+        model = unilateral()
         phi = MobiusMap(beta=np.exp(1j * np.pi / 7), a=0.3j)
         checks = change_of_variable_check(model, phi, default_exterior_points())
         assert all(c.passed for c in checks)
         assert all(c.lhs == 0 for c in checks)
 
     def test_constancy_unilateral(self):
-        checks = constancy_check(shift_model(unilateral()))
+        checks = constancy_check(unilateral())
         assert len(checks) == len(DEFAULT_MAP_GRID) * 25
         assert all(c.passed for c in checks)
 
     def test_constancy_rational(self):
         for lam in (1.5, 2.0, 5.0):
             checks = constancy_check(
-                shift_model(rational_family(lam)),
+                rational_family(lam),
                 maps=(MobiusMap(a=0.4),),
                 interior_points=default_interior_points(8),
                 exterior_points=default_exterior_points(3),
@@ -104,7 +104,7 @@ class TestSymbolCurveTransport:
 
 class TestResolventProbe:
     def test_unilateral_at_two(self):
-        probe = resolvent_norm_probe(shift_model(unilateral()), 2.0, 128)
+        probe = resolvent_norm_probe(unilateral(), 2.0, 128)
         assert probe.spectral_bound == pytest.approx(0.5)
         assert probe.distance_bound == pytest.approx(1.0)
         # the exact adjoint resolvent sends e_0 to -(1/conj(w)) e_0
@@ -113,14 +113,19 @@ class TestResolventProbe:
         # the spectral bound underestimates the truncation's resolvent norm
         assert probe.operator_norm > probe.spectral_bound
 
+    def test_rank_one_vector_is_scaled_by_first_weight(self):
+        # x = w_0 e_0 and T* e_0 = 0, so the resolvent vector has norm w_0/|w|
+        probe = resolvent_norm_probe(rational_family(2.0), 3.0, 32)
+        assert probe.vector_norm == pytest.approx(0.5 / 3.0, abs=1e-14)
+
     def test_far_point_bounds_converge(self):
-        probe = resolvent_norm_probe(shift_model(unilateral()), 10.0, 128)
+        probe = resolvent_norm_probe(unilateral(), 10.0, 128)
         assert probe.operator_norm <= probe.distance_bound + 1e-12
         assert probe.operator_norm == pytest.approx(probe.spectral_bound, abs=2e-2)
 
     def test_rejects_small_point(self):
         with pytest.raises(SpectrumHit):
-            resolvent_norm_probe(shift_model(unilateral()), 0.9, 32)
+            resolvent_norm_probe(unilateral(), 0.9, 32)
 
 
 class TestTLambdaTrace:

@@ -15,14 +15,14 @@ from hyposhift.linalg import (
     trace,
     trace_norm,
 )
-from hyposhift.shifts import materialize, shift_model, unilateral
+from hyposhift.shifts import materialize, unilateral
 
 from conftest import basis_vector, householder_unitary, random_complex_matrix
 from oracles import resolvent_solve
 
 
 def truncated_shift(n):
-    return materialize(shift_model(unilateral()), n)
+    return materialize(unilateral(), n)
 
 
 class TestTrace:
@@ -111,7 +111,7 @@ class TestHermitianMinEig:
     def test_exact_commutator_diagonal_positive(self):
         from hyposhift.shifts import exact_commutator_diagonal, rational_family
 
-        diag = exact_commutator_diagonal(shift_model(rational_family(2.0)), 8)
+        diag = exact_commutator_diagonal(rational_family(2.0), 8)
         assert diag[0] == pytest.approx(0.25)
         assert np.max(diag) == pytest.approx(0.25)
         assert hermitian_min_eig(np.diag(diag)) > 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyposhift.errors import NotAContraction, PoleHit, ZeroCenter
+from hyposhift.errors import NotAContraction, PoleHit, SingularInput, ZeroCenter
 from hyposhift.linalg import (
     adjoint,
     hermitian_min_eig,
@@ -21,7 +21,7 @@ from hyposhift.mobius import (
     mobius_invert,
     transformed_commutator_window,
 )
-from hyposhift.shifts import materialize, shift_model, unilateral
+from hyposhift.shifts import materialize, unilateral
 
 from conftest import basis_vector, random_complex_matrix
 
@@ -132,7 +132,7 @@ class TestArrayEval:
 
 class TestOperatorAction:
     def test_identity_fixes_operator(self):
-        s = materialize(shift_model(unilateral()), 8)
+        s = materialize(unilateral(), 8)
         np.testing.assert_allclose(apply_to_operator(MobiusMap(), s), s, atol=1e-14)
 
     def test_zero_operator(self):
@@ -145,13 +145,13 @@ class TestOperatorAction:
             apply_to_operator(MobiusMap(a=0.5), 2.0 * np.eye(3))
 
     def test_transformed_shift_stays_hyponormal_on_window(self):
-        s = materialize(shift_model(unilateral()), 300)
+        s = materialize(unilateral(), 300)
         for phi in MAP_GRID:
             window = transformed_commutator_window(phi, s, 150)
             assert hermitian_min_eig(window, tol=1e-9) >= -1e-9
 
     def test_action_respects_composition_on_window(self):
-        s = materialize(shift_model(unilateral()), 300)
+        s = materialize(unilateral(), 300)
         phi = MobiusMap(a=0.3)
         psi = MobiusMap(beta=np.exp(0.7j), a=0.4j)
         lhs = apply_to_operator(mobius_compose(phi, psi), s)[:150, :150]
@@ -163,7 +163,7 @@ class TestClosedFormCommutator:
     def test_matches_direct_on_window(self):
         n = 150
         internal = 2 * n + 2
-        s = materialize(shift_model(unilateral()), internal)
+        s = materialize(unilateral(), internal)
         x = basis_vector(internal, 0)
         for phi in MAP_GRID:
             direct = transformed_commutator_window(phi, s, n)
@@ -171,7 +171,7 @@ class TestClosedFormCommutator:
             assert np.linalg.norm(direct - closed) <= 1e-6
 
     def test_rank_one_on_window(self):
-        s = materialize(shift_model(unilateral()), 300)
+        s = materialize(unilateral(), 300)
         for phi in MAP_GRID:
             window = transformed_commutator_window(phi, s, 150)
             sv = singular_spectrum(window)
@@ -179,20 +179,20 @@ class TestClosedFormCommutator:
             assert sv[1] / sv[0] <= 1e-6
 
     def test_trace_positive_real(self):
-        s = materialize(shift_model(unilateral()), 120)
+        s = materialize(unilateral(), 120)
         phi = MobiusMap(a=0.5)
         val = trace(closed_form_selfcommutator(phi, s, basis_vector(120, 0)))
         assert abs(val.imag) < 1e-12
         assert val.real > 0
 
     def test_zero_center_raises(self):
-        s = materialize(shift_model(unilateral()), 8)
+        s = materialize(unilateral(), 8)
         with pytest.raises(ZeroCenter):
             closed_form_selfcommutator(MobiusMap(), s, basis_vector(8, 0))
 
     def test_affine_branch_preserves_commutator(self):
         # a = 0: phi(T) = beta T and the commutator is invariant
-        s = materialize(shift_model(unilateral()), 20)
+        s = materialize(unilateral(), 20)
         phi = MobiusMap(beta=np.exp(1j * np.pi / 7))
         w = apply_to_operator(phi, s)
         np.testing.assert_allclose(self_commutator(w), self_commutator(s), atol=1e-13)
@@ -212,11 +212,21 @@ class TestInverseCommutator:
         # shifted truncation: [T*, T] = e_0 (x) e_0 up to a corner defect whose
         # influence on the leading window decays geometrically
         n, window = 80, 30
-        t = materialize(shift_model(unilateral()), n) + 1.5 * np.eye(n)
+        t = materialize(unilateral(), n) + 1.5 * np.eye(n)
         ti = np.linalg.inv(t)
         direct = (adjoint(ti) @ ti - ti @ adjoint(ti))[:window, :window]
         formula = inverse_commutator_rank_one(t, basis_vector(n, 0))[:window, :window]
         assert np.linalg.norm(direct - formula) <= 1e-9
+
+    def test_singular_operator_raises(self):
+        # the truncated shift is nilpotent
+        with pytest.raises(SingularInput):
+            inverse_commutator_rank_one(materialize(unilateral(), 6), basis_vector(6, 0))
+
+    def test_tiny_operator_counts_as_singular(self):
+        # below unit scale the guard's cutoff 1e-13 is absolute, not relative to ||T||
+        with pytest.raises(SingularInput):
+            inverse_commutator_rank_one(5e-14 * np.eye(4), basis_vector(4, 0))
 
 
 def rank_one_matrix(n):

@@ -20,7 +20,7 @@ from hyposhift.principal import (
     winding_number,
     winding_numbers,
 )
-from hyposhift.shifts import rational_family, shift_model, tabulated, unilateral
+from hyposhift.shifts import rational_family, tabulated, unilateral
 
 
 def unit_circle(samples, loops=1):
@@ -140,29 +140,29 @@ class TestWindingNumbers:
 
 class TestPrincipalValue:
     def test_interior_is_one(self):
-        model = shift_model(unilateral())
+        model = unilateral()
         for zeta in (0.0, 0.5, -0.3 + 0.4j, 0.8j):
             assert principal_value_at(model, zeta).g_value == 1
 
     def test_exterior_is_zero(self):
-        model = shift_model(unilateral())
+        model = unilateral()
         for zeta in (1.5, -2.0, 1.1 + 1.1j):
             assert principal_value_at(model, zeta).g_value == 0
 
     def test_rational_family_same_values(self):
         for lam in (1.5, 2.0, 5.0):
-            model = shift_model(rational_family(lam))
+            model = rational_family(lam)
             assert principal_value_at(model, 0.3 + 0.2j).g_value == 1
             assert principal_value_at(model, 2.0).g_value == 0
 
     def test_smaller_essential_radius(self):
-        model = shift_model(tabulated([0.9, 0.7], limit=0.5))
+        model = tabulated([0.9, 0.7], limit=0.5)
         assert principal_value_at(model, 0.1).g_value == 1
         assert principal_value_at(model, 0.75).g_value == 0
 
     def test_on_circle_raises(self):
         with pytest.raises(OnEssentialSpectrum):
-            principal_value_at(shift_model(unilateral()), 1.0)
+            principal_value_at(unilateral(), 1.0)
 
 
 class TestDiscCauchyExponential:
@@ -225,7 +225,7 @@ class TestClosedFormOracle:
 
 class TestPincusConsistency:
     def test_triangle_passes(self):
-        model = shift_model(unilateral())
+        model = unilateral()
         checks = pincus_consistency(model, 2.0, 3.0, n=64, n_r=200, n_theta=200)
         assert len(checks) == 3
         assert all(c.passed for c in checks)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyposhift.errors import DimensionTooSmall
+from hyposhift.errors import DimensionTooSmall, NoLimitDeclared
 from hyposhift.linalg import adjoint
 from hyposhift.principal import constant_grid
-from hyposhift.shifts import materialize, rational_family, shift_model, tabulated, unilateral
+from hyposhift.shifts import materialize, rational_family, tabulated, unilateral
 from hyposhift.traceforms import (
     BivariatePolynomial,
     berger_shaw_putnam_check,
@@ -100,22 +100,22 @@ class TestWirtingerJacobian:
 
 class TestEvalAtOperator:
     def test_linear_monomials(self):
-        t = materialize(shift_model(unilateral()), 5)
+        t = materialize(unilateral(), 5)
         np.testing.assert_allclose(eval_poly_at_operator(monomial(1, 0), t), t)
         np.testing.assert_allclose(eval_poly_at_operator(monomial(0, 1), t), adjoint(t))
 
     def test_ordering_t_before_t_star(self):
-        t = materialize(shift_model(rational_family(2.0)), 5)
+        t = materialize(rational_family(2.0), 5)
         out = eval_poly_at_operator(monomial(1, 1), t)
         np.testing.assert_allclose(out, t @ adjoint(t), atol=1e-14)
 
     def test_constant_term(self):
-        t = materialize(shift_model(unilateral()), 4)
+        t = materialize(unilateral(), 4)
         out = eval_poly_at_operator(monomial(0, 0, 3.0), t)
         np.testing.assert_allclose(out, 3.0 * np.eye(4), atol=1e-14)
 
     def test_linearity(self):
-        t = materialize(shift_model(unilateral()), 6)
+        t = materialize(unilateral(), 6)
         p = monomial(2, 0) + monomial(0, 1, -1.5j)
         out = eval_poly_at_operator(p, t)
         np.testing.assert_allclose(out, t @ t - 1.5j * adjoint(t), atol=1e-14)
@@ -128,29 +128,29 @@ class TestTracialForm:
 
     def test_dimension_guard(self):
         with pytest.raises(DimensionTooSmall):
-            tracial_form(monomial(0, 2), monomial(2, 0), shift_model(unilateral()), 16)
+            tracial_form(monomial(0, 2), monomial(2, 0), unilateral(), 16)
 
     def test_full_trace_identically_zero(self):
-        model = shift_model(rational_family(2.0))
+        model = rational_family(2.0)
         val = full_finite_trace(monomial(0, 1), monomial(1, 0), model, 32)
         assert abs(val) <= 1e-13
 
     def test_conjugate_pair_gives_one(self):
-        val = tracial_form(monomial(0, 1), monomial(1, 0), shift_model(unilateral()), 64)
+        val = tracial_form(monomial(0, 1), monomial(1, 0), unilateral(), 64)
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_mixed_pair_gives_zero(self):
-        val = tracial_form(monomial(0, 1), monomial(2, 0), shift_model(unilateral()), 64)
+        val = tracial_form(monomial(0, 1), monomial(2, 0), unilateral(), 64)
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_squares_give_two(self):
-        val = tracial_form(monomial(0, 2), monomial(2, 0), shift_model(unilateral()), 64)
+        val = tracial_form(monomial(0, 2), monomial(2, 0), unilateral(), 64)
         assert val == pytest.approx(2.0, abs=1e-12)
 
 
 class TestHeltonHoweCheck:
     def test_three_pairs_pass(self):
-        model = shift_model(unilateral())
+        model = unilateral()
         g = constant_grid(1.0, 200, 200)
         for p, q, tol in (
             (monomial(0, 1), monomial(1, 0), 1e-4),
@@ -163,7 +163,7 @@ class TestHeltonHoweCheck:
 
 class TestBergerShawPutnam:
     def test_shift_with_disc_area(self):
-        checks = berger_shaw_putnam_check(shift_model(unilateral()), np.pi)
+        checks = berger_shaw_putnam_check(unilateral(), np.pi)
         assert len(checks) == 2
         for c in checks:
             assert c.passed
@@ -173,17 +173,23 @@ class TestBergerShawPutnam:
 
     def test_rational_family_strict_inequality(self):
         for lam in (1.5, 2.0, 5.0):
-            checks = berger_shaw_putnam_check(shift_model(rational_family(lam)), np.pi)
+            checks = berger_shaw_putnam_check(rational_family(lam), np.pi)
             assert all(c.passed for c in checks)
             assert checks[1].lhs.real < 1.0  # norm strictly below the bound
 
     def test_undersized_area_fails(self):
-        checks = berger_shaw_putnam_check(shift_model(unilateral()), 1.0)
+        checks = berger_shaw_putnam_check(unilateral(), 1.0)
         assert not checks[0].passed
 
     def test_small_shift(self):
         # radius-1/2 shift inside a disc of area pi/4: both bounds tight
-        model = shift_model(tabulated([0.5], limit=0.5))
+        model = tabulated([0.5], limit=0.5)
         checks = berger_shaw_putnam_check(model, np.pi / 4.0)
         assert all(c.passed for c in checks)
         assert checks[0].lhs == pytest.approx(0.25, abs=1e-12)
+
+    def test_tabulated_without_limit_raises(self):
+        # the trace is w_inf^2, so a table without a declared limit has none,
+        # even when the table covers every sampled diagonal entry
+        with pytest.raises(NoLimitDeclared):
+            berger_shaw_putnam_check(tabulated([1.0, 2.0]), np.pi, diag_samples=2)
