@@ -23,6 +23,7 @@ from .errors import ConfigError, HyposhiftError, IoError
 from .homogeneity import (
     DEFAULT_MAP_GRID,
     DEFAULT_WITNESS_GRID,
+    PROBE_MIN_MODULUS,
     change_of_variable_check,
     constancy_check,
     default_exterior_points,
@@ -138,6 +139,12 @@ def _finite_number(token: str) -> float:
 _DECODER = json.JSONDecoder(parse_constant=_finite_number, parse_float=_finite_number)
 
 
+# Experiments whose points must lie outside a disc: the quadrature and the
+# closed form of pincus-check need |z| > 1, the resolvent probe keeps off the
+# spectrum.
+_MIN_POINT_MODULUS = {"pincus-check": 1.0, "resolvent-probe": PROBE_MIN_MODULUS}
+
+
 def _parse_field(cfg: ExperimentConfig, key: str, value) -> None:
     if key == "model":
         cfg.model = _parse_model(value, key)
@@ -198,6 +205,11 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("p/q: helton-howe requires both polynomials")
     if name == "berger-shaw-putnam" and cfg.model.limit is None:
         raise ConfigError("model.limit: berger-shaw-putnam requires a declared limit")
+    if name in _MIN_POINT_MODULUS:
+        bound = _MIN_POINT_MODULUS[name]
+        for i, z in enumerate(cfg.points):
+            if abs(z) <= bound:
+                raise ConfigError(f"points[{i}]: {name} needs |z| > {bound}, got {abs(z)}")
     return cfg
 
 

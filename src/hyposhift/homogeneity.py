@@ -5,6 +5,8 @@ constant c = 1.
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +26,8 @@ DEFAULT_MAP_GRID = tuple(
 )
 
 DEFAULT_WITNESS_GRID = tuple(1.05 + 0.05 * k for k in range(180))  # 1.05 .. 10.0
-WITNESS_MARGIN = 1e-12
+# resolvent_norm_probe needs |w| above this: the spectrum of T is the closed unit disc.
+PROBE_MIN_MODULUS = 1.0 + 1e-6
 
 
 @dataclass(frozen=True)
@@ -35,24 +38,48 @@ class InequalityProbe:
     rhs: float  # (1 - 1/r^2)^c
 
 
-def theorem_inequality_eval(c: float, r: float) -> InequalityProbe:
+def _check_inequality_domain(c: float, r: float) -> None:
     if not (0.0 < c <= 1.0):
         raise DomainError(f"c must lie in (0, 1], got {c}")
     if r <= 1.0:
         raise DomainError(f"r must exceed 1, got {r}")
+
+
+def theorem_inequality_eval(c: float, r: float) -> InequalityProbe:
+    _check_inequality_domain(c, r)
     return InequalityProbe(c=c, r=r, lhs=1.0 - c / r**2, rhs=(1.0 - 1.0 / r**2) ** c)
 
 
+def inequality_gap(c: float, r: float) -> tuple[float, float]:
+    """(1 - c/r^2) - (1 - 1/r^2)^c without cancellation, and a bound on its rounding error.
+
+    With d = 1 - c and u = 1/r^2 the gap is d u - (1 - u) expm1(-d log1p(-u)).
+    Both terms are O(d), so the gap keeps its relative accuracy as c -> 1
+    (subtracting the two sides directly leaves roundoff near 1e-16) and is
+    exactly 0 at c = 1.  The rounding bound is 16 eps (d u + expm1(-d log1p(-u))):
+    a few roundings per term, and the second term, the subtrahend over 1 - u,
+    also covers the gap's sensitivity to the rounding of u.
+    """
+    _check_inequality_domain(c, r)
+    d = 1.0 - c
+    u = 1.0 / r**2
+    growth = math.expm1(-d * math.log1p(-u))
+    gap = d * u - (1.0 - u) * growth
+    return gap, 16.0 * sys.float_info.epsilon * (d * u + growth)
+
+
 def witness_search(c: float, r_grid=DEFAULT_WITNESS_GRID) -> float | None:
-    """Smallest grid r with 1 - c/r^2 > (1 - 1/r^2)^c + margin, or None.
+    """Smallest grid r where 1 - c/r^2 exceeds (1 - 1/r^2)^c beyond roundoff, or None.
 
     A witness exists for every c < 1 (the two sides differ at order r^{-4}
     with a strictly negative coefficient); at c = 1 the two sides coincide
-    identically and the search must come up empty.
+    identically and the search must come up empty.  The decision compares
+    inequality_gap with its rounding bound, so it stays honest for c within
+    a few ulp of 1.
     """
     for r in r_grid:
-        probe = theorem_inequality_eval(c, r)
-        if probe.lhs > probe.rhs + WITNESS_MARGIN:
+        gap, bound = inequality_gap(c, r)
+        if gap > bound:
             return float(r)
     return None
 
@@ -144,7 +171,7 @@ def resolvent_norm_probe(model: WeightSequence, w: complex, n: int) -> Resolvent
     is the point.  Both numbers come from the weight band in O(n); raises
     SingularResolvent when T_n* - conj(w) is numerically singular.
     """
-    if abs(w) <= 1.0 + 1e-6:
+    if abs(w) <= PROBE_MIN_MODULUS:
         raise SpectrumHit(f"|w| must exceed 1, got {abs(w)}")
     op_norm = 1.0 / adjoint_resolvent_smin(model, w, n)
     x = np.zeros(n, dtype=np.complex128)

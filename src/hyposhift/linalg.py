@@ -1,10 +1,10 @@
 """Dense complex matrix algebra: traces, singular spectra, commutators.
 
-Serves the paths that act on general matrices: the Moebius operator action,
-Cartesian pairs, the multiplicative-determinant tripwire, and the dense test
-oracles.  Weighted-shift resolvents, determinants and tracial forms do not
-come through here; they are computed from the weight band (see shifts and
-traceforms).
+Serves the paths that act on general matrices: Cartesian pairs, the
+multiplicative-determinant tripwire, the closed-form Moebius commutators, and
+the dense test oracles.  Weighted-shift resolvents, determinants, tracial
+forms and the Moebius action on a shift do not come through here; they are
+computed from the weight band (see shifts, traceforms and mobius).
 
 Matrices are plain numpy complex arrays.  Every function is pure; nothing is
 mutated in place.  Inner products follow the convention <u, v> = sum u_k conj(v_k)

@@ -1,8 +1,10 @@
 """Disc automorphisms z -> beta (z - a) / (1 - conj(a) z) and their action on operators.
 
-Includes the closed-form self-commutator of the transformed operator when the
-original self-commutator is the rank-one x (x) x, and the exact rank-one formula
-for the commutator of inverses.
+The action on a truncated weighted shift is built from its weight band: phi(T)
+is a lower-triangular power series in T, so its self-commutator window needs
+no factorization.  Also included: the closed-form self-commutator of the
+transformed operator when the original self-commutator is the rank-one
+x (x) x, and the exact rank-one formula for the commutator of inverses.
 """
 from __future__ import annotations
 
@@ -11,10 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAContraction, PoleHit, SingularInput, ZeroCenter
-from .linalg import adjoint, as_matrix, is_singular, operator_norm, self_commutator
+from .linalg import adjoint, as_matrix, is_singular
 
 UNIMODULAR_TOL = 1e-12
 CONTRACTION_TOL = 1e-10
+# Offset diagonals of phi(T) are dropped once the geometric tail of their
+# coefficients, (1 + |a|) |a|^(k-1), is at most this: below half an ulp of a
+# unit entry, so the cut band equals phi(T) to working precision.
+BAND_CUTOFF = 1e-17
 
 
 @dataclass(frozen=True)
@@ -40,13 +46,19 @@ class MobiusMap:
 
 
 def mobius_eval(phi: MobiusMap, z):
-    """phi(z), elementwise when z is an array; PoleHit if any z hits 1/conj(a)."""
+    """phi(z), elementwise when z is an array; PoleHit if any z hits 1/conj(a).
+
+    A scalar runs through the same array kernel as a batch, so a point maps to
+    the same bits either way (numpy's vectorized complex product rounds
+    differently from its scalar one, which shows near the pole).
+    """
+    z = np.asarray(z, dtype=np.complex128)
     denom = 1.0 - np.conj(phi.a) * z
     hit = np.abs(denom) < 1e-15
     if np.any(hit):
-        first = np.asarray(z).flat[np.argmax(hit)]
+        first = z.flat[np.argmax(hit)]
         raise PoleHit(f"1 - conj(a) z vanishes at z = {first}")
-    return phi.beta * (z - phi.a) / denom
+    return (phi.beta * (z - phi.a) / denom)[()]
 
 
 def mobius_invert(phi: MobiusMap) -> MobiusMap:
@@ -65,21 +77,6 @@ def mobius_compose(phi: MobiusMap, psi: MobiusMap) -> MobiusMap:
     a = -b_mat / a_mat
     # closure of the group guarantees -conj(a) = c/d up to roundoff
     return MobiusMap(beta=beta, a=a)
-
-
-def apply_to_operator(phi: MobiusMap, t: np.ndarray) -> np.ndarray:
-    """beta (T - aI)(I - conj(a) T)^{-1}; requires ||T|| <= 1 (up to tolerance)."""
-    t = as_matrix(t)
-    norm = operator_norm(t)
-    if norm > 1.0 + CONTRACTION_TOL:
-        raise NotAContraction(f"||T|| = {norm} exceeds 1")
-    n = t.shape[0]
-    eye = np.eye(n)
-    numer = t - phi.a * eye
-    denom = eye - np.conj(phi.a) * t
-    # right division: X = numer @ denom^{-1}
-    x = np.linalg.solve(denom.T, numer.T).T
-    return phi.beta * x
 
 
 def closed_form_selfcommutator(phi: MobiusMap, t: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -122,11 +119,46 @@ def inverse_commutator_rank_one(t: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def transformed_commutator_window(phi: MobiusMap, t: np.ndarray, window: int) -> np.ndarray:
-    """Leading window of the self-commutator of phi(T).
+    """Leading window x window block of the self-commutator of phi(T).
 
-    Compute on the full internal dimension of t, then cut: shift truncations
-    agree with the infinite operator on the leading corner and the corner
-    defect decays like |a|^(dim - window) into the window.
+    t is a truncated weighted shift as materialize builds it: a dense n x n
+    matrix whose only nonzeros are its subdiagonal weights w_k; anything else,
+    or a window outside [1, n], raises ValueError.  ||T|| = max |w_k|, so the
+    contraction guard needs no SVD.
+
+    phi(T) = -a beta I + sum_{k>=1} beta (1 - |a|^2) conj(a)^(k-1) T^k is lower
+    triangular; its offset diagonal -k holds that coefficient times
+    w_j ... w_{j+k-1}.  Offsets stop at n - 1 (T is nilpotent) or before the
+    first k with (1 + |a|) |a|^(k-1) <= BAND_CUTOFF, leaving b of them, so the
+    window of X*X - XX* needs only the first window columns and
+    min(n, window + b) rows of X = phi(T).  The whole internal dimension of t
+    enters through those rows: shift truncations agree with the infinite
+    operator on the leading corner and the corner defect decays like
+    |a|^(dim - window) into the window.
     """
-    w = apply_to_operator(phi, t)
-    return self_commutator(w)[:window, :window]
+    t = as_matrix(t)
+    n = t.shape[0]
+    if not 1 <= window <= n:
+        raise ValueError(f"window must lie in [1, {n}], got {window}")
+    sub = np.diagonal(t, -1)
+    if np.count_nonzero(t) != np.count_nonzero(sub):
+        raise ValueError("expected a truncated weighted shift: nonzeros only on the subdiagonal")
+    norm = float(np.max(np.abs(sub), initial=0.0))
+    if norm > 1.0 + CONTRACTION_TOL:
+        raise NotAContraction(f"||T|| = {norm} exceeds 1")
+    r = abs(phi.a)
+    b = 0
+    while b + 1 < n and (1.0 + r) * r**b > BAND_CUTOFF:
+        b += 1
+    rows = min(n, window + b)
+    x = np.zeros((rows, window), dtype=np.complex128)
+    flat = x.reshape(-1)
+    flat[:: window + 1][:window] = -phi.a * phi.beta
+    scale = phi.beta * (1.0 - r * r)
+    prod = np.ones(window, dtype=np.complex128)
+    for k in range(1, b + 1):
+        length = min(window, rows - k)
+        prod = prod[:length] * sub[k - 1 : k - 1 + length]
+        flat[k * window :: window + 1][:length] = scale * np.conj(phi.a) ** (k - 1) * prod
+    head = x[:window]
+    return adjoint(x) @ x - head @ adjoint(head)

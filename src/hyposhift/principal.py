@@ -85,16 +85,24 @@ def winding_numbers(curve: np.ndarray, points) -> np.ndarray:
     Every point must keep a distance of more than CURVE_MARGIN_FACTOR x the
     maximal adjacent-point spacing from the curve, which makes the rounded
     argument sum refinement-stable; otherwise TooCloseToCurve names the first
-    offending point in input order.  Returns an int array shaped like points.
+    offending point in input order.  Points beyond the curve's bounding circle
+    plus that margin get winding 0 without the argument sum: the sampled
+    polygon lies inside the circle, and the products of far differences would
+    overflow.  Returns an int array shaped like points.
     """
     curve = np.asarray(curve, dtype=np.complex128)
     points = np.asarray(points, dtype=np.complex128)
     flat = points.reshape(-1)
     following = np.roll(curve, -1)
     margin = CURVE_MARGIN_FACTOR * float(np.max(np.abs(following - curve)))
-    out = np.empty(flat.shape, dtype=np.int64)
-    for start in range(0, flat.size, WINDING_CHUNK):
-        chunk = flat[start : start + WINDING_CHUNK, None]
+    re, im = curve.real, curve.imag
+    center = complex(np.max(re) + np.min(re), np.max(im) + np.min(im)) / 2.0
+    radius = float(np.max(np.abs(curve - center)))
+    near = np.flatnonzero(np.abs(flat - center) <= radius + margin)
+    out = np.zeros(flat.shape, dtype=np.int64)
+    for start in range(0, near.size, WINDING_CHUNK):
+        rows = near[start : start + WINDING_CHUNK]
+        chunk = flat[rows, None]
         rel = curve - chunk
         min_dist = np.min(np.abs(rel), axis=1)
         close = np.flatnonzero(min_dist <= margin)
@@ -108,7 +116,7 @@ def winding_numbers(curve: np.ndarray, points) -> np.ndarray:
         step = following - chunk
         step *= np.conjugate(rel, out=rel)
         turns = np.sum(np.angle(step), axis=1) / (2.0 * np.pi)
-        out[start : start + WINDING_CHUNK] = np.rint(turns)
+        out[rows] = np.rint(turns)
     return out.reshape(points.shape)
 
 

@@ -4,8 +4,8 @@ The model is a WeightSequence: closed-form or tabulated weights together with
 their limit value.  The n-truncation T_n is stored as its band: entry
 (k+1, k) = w_k, zero elsewhere.  The adjoint resolvent (T_n* - conj(w))^{-1},
 its singularity guard and its norm are computed from that band in O(n);
-materialize builds the dense matrix only for the dense Moebius action and
-for tests.
+materialize builds the dense matrix that the Moebius window reads its band
+from, and the dense oracles of the tests.
 
 The exact infinite-model self-commutator data comes from closed forms, never
 from truncations: the finite self-commutator is always traceless, so

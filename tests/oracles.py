@@ -1,18 +1,20 @@
 """Direct oracles for the library's structured and batched kernels.
 
 The library computes resolvents, smallest singular values, determining
-determinants and tracial forms from the weight band in O(n).  Most of these
-are the direct dense computations on materialize(model, n) that the property
-tests compare them against; they are O(n^3) and meant for small n only.
+determinants, tracial forms and the Moebius action on a shift from the weight
+band.  Most of these are the direct dense computations on materialize(model, n)
+that the property tests compare them against; they are O(n^3) and meant for
+small n only.
 winding_number is the one-point, division-form winding that the batched
 principal.winding_numbers is compared against, and weight the scalar weight
 rule that the vectorized WeightSequence.weights is compared against.
 """
 import numpy as np
 
-from hyposhift.errors import NoLimitDeclared, SingularResolvent, TooCloseToCurve
+from hyposhift.errors import NoLimitDeclared, NotAContraction, SingularResolvent, TooCloseToCurve
+from hyposhift.linalg import SINGULAR_CUTOFF, adjoint, as_matrix, inner, operator_norm
+from hyposhift.mobius import CONTRACTION_TOL
 from hyposhift.principal import CURVE_MARGIN_FACTOR
-from hyposhift.linalg import SINGULAR_CUTOFF, adjoint, as_matrix, inner
 from hyposhift.shifts import KIND_RATIONAL, KIND_UNILATERAL, materialize
 
 
@@ -103,3 +105,18 @@ def winding_number(curve: np.ndarray, point: complex) -> int:
     increments = np.angle(np.roll(rel, -1) / rel)
     total = float(np.sum(increments)) / (2.0 * np.pi)
     return int(np.rint(total))
+
+
+def apply_to_operator(phi, t: np.ndarray) -> np.ndarray:
+    """beta (T - aI)(I - conj(a) T)^{-1} by a dense solve; requires ||T|| <= 1 (up to tolerance)."""
+    t = as_matrix(t)
+    norm = operator_norm(t)
+    if norm > 1.0 + CONTRACTION_TOL:
+        raise NotAContraction(f"||T|| = {norm} exceeds 1")
+    n = t.shape[0]
+    eye = np.eye(n)
+    numer = t - phi.a * eye
+    denom = eye - np.conj(phi.a) * t
+    # right division: X = numer @ denom^{-1}
+    x = np.linalg.solve(denom.T, numer.T).T
+    return phi.beta * x

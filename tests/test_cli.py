@@ -329,6 +329,33 @@ class TestMain:
         assert "Traceback" not in err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize(
+        "experiment, points, index",
+        [
+            ("pincus-check", [[0.5, 0.0]], 0),
+            ("pincus-check", [[2.0, 0.0], [0.0, 1.0]], 1),
+            ("resolvent-probe", [[2.0, 0.0], [0.0, 0.5]], 1),
+            ("resolvent-probe", [[1.0000001, 0.0]], 0),
+        ],
+    )
+    def test_run_point_inside_disc_exits_two(self, tmp_path, capsys, experiment, points, index):
+        code, out = self.run_config(tmp_path, {"experiment": experiment, "points": points})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert f"points[{index}]" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_run_far_constancy_point_winds_zero(self, tmp_path):
+        # the argument products of a point at 1e300 overflow; it winds 0 about every image curve
+        code, out = self.run_config(
+            tmp_path, {"experiment": "constancy", "points": [[1e300, 1e300]]}
+        )
+        assert code == 0
+        checks = json.loads(out.read_text())["checks"]
+        assert all(c["lhs"] == [0.0, 0.0] and c["rhs"] == [0.0, 0.0] for c in checks)
+
 
 def test_cli_import_leaves_scipy_unloaded():
     # the runtime dependency is numpy alone; importing scipy would also slow start-up

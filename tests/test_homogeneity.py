@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from hyposhift.homogeneity import (
     constancy_check,
     default_exterior_points,
     default_interior_points,
+    inequality_gap,
     resolvent_norm_probe,
     t_lambda_trace_check,
     theorem_inequality_eval,
@@ -44,6 +46,30 @@ class TestInequality:
 
     def test_no_witness_at_one(self):
         assert witness_search(1.0) is None
+
+    @pytest.mark.parametrize("c", [0.9999999999999, 1.0 - 2.0**-52, 1.0 - 2.0**-53])
+    def test_witness_just_below_one(self, c):
+        # the true gap at r = 1.05 is about 0.69 (1 - c), far below a fixed 1e-12 margin
+        assert witness_search(c) == DEFAULT_WITNESS_GRID[0]
+
+    @pytest.mark.parametrize("r", [1.05, 2.0, 10.0])
+    def test_gap_vanishes_at_one(self, r):
+        assert inequality_gap(1.0, r) == (0.0, 0.0)
+
+    @given(
+        st.one_of(
+            st.floats(1e-6, 1.0, exclude_max=True),
+            st.integers(1, 2**30).map(lambda k: 1.0 - k * 2.0**-53),
+        ),
+        st.one_of(st.sampled_from(DEFAULT_WITNESS_GRID), st.floats(1.0001, 1e4)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_gap_within_bound_of_mpmath(self, c, r):
+        gap, bound = inequality_gap(c, r)
+        with mpmath.workprec(200):
+            cm, rm = mpmath.mpf(c), mpmath.mpf(r)
+            exact = (1 - cm / rm**2) - (1 - 1 / rm**2) ** cm
+            assert abs(mpmath.mpf(gap) - exact) <= bound
 
     @given(st.floats(1.01, 50.0))
     @settings(max_examples=60, deadline=None)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hyposhift.errors import NotAContraction, PoleHit, SingularInput, ZeroCenter
 from hyposhift.linalg import (
@@ -12,8 +12,8 @@ from hyposhift.linalg import (
     trace,
 )
 from hyposhift.mobius import (
+    CONTRACTION_TOL,
     MobiusMap,
-    apply_to_operator,
     closed_form_selfcommutator,
     inverse_commutator_rank_one,
     mobius_compose,
@@ -21,9 +21,10 @@ from hyposhift.mobius import (
     mobius_invert,
     transformed_commutator_window,
 )
-from hyposhift.shifts import materialize, unilateral
+from hyposhift.shifts import materialize, rational_family, tabulated, unilateral
 
 from conftest import basis_vector, random_complex_matrix
+from oracles import apply_to_operator
 
 MAP_GRID = [
     MobiusMap(a=0.3),
@@ -102,6 +103,8 @@ class TestArrayEval:
             max_size=40,
         ),
     )
+    # near the pole, where a vectorized complex product once rounded differently
+    @example(0.0, 0.4061700800685726 + 0.05j, [2.625 + 0.125j])
     @settings(max_examples=60, deadline=None)
     def test_array_matches_scalar(self, t, a, zs):
         phi = MobiusMap(beta=np.exp(1j * t), a=a)
@@ -157,6 +160,69 @@ class TestOperatorAction:
         lhs = apply_to_operator(mobius_compose(phi, psi), s)[:150, :150]
         rhs = apply_to_operator(phi, apply_to_operator(psi, s))[:150, :150]
         np.testing.assert_allclose(lhs, rhs, atol=1e-8)
+
+
+weight_models = st.one_of(
+    st.just(unilateral()),
+    st.floats(1.01, 20.0).map(rational_family),
+    st.lists(st.floats(1e-3, 1.0), min_size=63, max_size=63).map(tabulated),
+)
+
+
+class TestBandedWindow:
+    """transformed_commutator_window against the dense action and its guards."""
+
+    @given(
+        weight_models,
+        st.integers(2, 64),
+        st.data(),
+        phases,
+        st.one_of(st.just(0j), st.complex_numbers(max_magnitude=0.95, allow_nan=False)),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_dense_oracle(self, model, n, data, t, a):
+        window = data.draw(st.integers(1, n), label="window")
+        phi = MobiusMap(beta=np.exp(1j * t), a=a)
+        s = materialize(model, n)
+        expected = self_commutator(apply_to_operator(phi, s))[:window, :window]
+        got = transformed_commutator_window(phi, s, window)
+        assert got.shape == (window, window)
+        assert np.max(np.abs(got - expected)) <= 1e-12
+
+    def test_expansive_weight_raises(self):
+        s = materialize(tabulated([0.5, 1.0 + 2 * CONTRACTION_TOL, 0.5], 0.5), 6)
+        with pytest.raises(NotAContraction):
+            transformed_commutator_window(MobiusMap(a=0.3), s, 3)
+
+    def test_weight_at_contraction_tolerance_passes(self):
+        s = materialize(tabulated([0.5, 1.0 + 0.5 * CONTRACTION_TOL], 0.5), 6)
+        assert transformed_commutator_window(MobiusMap(a=0.3), s, 3).shape == (3, 3)
+
+    @pytest.mark.parametrize(
+        "t",
+        [0.5 * np.eye(4), np.eye(4, k=1), materialize(unilateral(), 4) + 1e-3 * np.eye(4, k=-2)],
+        ids=["scalar", "upper-shift", "second-subdiagonal"],
+    )
+    def test_non_shift_input_raises(self, t):
+        with pytest.raises(ValueError, match="weighted shift"):
+            transformed_commutator_window(MobiusMap(a=0.3), t, 2)
+
+    @pytest.mark.parametrize("window", [0, -1, 9])
+    def test_bad_window_raises(self, window):
+        with pytest.raises(ValueError, match="window"):
+            transformed_commutator_window(MobiusMap(a=0.3), materialize(unilateral(), 8), window)
+
+    def test_uses_no_dense_factorization(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense factorization called")
+
+        for name in ("svd", "solve", "inv", "lstsq", "eig", "eigh", "eigvals", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        s = materialize(unilateral(), 256)
+        window = transformed_commutator_window(MobiusMap(a=0.7j), s, 128)
+        powers = np.conj(0.7j) ** np.arange(128)
+        closed = 0.51 * np.outer(powers, powers.conj())
+        assert np.max(np.abs(window - closed)) <= 1e-12
 
 
 class TestClosedFormCommutator:

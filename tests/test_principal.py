@@ -131,6 +131,15 @@ class TestWindingNumbers:
         assert got.shape == (2, 3)
         assert got.tolist() == [[2, 2, 0], [2, 0, 2]]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("center", [0.0, 5.0 - 2.0j])
+    def test_far_points_wind_zero(self, center):
+        # products of differences near 1e300 overflow; past the bounding circle the winding is 0
+        curve = unit_circle(4096) + center
+        points = [center, 1e300 + 1e300j, center + 0.5j, -1e300j, center + 3.0]
+        assert winding_numbers(curve, points).tolist() == [1, 0, 1, 0, 0]
+        assert winding_numbers(curve, 1e300 + 1e300j) == 0
+
     def test_names_first_close_point_in_input_order(self):
         points = [0.0] * (WINDING_CHUNK + 2) + [0.99, 1.01]
         points[WINDING_CHUNK + 1] = 1.0 + 1e-3j
