@@ -1,16 +1,17 @@
 """Finite-truncation models of hyponormal shift operators.
 
-Dense complex matrix calculus, weighted-shift models with O(n) banded
-resolvent and trace kernels and exact infinite-model self-commutator data,
-disc-automorphism actions, determinant and trace-formula machinery, and
-principal-function estimation by winding number, together with a batch CLI
-that emits structured verification reports.
+Weighted-shift models stored as their weight band, with O(n) banded
+resolvent, determinant and trace kernels and exact infinite-model
+self-commutator data, the disc-automorphism action on a shift, the rank-one
+determining determinant, trace-formula checks, and principal-function
+estimation by winding number, together with a batch CLI that emits structured
+verification reports.  The dense general-matrix algebra that the banded
+kernels are checked against lives with the tests, as their oracle.
 """
 from . import (
     determinants,
     errors,
     homogeneity,
-    linalg,
     mobius,
     principal,
     reporting,
@@ -22,7 +23,6 @@ __all__ = [
     "determinants",
     "errors",
     "homogeneity",
-    "linalg",
     "mobius",
     "principal",
     "reporting",

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .determinants import check_rank_one
 from .errors import ConfigError, HyposhiftError, IoError
 from .homogeneity import (
     DEFAULT_MAP_GRID,
@@ -36,6 +37,7 @@ from .homogeneity import (
 from .mobius import MobiusMap
 from .principal import GridFunction, constant_grid, pincus_consistency, winding_numbers
 from .reporting import (
+    Check,
     VerificationReport,
     make_bound_check,
     make_check,
@@ -44,7 +46,12 @@ from .reporting import (
     write_report,
 )
 from .shifts import WeightSequence, rational_family, symbol_curve, tabulated, unilateral
-from .traceforms import BivariatePolynomial, berger_shaw_putnam_check, helton_howe_check
+from .traceforms import (
+    BivariatePolynomial,
+    berger_shaw_putnam_check,
+    check_window,
+    helton_howe_check,
+)
 
 DEFAULT_TRUNCATION = 256
 DEFAULT_GRID = (400, 400)
@@ -139,10 +146,8 @@ def _finite_number(token: str) -> float:
 _DECODER = json.JSONDecoder(parse_constant=_finite_number, parse_float=_finite_number)
 
 
-# Experiments whose points must lie outside a disc: the quadrature and the
-# closed form of pincus-check need |z| > 1, the resolvent probe keeps off the
-# spectrum.
-_MIN_POINT_MODULUS = {"pincus-check": 1.0, "resolvent-probe": PROBE_MIN_MODULUS}
+# Experiments whose points must lie outside a disc, with their default points.
+_DEFAULT_POINTS = {"pincus-check": [2.0 + 0j, 3.0 + 0j], "resolvent-probe": [2.0 + 0j, 10.0 + 0j]}
 
 
 def _parse_field(cfg: ExperimentConfig, key: str, value) -> None:
@@ -201,23 +206,36 @@ def parse_config(text: str) -> ExperimentConfig:
     # experiment-specific requirements
     if name == "t-lambda-trace" and cfg.model.kind != "rational":
         raise ConfigError("model: t-lambda-trace requires rational weights with lambda > 1")
-    if name == "helton-howe" and (cfg.p is None or cfg.q is None):
-        raise ConfigError("p/q: helton-howe requires both polynomials")
+    if name == "helton-howe":
+        if cfg.p is None or cfg.q is None:
+            raise ConfigError("p/q: helton-howe requires both polynomials")
+        try:
+            check_window(cfg.p, cfg.q, cfg.truncation)
+        except HyposhiftError as exc:
+            raise ConfigError(f"truncation: helton-howe {exc}") from exc
     if name == "berger-shaw-putnam" and cfg.model.limit is None:
         raise ConfigError("model.limit: berger-shaw-putnam requires a declared limit")
-    if name in _MIN_POINT_MODULUS:
-        bound = _MIN_POINT_MODULUS[name]
+    if name == "pincus-check":
+        try:
+            check_rank_one(cfg.model, cfg.truncation)
+        except HyposhiftError as exc:
+            raise ConfigError(f"model: pincus-check {exc}") from exc
+    if name in _DEFAULT_POINTS:
+        # the quadrature of pincus-check needs |z| > 1 and its determinant
+        # |z| > sup w_k; the resolvent probe keeps off the spectrum
+        bound = max(1.0, cfg.model.sup) if name == "pincus-check" else PROBE_MIN_MODULUS
+        where = "points" if cfg.points else "default points"
+        cfg.points = cfg.points or list(_DEFAULT_POINTS[name])
         for i, z in enumerate(cfg.points):
             if abs(z) <= bound:
-                raise ConfigError(f"points[{i}]: {name} needs |z| > {bound}, got {abs(z)}")
+                raise ConfigError(f"{where}[{i}]: {name} needs |z| > {bound}, got {abs(z)}")
     return cfg
 
 
 def _run_pincus(cfg: ExperimentConfig) -> list:
-    points = cfg.points or [2.0 + 0j, 3.0 + 0j]
     checks = []
-    for i, z in enumerate(points):
-        for w in points[i:]:
+    for i, z in enumerate(cfg.points):
+        for w in cfg.points[i:]:
             checks.extend(
                 pincus_consistency(
                     cfg.model, z, w, n=cfg.truncation, n_r=cfg.n_r, n_theta=cfg.n_theta
@@ -259,17 +277,13 @@ def _run_theorem_inequality(cfg: ExperimentConfig) -> list:
             lhs = witness if witness is not None else 0.0
         checks.append(_bool_check(label, ok, lhs))
         if c == 1.0:
-            worst = max(
-                abs(theorem_inequality_eval(1.0, r).lhs - theorem_inequality_eval(1.0, r).rhs)
-                for r in DEFAULT_WITNESS_GRID
-            )
+            probes = (theorem_inequality_eval(1.0, r) for r in DEFAULT_WITNESS_GRID)
+            worst = max(abs(probe.lhs - probe.rhs) for probe in probes)
             checks.append(make_bound_check("equality gap at c=1", worst, 0.0, 1e-12))
     return checks
 
 
-def _bool_check(name: str, ok: bool, value: float):
-    from .reporting import Check
-
+def _bool_check(name: str, ok: bool, value: float) -> Check:
     return Check(name=name, lhs=complex(value), rhs=complex(value), tolerance=0.0, passed=ok)
 
 
@@ -279,9 +293,8 @@ def _run_t_lambda(cfg: ExperimentConfig) -> list:
 
 def _run_resolvent_probe(cfg: ExperimentConfig) -> list:
     model = cfg.model
-    points = cfg.points or [2.0 + 0j, 10.0 + 0j]
     checks = []
-    for w in points:
+    for w in cfg.points:
         probe = resolvent_norm_probe(model, w, cfg.truncation)
         checks.append(
             make_bound_check(

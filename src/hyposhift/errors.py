@@ -5,16 +5,11 @@ class HyposhiftError(Exception):
     """Base class for every error raised by this package."""
 
 
-# linalg_core
-class NonHermitianInput(HyposhiftError):
-    pass
-
-
+# shift models
 class SingularResolvent(HyposhiftError):
     pass
 
 
-# shift models
 class InvalidDimension(HyposhiftError):
     pass
 
@@ -32,23 +27,7 @@ class NotAContraction(HyposhiftError):
     pass
 
 
-class ZeroCenter(HyposhiftError):
-    pass
-
-
-class SingularInput(HyposhiftError):
-    pass
-
-
 # determinants
-class NotPSD(HyposhiftError):
-    pass
-
-
-class SeriesDivergent(HyposhiftError):
-    pass
-
-
 class SpectrumHit(HyposhiftError):
     pass
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, OnEssentialSpectrum, SpectrumHit, TooCloseToCurve
-from .linalg import inner
 from .mobius import MobiusMap, mobius_eval, mobius_invert
 from .principal import principal_value_at, winding_numbers
 from .reporting import Check, make_check
@@ -126,7 +125,7 @@ def constancy_check(
         interior_points = default_interior_points()
     if exterior_points is None:
         exterior_points = default_exterior_points()
-    base = principal_value_at(model, interior_points[0], samples).g_value
+    base = principal_value_at(model, interior_points[0], samples)
     checks = []
     for phi in maps:
         image = transformed_symbol_curve(model, phi, samples)
@@ -182,7 +181,7 @@ def resolvent_norm_probe(model: WeightSequence, w: complex, n: int) -> Resolvent
         operator_norm=op_norm,
         spectral_bound=1.0 / abs(w),
         distance_bound=1.0 / (abs(w) - 1.0),
-        vector_norm=float(np.sqrt(inner(u, u).real)),
+        vector_norm=float(np.sqrt(np.vdot(u, u).real)),
     )
 
 

@@ -18,7 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .determinants import determining_det
 from .errors import EvaluationInsideDisc, OnEssentialSpectrum, TooCloseToCurve
+from .reporting import make_check
 from .shifts import WeightSequence, symbol_curve
 
 DEFAULT_CURVE_SAMPLES = 4096
@@ -68,17 +70,6 @@ def constant_grid(value: float, n_r: int, n_theta: int) -> GridFunction:
     return GridFunction(n_r, n_theta, np.full((n_r, n_theta), float(value)))
 
 
-@dataclass(frozen=True)
-class IndexEstimate:
-    point: complex
-    winding: int
-
-    @property
-    def g_value(self) -> int:
-        """Principal-function value: minus the Fredholm index = the winding."""
-        return self.winding
-
-
 def winding_numbers(curve: np.ndarray, points) -> np.ndarray:
     """Windings of a closed sampled curve about each point, by argument increments.
 
@@ -120,24 +111,18 @@ def winding_numbers(curve: np.ndarray, points) -> np.ndarray:
     return out.reshape(points.shape)
 
 
-def winding_number(curve: np.ndarray, point: complex) -> int:
-    """Winding of a closed sampled curve about one point; see winding_numbers."""
-    return int(winding_numbers(curve, point))
-
-
 def principal_value_at(
     model: WeightSequence, point: complex, samples: int = DEFAULT_CURVE_SAMPLES
-) -> IndexEstimate:
-    """g(point) = winding of the symbol curve about the point."""
+) -> int:
+    """g(point) = minus the Fredholm index = winding of the symbol curve about the point."""
     curve = symbol_curve(model, samples)
     try:
-        w = winding_number(curve, point)
+        return int(winding_numbers(curve, point))
     except TooCloseToCurve as exc:
         raise OnEssentialSpectrum(
             f"{point} is too close to the essential circle of radius "
             f"{model.limit}"
         ) from exc
-    return IndexEstimate(point=complex(point), winding=w)
 
 
 def disc_cauchy_exponential(g: GridFunction, z: complex, w: complex) -> complex:
@@ -191,9 +176,6 @@ def pincus_consistency(
     resolvent value matches the closed form to machine precision for the
     unilateral shift; the quadrature carries the grid tolerance.
     """
-    from .determinants import determining_det
-    from .reporting import make_check
-
     x = np.zeros(n, dtype=np.complex128)
     x[0] = model.weights(1)[0]
     det_val = determining_det(model, x, z, w, n)

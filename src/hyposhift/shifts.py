@@ -3,9 +3,8 @@
 The model is a WeightSequence: closed-form or tabulated weights together with
 their limit value.  The n-truncation T_n is stored as its band: entry
 (k+1, k) = w_k, zero elsewhere.  The adjoint resolvent (T_n* - conj(w))^{-1},
-its singularity guard and its norm are computed from that band in O(n);
-materialize builds the dense matrix that the Moebius window reads its band
-from, and the dense oracles of the tests.
+its singularity guard and its norm are computed from that band in O(n); no
+function here builds the dense matrix, which only the test oracles need.
 
 The exact infinite-model self-commutator data comes from closed forms, never
 from truncations: the finite self-commutator is always traceless, so
@@ -21,11 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidDimension, NoLimitDeclared, SingularResolvent
-from .linalg import SINGULAR_CUTOFF
 
 KIND_UNILATERAL = "unilateral"
 KIND_RATIONAL = "rational"
 KIND_TABULATED = "tabulated"
+
+# Singularity cutoff of the resolvent guard: s_min <= SINGULAR_CUTOFF * s_max.
+SINGULAR_CUTOFF = 1e-13
 
 # Stand-in for an exactly zero Sturm pivot.
 _PIVOT_FLOOR = sys.float_info.min
@@ -109,15 +110,6 @@ def band(model: WeightSequence, n: int) -> np.ndarray:
     if n < 2:
         raise InvalidDimension(f"truncation dimension must be >= 2, got {n}")
     return model.weights(n - 1)
-
-
-def materialize(model: WeightSequence, n: int) -> np.ndarray:
-    """N x N truncation: entry (k+1, k) = w_k, zero elsewhere.  Nilpotent."""
-    sub = band(model, n)
-    m = np.zeros((n, n), dtype=np.complex128)
-    k = np.arange(n - 1)
-    m[k + 1, k] = sub
-    return m
 
 
 def adjoint_resolvent_solve(model: WeightSequence, w: complex, x) -> np.ndarray:

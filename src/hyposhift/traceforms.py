@@ -153,6 +153,14 @@ def window_margin(p: BivariatePolynomial, q: BivariatePolynomial) -> int:
     return p.deg_z + p.deg_zbar + q.deg_z + q.deg_zbar
 
 
+def check_window(p: BivariatePolynomial, q: BivariatePolynomial, n: int) -> int:
+    """The window margin of p and q; DimensionTooSmall unless n > 4 x margin."""
+    margin = window_margin(p, q)
+    if n <= 4 * margin:
+        raise DimensionTooSmall(f"need n > {4 * margin}, got {n}")
+    return margin
+
+
 def tracial_form(
     p: BivariatePolynomial, q: BivariatePolynomial, model: WeightSequence, n: int
 ) -> complex:
@@ -162,9 +170,7 @@ def tracial_form(
     degree of p and q.  The full finite trace is identically zero (corner
     cancellation); the windowed trace estimates the infinite-model value.
     """
-    margin = window_margin(p, q)
-    if n <= 4 * margin:
-        raise DimensionTooSmall(f"need n > {4 * margin}, got {n}")
+    margin = check_window(p, q, n)
     return complex(np.sum(_commutator_diagonal(p, q, model, n)[: n - margin]))
 
 

@@ -22,3 +22,15 @@ def basis_vector(n, k):
     e = np.zeros(n, dtype=np.complex128)
     e[k] = 1.0
     return e
+
+
+@pytest.fixture
+def no_dense_linalg(monkeypatch):
+    """Make every numpy.linalg factorization, solve and dense product raise in the test."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense factorization called")
+
+    for name in ("svd", "solve", "inv", "lstsq", "eig", "eigh", "eigvals", "eigvalsh", "det",
+                 "slogdet", "norm", "qr", "cholesky", "pinv", "matrix_power"):
+        monkeypatch.setattr(np.linalg, name, forbidden)

@@ -1,21 +1,149 @@
-"""Direct oracles for the library's structured and batched kernels.
+"""Dense general-matrix algebra: the one home of the oracles for the banded kernels.
 
-The library computes resolvents, smallest singular values, determining
-determinants, tracial forms and the Moebius action on a shift from the weight
-band.  Most of these are the direct dense computations on materialize(model, n)
-that the property tests compare them against; they are O(n^3) and meant for
-small n only.
-winding_number is the one-point, division-form winding that the batched
-principal.winding_numbers is compared against, and weight the scalar weight
-rule that the vectorized WeightSequence.weights is compared against.
+materialize(model, n) builds the n-truncation of a weighted shift as a matrix.
+The library's banded kernels are compared against the dense resolvents,
+singular values, polynomial commutators and Moebius action on it; the matrix
+helpers, the determining function E(z, w) of a Cartesian pair, the
+multiplicative-determinant tripwire and the closed-form Moebius commutators
+back the acceptance criteria.  All are O(n^3), for small n only.  Inner
+products are <u, v> = sum u_k conj(v_k).  winding_number is the one-point,
+division-form winding that the batched principal.winding_numbers is compared
+against, and weight the scalar rule behind WeightSequence.weights.
 """
+from dataclasses import dataclass
+
 import numpy as np
 
-from hyposhift.errors import NoLimitDeclared, NotAContraction, SingularResolvent, TooCloseToCurve
-from hyposhift.linalg import SINGULAR_CUTOFF, adjoint, as_matrix, inner, operator_norm
-from hyposhift.mobius import CONTRACTION_TOL
+from hyposhift.errors import (
+    HyposhiftError, NoLimitDeclared, NotAContraction, SingularResolvent, SpectrumHit,
+    TooCloseToCurve,
+)
+from hyposhift.mobius import CONTRACTION_TOL, MobiusMap
 from hyposhift.principal import CURVE_MARGIN_FACTOR
-from hyposhift.shifts import KIND_RATIONAL, KIND_UNILATERAL, materialize
+from hyposhift.shifts import KIND_RATIONAL, KIND_UNILATERAL, SINGULAR_CUTOFF, band
+
+
+class NonHermitianInput(HyposhiftError):
+    pass
+
+
+class NotPSD(HyposhiftError):
+    pass
+
+
+class SeriesDivergent(HyposhiftError):
+    pass
+
+
+class SingularInput(HyposhiftError):
+    pass
+
+
+class ZeroCenter(HyposhiftError):
+    pass
+
+
+HERMITIAN_TOL = 1e-12
+RANK_TOL = 1e-8
+LOGSERIES_TERM_TOL = 1e-16
+LOGSERIES_MAX_TERMS = 200
+PSD_CLIP = 1e-12
+
+
+def as_matrix(m) -> np.ndarray:
+    """Coerce to a square complex matrix and validate finiteness."""
+    a = np.ascontiguousarray(m, dtype=np.complex128)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+        raise ValueError("matrix has non-finite entries")
+    return a
+
+
+def adjoint(m: np.ndarray) -> np.ndarray:
+    return m.conj().T
+
+
+def inner(u: np.ndarray, v: np.ndarray) -> complex:
+    """<u, v> = sum_k u_k conj(v_k)."""
+    return complex(np.vdot(v, u))
+
+
+def rank_one(x) -> np.ndarray:
+    """Matrix of the operator h -> <h, x> x.  Hermitian PSD with trace ||x||^2."""
+    x = np.asarray(x, dtype=np.complex128)
+    return np.outer(x, x.conj())
+
+
+def trace(m: np.ndarray) -> complex:
+    return complex(np.trace(m))
+
+
+def singular_spectrum(m: np.ndarray) -> np.ndarray:
+    """Singular values of m in non-increasing order (eigenvalues of (m*m)^{1/2})."""
+    return np.linalg.svd(as_matrix(m), compute_uv=False)
+
+
+def trace_norm(m: np.ndarray) -> float:
+    return float(np.sum(singular_spectrum(m)))
+
+
+def operator_norm(m: np.ndarray) -> float:
+    s = singular_spectrum(m)
+    return float(s[0]) if s.size else 0.0
+
+
+def is_singular(m: np.ndarray) -> bool:
+    """Invertibility guard shared by the dense solves.
+
+    Relative to s_max, with an absolute floor: below unit scale a smallest
+    singular value under SINGULAR_CUTOFF counts as zero.
+    """
+    s = singular_spectrum(m)
+    return bool(s[-1] <= SINGULAR_CUTOFF * max(float(s[0]), 1.0))
+
+
+def numerical_rank(m: np.ndarray, tol: float = RANK_TOL) -> int:
+    """Number of singular values above tol * s_1 (relative threshold)."""
+    s = singular_spectrum(m)
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > tol * s[0]))
+
+
+def self_commutator(m: np.ndarray) -> np.ndarray:
+    """m*m - mm*.  Hermitian, and traceless for every finite matrix."""
+    m = as_matrix(m)
+    ma = adjoint(m)
+    return ma @ m - m @ ma
+
+
+def hermitian_deviation(m: np.ndarray) -> float:
+    return float(np.max(np.abs(m - adjoint(m)))) if m.size else 0.0
+
+
+def hermitian_min_eig(m: np.ndarray, tol: float = HERMITIAN_TOL) -> float:
+    """Smallest eigenvalue of a Hermitian matrix.
+
+    The input is symmetrized before the eigensolve; a deviation above tol
+    raises NonHermitianInput instead.
+    """
+    m = as_matrix(m)
+    if hermitian_deviation(m) > tol:
+        raise NonHermitianInput(
+            f"matrix deviates from Hermitian by {hermitian_deviation(m):.3e} > {tol:.1e}"
+        )
+    sym = (m + adjoint(m)) / 2.0
+    return float(np.linalg.eigvalsh(sym)[0])
+
+
+def materialize(model, n: int) -> np.ndarray:
+    """N x N truncation: entry (k+1, k) = w_k, zero elsewhere.  Nilpotent."""
+    sub = band(model, n)
+    m = np.zeros((n, n), dtype=np.complex128)
+    k = np.arange(n - 1)
+    m[k + 1, k] = sub
+    return m
 
 
 def weight(model, n: int) -> float:
@@ -91,20 +219,156 @@ def determining_det(model, x: np.ndarray, z: complex, w: complex) -> complex:
     return 1.0 - inner(adjoint_resolvent_solve(model, w, x), adjoint_resolvent_solve(model, z, x))
 
 
-def winding_number(curve: np.ndarray, point: complex) -> int:
-    """Winding about one point by argument increments arg((next - p) / (curve - p))."""
-    curve = np.asarray(curve, dtype=np.complex128)
-    gaps = np.abs(np.roll(curve, -1) - curve)
-    min_dist = float(np.min(np.abs(curve - point)))
-    if min_dist <= CURVE_MARGIN_FACTOR * float(np.max(gaps)):
-        raise TooCloseToCurve(
-            f"point {point} is {min_dist:.3e} from the curve; need > "
-            f"{CURVE_MARGIN_FACTOR * float(np.max(gaps)):.3e}"
-        )
-    rel = curve - point
-    increments = np.angle(np.roll(rel, -1) / rel)
-    total = float(np.sum(increments)) / (2.0 * np.pi)
-    return int(np.rint(total))
+@dataclass(frozen=True)
+class CartesianPair:
+    """T = A + iB with Hermitian A, B and a PSD self-commutator model D."""
+
+    a: np.ndarray
+    b: np.ndarray
+    d: np.ndarray
+
+
+def cartesian_parts(t: np.ndarray, d: np.ndarray) -> CartesianPair:
+    """Split T into A = (T + T*)/2, B = (T - T*)/(2i) and attach the PSD model D.
+
+    Validates that D is Hermitian PSD and that 2i[A, B] reproduces the finite
+    self-commutator of T (an exact algebraic identity).
+    """
+    t = as_matrix(t)
+    d = as_matrix(d)
+    if hermitian_deviation(d) > HERMITIAN_TOL:
+        raise NotPSD("D is not Hermitian")
+    if np.linalg.eigvalsh((d + adjoint(d)) / 2.0)[0] < -PSD_CLIP:
+        raise NotPSD("D has a negative eigenvalue")
+    a = (t + adjoint(t)) / 2.0
+    b = (t - adjoint(t)) / 2j
+    comm = 2j * (a @ b - b @ a)
+    finite = self_commutator(t)
+    scale = max(1.0, float(np.max(np.abs(finite))))
+    if np.max(np.abs(comm - finite)) > 1e-12 * scale:
+        raise AssertionError("2i[A, B] failed to reproduce T*T - TT*")
+    return CartesianPair(a=a, b=b, d=d)
+
+
+def det_eigenproduct(k: np.ndarray) -> complex:
+    """prod_j (1 + lambda_j(K)) over all eigenvalues of K; 1 for K = 0."""
+    return complex(np.prod(1.0 + np.linalg.eigvals(as_matrix(k))))
+
+
+def det_logseries(k: np.ndarray) -> complex:
+    """exp(tr log(I + K)) via log(I+K) = -sum (-1)^n K^n / n, valid for ||K||_1 < 1.
+
+    Stops when the current term's trace norm drops below 1e-16 or after 200
+    terms; the tail is geometric in ||K||_1.
+    """
+    k = as_matrix(k)
+    tn = trace_norm(k)
+    if tn >= 1.0:
+        raise SeriesDivergent(f"||K||_1 = {tn} >= 1, log series diverges")
+    power = k.copy()
+    log_trace = 0.0 + 0.0j
+    for n in range(1, LOGSERIES_MAX_TERMS + 1):
+        log_trace += (-1.0) ** (n + 1) * trace(power) / n
+        if trace_norm(power) < LOGSERIES_TERM_TOL:
+            break
+        power = power @ k
+    return complex(np.exp(log_trace))
+
+
+def _psd_sqrt(d: np.ndarray) -> np.ndarray:
+    vals, vecs = np.linalg.eigh((d + adjoint(d)) / 2.0)
+    if vals[0] < -PSD_CLIP:
+        raise NotPSD(f"smallest eigenvalue {vals[0]} below -{PSD_CLIP}")
+    vals = np.clip(vals, 0.0, None)
+    return (vecs * np.sqrt(vals)) @ adjoint(vecs)
+
+
+def determining_function_E(pair: CartesianPair, z: complex, w: complex) -> np.ndarray:
+    """E(z, w) = I - 2i D^{1/2} (A - z)^{-1} (B - w)^{-1} D^{1/2}."""
+    n = pair.a.shape[0]
+    eye = np.eye(n)
+    for name, h, point in (("A", pair.a, z), ("B", pair.b, w)):
+        if is_singular(h - point * eye):
+            raise SpectrumHit(f"{point} is numerically in the spectrum of {name}")
+    d_sqrt = _psd_sqrt(pair.d)
+    inner_block = np.linalg.solve(pair.b - w * eye, d_sqrt)
+    inner_block = np.linalg.solve(pair.a - z * eye, inner_block)
+    return eye - 2j * d_sqrt @ inner_block
+
+
+def determining_function_det(pair: CartesianPair, z: complex, w: complex) -> complex:
+    e = determining_function_E(pair, z, w)
+    return det_eigenproduct(e - np.eye(e.shape[0]))
+
+
+def multiplicative_commutator_pitfall(t: np.ndarray, z: complex, w: complex) -> complex:
+    """det of (T - z)(T* - conj(w))(T - z)^{-1}(T* - conj(w))^{-1} on a truncation.
+
+    Always 1 for finite matrices by multiplicativity of det.  Kept as a
+    tripwire: any pipeline that computes the determining determinant through
+    finite products collapses to this constant.
+    """
+    t = as_matrix(t)
+    n = t.shape[0]
+    eye = np.eye(n)
+    c1 = t - z * eye
+    c2 = adjoint(t) - np.conj(w) * eye
+    if is_singular(c1) or is_singular(c2):
+        raise SingularResolvent("resolvent does not exist on the truncation")
+    m = c1 @ c2 @ np.linalg.inv(c1) @ np.linalg.inv(c2)
+    return complex(np.linalg.det(m))
+
+
+def mobius_compose(phi: MobiusMap, psi: MobiusMap) -> MobiusMap:
+    """(phi o psi)(z) = phi(psi(z)), via the 2x2 matrix representation."""
+    m_phi = np.array([[phi.beta, -phi.beta * phi.a], [-np.conj(phi.a), 1.0]])
+    m_psi = np.array([[psi.beta, -psi.beta * psi.a], [-np.conj(psi.a), 1.0]])
+    m = m_phi @ m_psi
+    a_mat, b_mat, c_mat, d_mat = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
+    beta = a_mat / d_mat
+    beta = beta / abs(beta)
+    a = -b_mat / a_mat
+    # closure of the group guarantees -conj(a) = c/d up to roundoff
+    return MobiusMap(beta=beta, a=a)
+
+
+def closed_form_selfcommutator(phi: MobiusMap, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Self-commutator of phi(T) when [T*, T] = x (x) x, in closed form.
+
+    Equals |c|^2 ((T - 1/conj(a))(T* - 1/a))^{-1} (x(x)x) ((T* - 1/a)(T - 1/conj(a)))^{-1}
+    with c = (a - 1/conj(a)) / conj(a).  Both resolvent products are Hermitian
+    (each is the adjoint of itself, not of the other), so the result is
+    |c|^2 y z* with two separately solved vectors; it is rank one, and Hermitian
+    PSD when x (x) x really is the self-commutator of T.  a = 0 is the affine
+    case where the commutator is unchanged; the formula divides by conj(a), so
+    that branch raises ZeroCenter.
+    """
+    t = as_matrix(t)
+    x = np.asarray(x, dtype=np.complex128)
+    a = phi.a
+    if a == 0:
+        raise ZeroCenter("a = 0 is affine: the self-commutator equals [T*, T]")
+    a_bar_inv = 1.0 / np.conj(a)
+    c = (a - a_bar_inv) / np.conj(a)
+    n = t.shape[0]
+    eye = np.eye(n)
+    left = (t - a_bar_inv * eye) @ (adjoint(t) - (1.0 / a) * eye)
+    right = (adjoint(t) - (1.0 / a) * eye) @ (t - a_bar_inv * eye)
+    y = np.linalg.solve(left, x)
+    z = np.linalg.solve(right, x)  # right factor is Hermitian: (M^{-1})* x = M^{-1} x
+    return abs(c) ** 2 * np.outer(y, z.conj())
+
+
+def inverse_commutator_rank_one(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """[(T*)^{-1}, T^{-1}] when [T*, T] = x (x) x: equals (TT*)^{-1}(x(x)x)(T*T)^{-1}."""
+    t = as_matrix(t)
+    x = np.asarray(x, dtype=np.complex128)
+    if is_singular(t):
+        raise SingularInput("T is numerically singular")
+    ta = adjoint(t)
+    y = np.linalg.solve(t @ ta, x)  # (TT*)^{-1} x
+    z = np.linalg.solve(ta @ t, x)  # (T*T)^{-1} x
+    return np.outer(y, z.conj())
 
 
 def apply_to_operator(phi, t: np.ndarray) -> np.ndarray:
@@ -120,3 +384,20 @@ def apply_to_operator(phi, t: np.ndarray) -> np.ndarray:
     # right division: X = numer @ denom^{-1}
     x = np.linalg.solve(denom.T, numer.T).T
     return phi.beta * x
+
+
+def winding_number(curve: np.ndarray, point: complex) -> int:
+    """Winding about one point by argument increments arg((next - p) / (curve - p))."""
+    curve = np.asarray(curve, dtype=np.complex128)
+    gaps = np.abs(np.roll(curve, -1) - curve)
+    min_dist = float(np.min(np.abs(curve - point)))
+    if min_dist <= CURVE_MARGIN_FACTOR * float(np.max(gaps)):
+        raise TooCloseToCurve(
+            f"point {point} is {min_dist:.3e} from the curve; need > "
+            f"{CURVE_MARGIN_FACTOR * float(np.max(gaps)):.3e}"
+        )
+    rel = curve - point
+    increments = np.angle(np.roll(rel, -1) / rel)
+    total = float(np.sum(increments)) / (2.0 * np.pi)
+    return int(np.rint(total))
+

@@ -16,7 +16,6 @@ from hyposhift.shifts import (
     adjoint_resolvent_smin,
     adjoint_resolvent_solve,
     band,
-    materialize,
     rational_family,
     tabulated,
     unilateral,
@@ -89,14 +88,14 @@ class TestWeightVector:
     def test_materialize_places_band_on_subdiagonal(self):
         model = tabulated([0.5, 2.0], limit=1.5)
         np.testing.assert_array_equal(band(model, 5), [0.5, 2.0, 1.5, 1.5])
-        np.testing.assert_array_equal(materialize(model, 5), np.diag(band(model, 5), -1))
+        np.testing.assert_array_equal(oracles.materialize(model, 5), np.diag(band(model, 5), -1))
 
 
 @given(tabulated_models(), st.integers(8, 64), polynomials, polynomials)
 @settings(max_examples=60, deadline=None)
 def test_traces_match_dense_oracle(model, n, p, q):
     oracle_diag = oracles.commutator_diagonal(p, q, model, n)
-    t = materialize(model, n)
+    t = oracles.materialize(model, n)
     pm = oracles.eval_poly_at_operator(p, t)
     qm = oracles.eval_poly_at_operator(q, t)
     scale = max(1.0, float(np.sum(np.abs(np.diagonal(pm @ qm)) + np.abs(np.diagonal(qm @ pm)))))

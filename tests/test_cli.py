@@ -315,6 +315,22 @@ class TestMain:
                 '"model": {"kind": "tabulated", "weights": "x", "limit": 1}', id="weights_str"
             ),
             pytest.param('"tolerance": -1e-3', id="tolerance_negative"),
+            # truncation 256 is not above 4 x the window margin 80 of degree-40 polynomials
+            pytest.param('"p": [[0, 40, 1, 0]], "q": [[40, 0, 1, 0]]', id="window_margin"),
+            pytest.param(
+                '"experiment": "pincus-check", "model": {"kind": "rational", "lambda": 2.0}',
+                id="pincus_not_rank_one",
+            ),
+            pytest.param(
+                '"experiment": "pincus-check", "points": [[1.2, 0]],'
+                ' "model": {"kind": "tabulated", "weights": [1.5], "limit": 1.5}',
+                id="pincus_point_inside_sup",
+            ),
+            pytest.param(
+                '"experiment": "pincus-check",'
+                ' "model": {"kind": "tabulated", "weights": [3.0], "limit": 3.0}',
+                id="pincus_default_point_inside_sup",
+            ),
         ],
     )
     def test_run_malformed_value_exits_two(self, tmp_path, capsys, fields):
@@ -346,6 +362,14 @@ class TestMain:
         assert f"points[{index}]" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_cli_runs_without_dense_linalg(self, tmp_path, no_dense_linalg):
+        # every bundled config and both default grids pass on the weight band alone
+        out = str(tmp_path / "out")
+        for path in sorted(CONFIG_DIR.glob("*.json")):
+            assert main(["run", "--config", str(path), "--out", out, "--csv", out + ".csv"]) == 0
+        for extra in ([], ["--model-lambda", "2.5"]):
+            assert main(["grid", "--experiment", "pincus-check", "--out", out] + extra) == 0
 
     def test_run_far_constancy_point_winds_zero(self, tmp_path):
         # the argument products of a point at 1e300 overflow; it winds 0 about every image curve

@@ -2,27 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyposhift.determinants import (
-    CartesianPair,
-    cartesian_parts,
-    det_eigenproduct,
-    det_logseries,
-    determining_det,
-    determining_function_E,
-    determining_function_det,
-    multiplicative_commutator_pitfall,
-)
-from hyposhift.errors import (
-    NotPSD,
-    NotRankOne,
-    SeriesDivergent,
-    SingularResolvent,
-    SpectrumHit,
-)
-from hyposhift.linalg import adjoint, rank_one, trace, trace_norm
-from hyposhift.shifts import materialize, rational_family, unilateral
+from hyposhift.determinants import determining_det
+from hyposhift.errors import NotRankOne, SingularResolvent, SpectrumHit
+from hyposhift.shifts import rational_family, unilateral
 
 from conftest import basis_vector, random_complex_matrix
+from oracles import (
+    CartesianPair, NotPSD, SeriesDivergent, adjoint, cartesian_parts, det_eigenproduct,
+    det_logseries, determining_function_E, determining_function_det, materialize,
+    multiplicative_commutator_pitfall, rank_one, trace, trace_norm,
+)
 
 
 def scaled_random(rng, n, target_trace_norm):

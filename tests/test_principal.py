@@ -17,7 +17,6 @@ from hyposhift.principal import (
     disc_cauchy_exponential,
     pincus_consistency,
     principal_value_at,
-    winding_number,
     winding_numbers,
 )
 from hyposhift.shifts import rational_family, tabulated, unilateral
@@ -54,26 +53,26 @@ class TestGridFunction:
 
 class TestWindingNumber:
     def test_origin_inside(self):
-        assert winding_number(unit_circle(256), 0.0) == 1
+        assert int(winding_numbers(unit_circle(256), 0.0)) == 1
 
     def test_point_outside(self):
-        assert winding_number(unit_circle(256), 2.0 + 1j) == 0
+        assert int(winding_numbers(unit_circle(256), 2.0 + 1j)) == 0
 
     def test_double_loop(self):
-        assert winding_number(unit_circle(512, loops=2), 0.1) == 2
+        assert int(winding_numbers(unit_circle(512, loops=2), 0.1)) == 2
 
     def test_reversed_orientation(self):
-        assert winding_number(unit_circle(256)[::-1], 0.0) == -1
+        assert int(winding_numbers(unit_circle(256)[::-1], 0.0)) == -1
 
     def test_margin_enforced(self):
         with pytest.raises(TooCloseToCurve):
-            winding_number(unit_circle(64), 0.95)
+            winding_numbers(unit_circle(64), 0.95)
 
     @given(st.floats(0.0, 2 * np.pi), st.floats(0.0, 0.6))
     @settings(max_examples=40, deadline=None)
     def test_any_interior_point(self, theta, r):
         point = r * np.exp(1j * theta)
-        assert winding_number(unit_circle(1024), point) == 1
+        assert int(winding_numbers(unit_circle(1024), point)) == 1
 
 
 def oracle_windings(curve, points):
@@ -151,23 +150,23 @@ class TestPrincipalValue:
     def test_interior_is_one(self):
         model = unilateral()
         for zeta in (0.0, 0.5, -0.3 + 0.4j, 0.8j):
-            assert principal_value_at(model, zeta).g_value == 1
+            assert principal_value_at(model, zeta) == 1
 
     def test_exterior_is_zero(self):
         model = unilateral()
         for zeta in (1.5, -2.0, 1.1 + 1.1j):
-            assert principal_value_at(model, zeta).g_value == 0
+            assert principal_value_at(model, zeta) == 0
 
     def test_rational_family_same_values(self):
         for lam in (1.5, 2.0, 5.0):
             model = rational_family(lam)
-            assert principal_value_at(model, 0.3 + 0.2j).g_value == 1
-            assert principal_value_at(model, 2.0).g_value == 0
+            assert principal_value_at(model, 0.3 + 0.2j) == 1
+            assert principal_value_at(model, 2.0) == 0
 
     def test_smaller_essential_radius(self):
         model = tabulated([0.9, 0.7], limit=0.5)
-        assert principal_value_at(model, 0.1).g_value == 1
-        assert principal_value_at(model, 0.75).g_value == 0
+        assert principal_value_at(model, 0.1) == 1
+        assert principal_value_at(model, 0.75) == 0
 
     def test_on_circle_raises(self):
         with pytest.raises(OnEssentialSpectrum):

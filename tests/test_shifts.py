@@ -3,10 +3,8 @@ import pytest
 
 import oracles
 from hyposhift.errors import InvalidDimension, NoLimitDeclared
-from hyposhift.linalg import self_commutator
 from hyposhift.shifts import (
     exact_commutator_diagonal,
-    materialize,
     rational_family,
     symbol_curve,
     tabulated,
@@ -14,6 +12,7 @@ from hyposhift.shifts import (
 )
 
 from conftest import basis_vector
+from oracles import materialize, self_commutator
 
 
 def test_materialize_unilateral():

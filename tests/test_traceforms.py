@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyposhift.errors import DimensionTooSmall, NoLimitDeclared
-from hyposhift.linalg import adjoint
 from hyposhift.principal import constant_grid
-from hyposhift.shifts import materialize, rational_family, tabulated, unilateral
+from hyposhift.shifts import rational_family, tabulated, unilateral
 from hyposhift.traceforms import (
     BivariatePolynomial,
     berger_shaw_putnam_check,
@@ -17,7 +16,7 @@ from hyposhift.traceforms import (
     wirtinger_jacobian,
 )
 
-from oracles import eval_poly_at_operator
+from oracles import adjoint, eval_poly_at_operator, materialize
 
 
 small_coeffs = st.dictionaries(
