@@ -126,11 +126,12 @@ def constancy_check(
     if exterior_points is None:
         exterior_points = default_exterior_points()
     base = principal_value_at(model, interior_points[0], samples)
+    # one winding call per map: the curve's gap, margin and bounds are shared
+    points = np.asarray(list(interior_points) + list(exterior_points), dtype=np.complex128)
     checks = []
     for phi in maps:
-        image = transformed_symbol_curve(model, phi, samples)
-        inside = winding_numbers(image, interior_points)
-        outside = winding_numbers(image, exterior_points)
+        windings = winding_numbers(transformed_symbol_curve(model, phi, samples), points)
+        inside, outside = windings[: len(interior_points)], windings[len(interior_points) :]
         checks.extend(
             make_check(f"constant index at zeta={zeta}, a={phi.a}", int(w), base, 0.0)
             for zeta, w in zip(interior_points, inside)

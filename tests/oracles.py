@@ -8,15 +8,17 @@ multiplicative-determinant tripwire and the closed-form Moebius commutators
 back the acceptance criteria.  All are O(n^3), for small n only.  Inner
 products are <u, v> = sum u_k conj(v_k).  winding_number is the one-point,
 division-form winding that the batched principal.winding_numbers is compared
-against, and weight the scalar rule behind WeightSequence.weights.
+against, disc_cauchy_exponential the node-by-node disc quadrature behind the
+ring sums of principal.disc_cauchy_exponential, and weight the scalar rule
+behind WeightSequence.weights.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
 from hyposhift.errors import (
-    HyposhiftError, NoLimitDeclared, NotAContraction, SingularResolvent, SpectrumHit,
-    TooCloseToCurve,
+    EvaluationInsideDisc, HyposhiftError, NoLimitDeclared, NotAContraction, SingularResolvent,
+    SpectrumHit, TooCloseToCurve,
 )
 from hyposhift.mobius import CONTRACTION_TOL, MobiusMap
 from hyposhift.principal import CURVE_MARGIN_FACTOR
@@ -401,3 +403,12 @@ def winding_number(curve: np.ndarray, point: complex) -> int:
     total = float(np.sum(increments)) / (2.0 * np.pi)
     return int(np.rint(total))
 
+
+def disc_cauchy_exponential(g, z: complex, w: complex) -> complex:
+    """exp(-(1/pi) int_D g / ((zeta - z)(conj(zeta) - conj(w))) dA) summed over every grid node."""
+    if abs(z) <= 1.0 or abs(w) <= 1.0:
+        raise EvaluationInsideDisc("z and w must satisfy |z|, |w| > 1")
+    zeta = g.nodes()
+    kernel = 1.0 / ((zeta - z) * (np.conj(zeta) - np.conj(w)))
+    integral = np.sum(g.values * g.cell_measure() * kernel)
+    return complex(np.exp(-integral / np.pi))

@@ -371,6 +371,33 @@ class TestMain:
         for extra in ([], ["--model-lambda", "2.5"]):
             assert main(["grid", "--experiment", "pincus-check", "--out", out] + extra) == 0
 
+    @pytest.mark.parametrize("weight, points", [(0.5, None), (1.5, None), (1.5, [[1.6, 0], [0, -1.7]])])
+    def test_run_pincus_constant_weight_passes(self, tmp_path, weight, points):
+        payload = {
+            "experiment": "pincus-check",
+            "model": {"kind": "tabulated", "weights": [weight], "limit": weight},
+        }
+        if points:
+            payload["points"] = points
+        code, out = self.run_config(tmp_path, payload)
+        assert code == 0
+        assert json.loads(out.read_text())["all_pass"] is True
+
+    @pytest.mark.parametrize("extra", [[], ["--model-lambda", "2.5"]], ids=["shift", "rational"])
+    def test_default_grid_matches_full_curve_oracle(self, tmp_path, extra):
+        # the default grid winds its inner rings on strided curves
+        out = tmp_path / "grid.csv"
+        assert main(["grid", "--experiment", "pincus-check", "--out", str(out)] + extra) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        curve = symbol_curve(rational_family(2.5) if extra else unilateral(), 8192)
+        expected = [
+            float(oracles.winding_number(curve, float(r) * np.exp(1j * float(th))))
+            for r, th, *_ in rows
+        ]
+        assert [float(row[4]) for row in rows] == expected
+        assert len(rows) == 24 * 48
+
     def test_run_far_constancy_point_winds_zero(self, tmp_path):
         # the argument products of a point at 1e300 overflow; it winds 0 about every image curve
         code, out = self.run_config(

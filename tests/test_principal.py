@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from hyposhift import principal
 from hyposhift.errors import (
     EvaluationInsideDisc,
     OnEssentialSpectrum,
@@ -37,6 +38,12 @@ class TestGridFunction:
             GridFunction(2, 2, np.full((2, 2), 1.5))
         with pytest.raises(ValueError):
             GridFunction(2, 2, np.full((2, 2), -0.1))
+
+    def test_rejects_nan(self):
+        values = np.full((2, 2), 0.5)
+        values[1, 0] = np.nan
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            GridFunction(2, 2, values)
 
     def test_midpoint_nodes(self):
         g = constant_grid(1.0, 2, 4)
@@ -145,6 +152,86 @@ class TestWindingNumbers:
         with pytest.raises(TooCloseToCurve, match=r"point \(1\+0\.001j\)"):
             winding_numbers(unit_circle(256), points)
 
+    def test_names_first_close_point_after_far_chunks(self):
+        # the centre winds on a strided curve; the chunk holding the close
+        # points starts with far ones, and a far chunk follows
+        points = [0.0] * WINDING_CHUNK + [0.5, -0.3j, 1.0 + 1e-3j, 0.999] + [0.1] * WINDING_CHUNK
+        with pytest.raises(TooCloseToCurve, match=r"point \(1\+0\.001j\)"):
+            winding_numbers(unit_circle(8192), points)
+
+    @pytest.mark.parametrize(
+        "curve, points",
+        [
+            (unit_circle(256), [0.5, np.nan]),
+            (unit_circle(256), [complex(np.inf, 0.0)]),
+            (unit_circle(256), np.nan + 0j),
+            (np.append(unit_circle(256), np.nan), [0.0]),
+        ],
+        ids=["nan_point", "inf_point", "nan_scalar", "nan_curve"],
+    )
+    def test_rejects_non_finite(self, curve, points):
+        with pytest.raises(ValueError, match="finite"):
+            winding_numbers(curve, points)
+
+
+# distances from the unit circle that span every stride of these curves, from inside
+# the winding margin to far off
+STRIDE_DISTANCES = (1e-3, 0.02, 0.05, 0.1, 0.2, 0.4, 0.7, 0.95)
+
+
+class TestStrideWinding:
+    """Strided windings of long curves against the full-curve division-form oracle."""
+
+    @given(
+        st.sampled_from([4096, 6000, 8192, 16384]),
+        st.floats(0.0, 2 * np.pi),
+        st.complex_numbers(max_magnitude=0.6, allow_nan=False, allow_infinity=False),
+        st.sampled_from([(1, False), (1, True), (2, False), (2, True)]),
+        st.lists(
+            st.tuples(
+                st.sampled_from(STRIDE_DISTANCES),
+                st.sampled_from([-1.0, 1.0, 3.0]),
+                st.floats(0.0, 2 * np.pi),
+            ),
+            min_size=1,
+            max_size=3 * WINDING_CHUNK,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle(self, samples, beta_arg, a, variant, offsets):
+        loops, reverse = variant
+        curve = mobius_eval(MobiusMap(beta=np.exp(1j * beta_arg), a=a), unit_circle(samples, loops))
+        if reverse:
+            curve = curve[::-1]
+        # inside (-1), just outside (+1) or far outside (+3) the circle, by the chosen distance
+        points = [
+            (1.0 + side * dist if side != 3.0 else 1.0 + side / dist) * np.exp(1j * theta)
+            for dist, side, theta in offsets
+        ]
+        clear, refusals = [], []
+        for p in points:
+            try:
+                clear.append((p, oracles.winding_number(curve, p)))
+            except TooCloseToCurve as exc:
+                refusals.append(str(exc))
+        if refusals:
+            # the first close point, with its full-curve distance and margin
+            with pytest.raises(TooCloseToCurve) as info:
+                winding_numbers(curve, points)
+            assert str(info.value) == refusals[0]
+        got = winding_numbers(curve, [p for p, _ in clear])
+        assert got.tolist() == [expected for _, expected in clear]
+
+    def test_strided_kernel_agrees_with_full_curve(self, monkeypatch):
+        # the same kernel with every stride forced to 1, on points of all strides
+        curve = mobius_eval(MobiusMap(beta=1.0, a=0.4 - 0.2j), unit_circle(16384, loops=2))
+        points = np.outer(1.0 + np.array([-0.95, -0.5, -0.2, -0.06, 0.06, 0.2, 0.5, 2.0]),
+                          np.exp(0.37j * np.arange(8) * np.pi)).T
+        strided = winding_numbers(curve, points)
+        monkeypatch.setattr(principal, "COARSE_STRIDE", curve.size + 1)
+        assert winding_numbers(curve, points).tolist() == strided.tolist()
+        assert set(strided.ravel().tolist()) == {0, 2}
+
 
 class TestPrincipalValue:
     def test_interior_is_one(self):
@@ -174,6 +261,37 @@ class TestPrincipalValue:
 
 
 class TestDiscCauchyExponential:
+    @pytest.mark.parametrize("n_theta", [1, 2, 37, 400])
+    @pytest.mark.parametrize("modulus", [1.0 + 1e-4, 1e8])
+    @pytest.mark.parametrize("c", [0.5, 1.0])
+    def test_ring_sums_match_node_sum(self, n_theta, modulus, c):
+        g = constant_grid(c, 400, n_theta)
+        z = modulus * np.exp(0.3j)
+        for w in (modulus * np.exp(-1.1j), 2.5, -1.5j):
+            got = disc_cauchy_exponential(g, z, w)
+            assert abs(got - oracles.disc_cauchy_exponential(g, z, w)) <= 1e-13
+
+    def test_ring_varying_values_match_node_sum(self):
+        ring = np.random.default_rng(11).uniform(0.0, 1.0, 64)
+        g = GridFunction(64, 37, np.repeat(ring[:, None], 37, axis=1))
+        for z, w in ((1.0 + 1e-4, 1.2 + 0.3j), (3.0 - 1j, -2.5), (1e8j, 1.05)):
+            got = disc_cauchy_exponential(g, z, w)
+            assert abs(got - oracles.disc_cauchy_exponential(g, z, w)) <= 1e-13
+
+    def test_rejects_values_varying_on_a_ring(self):
+        values = np.ones((4, 8))
+        values[2, 5] = 0.5
+        with pytest.raises(ValueError, match="constant on each ring"):
+            disc_cauchy_exponential(GridFunction(4, 8, values), 2.0, 3.0)
+
+    @pytest.mark.parametrize(
+        "z, w",
+        [(np.nan, 2.0), (2.0, complex(np.nan, 1.0)), (np.inf, 2.0), (2.0, complex(0.0, -np.inf))],
+    )
+    def test_rejects_non_finite(self, z, w):
+        with pytest.raises(ValueError, match="finite"):
+            disc_cauchy_exponential(constant_grid(1.0, 8, 8), z, w)
+
     def test_rejects_disc_points(self):
         g = constant_grid(1.0, 16, 16)
         with pytest.raises(EvaluationInsideDisc):
@@ -237,3 +355,10 @@ class TestPincusConsistency:
         checks = pincus_consistency(model, 2.0, 3.0, n=64, n_r=200, n_theta=200)
         assert len(checks) == 3
         assert all(c.passed for c in checks)
+
+    @pytest.mark.parametrize("c, z, w", [(0.5, 2.0, 2.0), (1.5, 2.0, 3.0j), (1.5, 1.6, -1.7)])
+    def test_constant_weight_scales_the_disc(self, c, z, w):
+        # g = 1 on the disc of radius c: the determinant is 1 - c^2/(z conj(w))
+        checks = pincus_consistency(tabulated([c], limit=c), z, w, n=64)
+        assert all(check.passed for check in checks)
+        assert checks[0].lhs == pytest.approx(1.0 - c * c / (z * np.conj(w)), abs=1e-12)
