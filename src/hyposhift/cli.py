@@ -6,7 +6,7 @@ Subcommands:
   grid --experiment NAME --out PATH [...]      dump a principal-function grid CSV
 
 Exit codes: 0 every check passed, 1 a check failed, 2 invalid config or
-arguments, or an output that cannot be written.
+arguments, an output that cannot be written, or an input the library refuses.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .determinants import check_rank_one
-from .errors import ConfigError, HyposhiftError, IoError
+from .errors import ConfigError, HyposhiftError
 from .homogeneity import (
     DEFAULT_MAP_GRID,
     DEFAULT_WITNESS_GRID,
@@ -213,8 +213,8 @@ def parse_config(text: str) -> ExperimentConfig:
             check_window(cfg.p, cfg.q, cfg.truncation)
         except HyposhiftError as exc:
             raise ConfigError(f"truncation: helton-howe {exc}") from exc
-    if name == "berger-shaw-putnam" and cfg.model.limit is None:
-        raise ConfigError("model.limit: berger-shaw-putnam requires a declared limit")
+    if name in ("helton-howe", "berger-shaw-putnam") and cfg.model.limit is None:
+        raise ConfigError(f"model.limit: {name} requires a declared limit")
     if name == "pincus-check":
         try:
             check_rank_one(cfg.model, cfg.truncation)
@@ -245,9 +245,8 @@ def _run_pincus(cfg: ExperimentConfig) -> list:
 
 
 def _run_helton_howe(cfg: ExperimentConfig) -> list:
-    g = constant_grid(1.0, cfg.n_r, cfg.n_theta)
     tol = cfg.tolerance if cfg.tolerance is not None else 1e-3
-    return [helton_howe_check(cfg.p, cfg.q, cfg.model, g, cfg.truncation, tol)]
+    return [helton_howe_check(cfg.p, cfg.q, cfg.model, cfg.truncation, tol, cfg.n_r, cfg.n_theta)]
 
 
 def _run_change_of_variable(cfg: ExperimentConfig) -> list:
@@ -383,12 +382,9 @@ def _cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except IoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except HyposhiftError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2
     for c in report.checks:
         status = "PASS" if c.passed else "FAIL"
         print(f"[{status}] {c.name}")

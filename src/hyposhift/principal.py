@@ -67,12 +67,6 @@ class GridFunction:
         th = self.angles()[None, :]
         return r * np.exp(1j * th)
 
-    def cell_measure(self) -> np.ndarray:
-        """r dr dtheta weights, shape (n_r, n_theta)."""
-        dr = 1.0 / self.n_r
-        dth = 2.0 * np.pi / self.n_theta
-        return np.broadcast_to(self.radii()[:, None] * dr * dth, (self.n_r, self.n_theta))
-
 
 def constant_grid(value: float, n_r: int, n_theta: int) -> GridFunction:
     return GridFunction(n_r, n_theta, np.full((n_r, n_theta), float(value)))

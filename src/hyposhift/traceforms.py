@@ -1,5 +1,5 @@
 """Bivariate polynomials in z, conj(z), the tracial bilinear form, and the
-trace-inequality checks (Berger-Shaw and Putnam).
+trace-formula checks (Helton-Howe, Berger-Shaw and Putnam).
 
 The tracial form tr [p(T, T*), q(T, T*)] is estimated on a truncation by a
 windowed trace: the full finite trace of any commutator is identically zero,
@@ -11,6 +11,10 @@ the single diagonal at offset j - k, so p(T_n, T_n*) is a map from offset to
 diagonal vector, built from the weight band with the truncation's corner
 entries reproduced exactly, and only the main diagonal of [P, Q] is computed:
 O(n |p| |q|) work for the windowed and the full trace alike.
+
+The area side of the Helton-Howe formula is the midpoint polar rule summed by
+ring moments of the Jacobian's monomials, taken from coefficient pairs: no
+grid node is evaluated (see helton_howe_check).
 """
 from __future__ import annotations
 
@@ -26,17 +30,14 @@ from .shifts import WeightSequence, band, exact_commutator_diagonal
 
 @dataclass(frozen=True)
 class BivariatePolynomial:
-    """Finite sum of a_{jk} z^j conj(z)^k, stored as {(j, k): a_jk}."""
+    """Finite sum of a_{jk} z^j conj(z)^k, stored as sorted ((j, k), a_jk) pairs."""
 
     coeffs: tuple = field(default=())
 
-    @staticmethod
-    def from_dict(d: dict) -> "BivariatePolynomial":
+    @classmethod
+    def from_dict(cls, d: dict) -> "BivariatePolynomial":
         items = tuple(sorted((jk, complex(c)) for jk, c in d.items() if c != 0))
-        return BivariatePolynomial(items)
-
-    def as_dict(self) -> dict:
-        return dict(self.coeffs)
+        return cls(items)
 
     @property
     def deg_z(self) -> int:
@@ -45,63 +46,6 @@ class BivariatePolynomial:
     @property
     def deg_zbar(self) -> int:
         return max((k for (_, k), _ in self.coeffs), default=0)
-
-    def deriv_z(self) -> "BivariatePolynomial":
-        out = {}
-        for (j, k), c in self.coeffs:
-            if j > 0:
-                out[(j - 1, k)] = out.get((j - 1, k), 0) + j * c
-        return BivariatePolynomial.from_dict(out)
-
-    def deriv_zbar(self) -> "BivariatePolynomial":
-        out = {}
-        for (j, k), c in self.coeffs:
-            if k > 0:
-                out[(j, k - 1)] = out.get((j, k - 1), 0) + k * c
-        return BivariatePolynomial.from_dict(out)
-
-    def __add__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
-        out = self.as_dict()
-        for jk, c in other.coeffs:
-            out[jk] = out.get(jk, 0) + c
-        return BivariatePolynomial.from_dict(out)
-
-    def __mul__(self, other):
-        if isinstance(other, BivariatePolynomial):
-            out = {}
-            for (j1, k1), c1 in self.coeffs:
-                for (j2, k2), c2 in other.coeffs:
-                    jk = (j1 + j2, k1 + k2)
-                    out[jk] = out.get(jk, 0) + c1 * c2
-            return BivariatePolynomial.from_dict(out)
-        return BivariatePolynomial.from_dict(
-            {jk: c * other for jk, c in self.coeffs}
-        )
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
-        return self + (-1) * other
-
-    def eval(self, z: complex) -> complex:
-        zb = np.conj(z)
-        return complex(sum(c * z**j * zb**k for (j, k), c in self.coeffs))
-
-    def eval_grid(self, zeta: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(zeta, dtype=np.complex128)
-        zb = np.conj(zeta)
-        for (j, k), c in self.coeffs:
-            out += c * zeta**j * zb**k
-        return out
-
-
-def monomial(j: int, k: int, coeff: complex = 1.0) -> BivariatePolynomial:
-    return BivariatePolynomial.from_dict({(j, k): coeff})
-
-
-def wirtinger_jacobian(p: BivariatePolynomial, q: BivariatePolynomial) -> BivariatePolynomial:
-    """J(p, q) = (dp/dzbar)(dq/dz) - (dp/dz)(dq/dzbar), exact symbolic arithmetic."""
-    return p.deriv_zbar() * q.deriv_z() - p.deriv_z() * q.deriv_zbar()
 
 
 def _gather(v: np.ndarray, start: int, n: int) -> np.ndarray:
@@ -182,20 +126,45 @@ def full_finite_trace(
 
 
 def helton_howe_check(
-    p: BivariatePolynomial,
-    q: BivariatePolynomial,
-    model: WeightSequence,
-    g,
-    n: int,
-    tol: float,
-    name: str | None = None,
+    p: BivariatePolynomial, q: BivariatePolynomial, model: WeightSequence, n: int, tol: float,
+    n_r: int = 400, n_theta: int = 400, name: str | None = None,
 ) -> Check:
-    """Windowed commutator trace vs (1/pi) int J(p, q) g dA over the unit disc."""
+    """Windowed commutator trace vs (1/pi) int J(p, q) g dA, g = 1 on the disc of radius c.
+
+    The model's principal function is 1 on the disc of radius c = model.limit
+    (NoLimitDeclared when none is declared).  The area side is the midpoint
+    polar rule: node c r_i u_j, r_i = (i + 1/2)/n_r, u_j = exp(2 pi i (j + 1/2)/M),
+    M = n_theta, cell measure c^2 r_i dr dtheta, dr = 1/n_r, dtheta = 2 pi/M.
+
+    Jacobian.  J(p, q) = (dp/dzbar)(dq/dz) - (dp/dz)(dq/dzbar).  Monomials
+    a z^i zbar^j of p and b z^k zbar^l of q contribute a b (j k - i l) z^s zbar^t
+    with s = i + k - 1 and t = j + l - 1; when s or t is -1, j k - i l = 0.
+
+    Ring moments.  At a node z^s zbar^t = (c r_i)^(s+t) u_j^(s-t).  The u_j are
+    the roots of u^M = -1, so sum_j u_j^m = M (-1)^(m/M) when M divides m and 0
+    otherwise.  Hence
+
+        (1/pi) sum over nodes of z^s zbar^t c^2 r_i dr dtheta
+            = c^(s+t+2) (-1)^((s-t)/M) (2/n_r) sum_i r_i^(s+t+1)  if M | s - t,
+
+    and 0 otherwise.  The aliased terms, M | s - t with s != t, are kept, so the
+    value is the node rule's own, not the exact integral.  O(n_r) per monomial pair.
+    """
+    c = model.limit
+    if c is None:
+        raise NoLimitDeclared("helton-howe needs g = 1 on the disc of radius model.limit")
     lhs = tracial_form(p, q, model, n)
-    jac = wirtinger_jacobian(p, q)
-    zeta = g.nodes()
-    rhs = complex(np.sum(jac.eval_grid(zeta) * g.values * g.cell_measure()) / np.pi)
-    return make_check(name or "trace formula", lhs, rhs, tol)
+    radii = (np.arange(n_r) + 0.5) / n_r
+    rhs = 0j
+    for (i, j), a in p.coeffs:
+        for (k, l), b in q.coeffs:
+            s, t = i + k - 1, j + l - 1
+            turns, rest = divmod(s - t, n_theta)
+            if j * k == i * l or rest:  # no Jacobian term, or a vanishing angular sum
+                continue
+            moment = 2.0 * np.sum(radii ** (s + t + 1)) / n_r
+            rhs += a * b * (j * k - i * l) * (-1) ** turns * c ** (s + t + 2) * moment
+    return make_check(name or "trace formula", lhs, complex(rhs), tol)
 
 
 def berger_shaw_putnam_check(

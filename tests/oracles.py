@@ -9,8 +9,10 @@ back the acceptance criteria.  All are O(n^3), for small n only.  Inner
 products are <u, v> = sum u_k conj(v_k).  winding_number is the one-point,
 division-form winding that the batched principal.winding_numbers is compared
 against, disc_cauchy_exponential the node-by-node disc quadrature behind the
-ring sums of principal.disc_cauchy_exponential, and weight the scalar rule
-behind WeightSequence.weights.
+ring sums of principal.disc_cauchy_exponential, helton_howe_area the
+node-by-node Jacobian quadrature behind the ring moments of
+traceforms.helton_howe_check (with Polynomial, the symbolic algebra it needs),
+and weight the scalar rule behind WeightSequence.weights.
 """
 from dataclasses import dataclass
 
@@ -23,6 +25,7 @@ from hyposhift.errors import (
 from hyposhift.mobius import CONTRACTION_TOL, MobiusMap
 from hyposhift.principal import CURVE_MARGIN_FACTOR
 from hyposhift.shifts import KIND_RATIONAL, KIND_UNILATERAL, SINGULAR_CUTOFF, band
+from hyposhift.traceforms import BivariatePolynomial
 
 
 class NonHermitianInput(HyposhiftError):
@@ -410,5 +413,86 @@ def disc_cauchy_exponential(g, z: complex, w: complex) -> complex:
         raise EvaluationInsideDisc("z and w must satisfy |z|, |w| > 1")
     zeta = g.nodes()
     kernel = 1.0 / ((zeta - z) * (np.conj(zeta) - np.conj(w)))
-    integral = np.sum(g.values * g.cell_measure() * kernel)
+    integral = np.sum(g.values * cell_measure(g) * kernel)
     return complex(np.exp(-integral / np.pi))
+
+
+def cell_measure(g) -> np.ndarray:
+    """r dr dtheta weights of g's midpoint polar grid, shape (n_r, n_theta)."""
+    dr = 1.0 / g.n_r
+    dth = 2.0 * np.pi / g.n_theta
+    return np.broadcast_to(g.radii()[:, None] * dr * dth, (g.n_r, g.n_theta))
+
+
+@dataclass(frozen=True)
+class Polynomial(BivariatePolynomial):
+    """A BivariatePolynomial with ring operations, Wirtinger derivatives and evaluation."""
+
+    def as_dict(self) -> dict:
+        return dict(self.coeffs)
+
+    def deriv_z(self) -> "Polynomial":
+        out = {}
+        for (j, k), c in self.coeffs:
+            if j > 0:
+                out[(j - 1, k)] = out.get((j - 1, k), 0) + j * c
+        return Polynomial.from_dict(out)
+
+    def deriv_zbar(self) -> "Polynomial":
+        out = {}
+        for (j, k), c in self.coeffs:
+            if k > 0:
+                out[(j, k - 1)] = out.get((j, k - 1), 0) + k * c
+        return Polynomial.from_dict(out)
+
+    def __add__(self, other: BivariatePolynomial) -> "Polynomial":
+        out = self.as_dict()
+        for jk, c in other.coeffs:
+            out[jk] = out.get(jk, 0) + c
+        return Polynomial.from_dict(out)
+
+    def __mul__(self, other):
+        if isinstance(other, BivariatePolynomial):
+            out = {}
+            for (j1, k1), c1 in self.coeffs:
+                for (j2, k2), c2 in other.coeffs:
+                    jk = (j1 + j2, k1 + k2)
+                    out[jk] = out.get(jk, 0) + c1 * c2
+            return Polynomial.from_dict(out)
+        return Polynomial.from_dict({jk: c * other for jk, c in self.coeffs})
+
+    __rmul__ = __mul__
+
+    def __sub__(self, other: BivariatePolynomial) -> "Polynomial":
+        return self + (-1) * Polynomial(other.coeffs)
+
+    def eval(self, z: complex) -> complex:
+        zb = np.conj(z)
+        return complex(sum(c * z**j * zb**k for (j, k), c in self.coeffs))
+
+    def eval_grid(self, zeta: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(zeta, dtype=np.complex128)
+        zb = np.conj(zeta)
+        for (j, k), c in self.coeffs:
+            out += c * zeta**j * zb**k
+        return out
+
+
+def monomial(j: int, k: int, coeff: complex = 1.0) -> Polynomial:
+    return Polynomial.from_dict({(j, k): coeff})
+
+
+def wirtinger_jacobian(p, q) -> Polynomial:
+    """J(p, q) = (dp/dzbar)(dq/dz) - (dp/dz)(dq/dzbar), exact symbolic arithmetic."""
+    p, q = Polynomial(p.coeffs), Polynomial(q.coeffs)
+    return p.deriv_zbar() * q.deriv_z() - p.deriv_z() * q.deriv_zbar()
+
+
+def helton_howe_area(p, q, g, c: float = 1.0) -> complex:
+    """(1/pi) int J(p, q) g dA over the disc of radius c, summed over every node of g's grid.
+
+    The node zeta of g's unit-disc grid stands for c zeta, and its cell for c^2 times its area.
+    """
+    jac = wirtinger_jacobian(p, q)
+    terms = jac.eval_grid(c * g.nodes()) * g.values * (c * c) * cell_measure(g)
+    return complex(np.sum(terms) / np.pi)

@@ -32,12 +32,12 @@ from hyposhift.principal import (
     principal_value_at,
 )
 from hyposhift.shifts import exact_commutator_diagonal, rational_family, unilateral
-from hyposhift.traceforms import berger_shaw_putnam_check, monomial, tracial_form
+from hyposhift.traceforms import berger_shaw_putnam_check, helton_howe_check, tracial_form
 
 from oracles import (
-    closed_form_selfcommutator, det_eigenproduct, det_logseries, materialize,
-    multiplicative_commutator_pitfall, rank_one, self_commutator, singular_spectrum, trace,
-    trace_norm,
+    closed_form_selfcommutator, det_eigenproduct, det_logseries, helton_howe_area, materialize,
+    monomial, multiplicative_commutator_pitfall, rank_one, self_commutator, singular_spectrum,
+    trace, trace_norm,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -96,8 +96,6 @@ def test_criterion_03_multiplicative_tripwire():
 def test_criterion_04_polynomial_trace_formula():
     model = unilateral()
     g = constant_grid(1.0, 400, 400)
-    zeta = g.nodes()
-    measure = g.cell_measure()
     cases = (
         (monomial(0, 1), monomial(1, 0), 1.0, 1e-6),
         (monomial(0, 1), monomial(2, 0), 0.0, 1e-10),
@@ -106,11 +104,10 @@ def test_criterion_04_polynomial_trace_formula():
     ok = True
     for p, q, target, tol in cases:
         lhs = tracial_form(p, q, model, 512)
-        from hyposhift.traceforms import wirtinger_jacobian
-
-        jac = wirtinger_jacobian(p, q)
-        rhs = complex(np.sum(jac.eval_grid(zeta) * g.values * measure) / np.pi)
+        rhs = helton_howe_area(p, q, g)
+        ring = helton_howe_check(p, q, model, 512, tol, 400, 400).rhs
         ok &= abs(lhs - target) <= tol and abs(rhs - target) <= tol
+        ok &= abs(ring - rhs) <= 1e-12
     report("criterion 4: Helton-Howe trace formula on three polynomial pairs", ok)
 
 

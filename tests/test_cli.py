@@ -1,12 +1,16 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from hyposhift.cli import EXPERIMENTS, main, parse_config, run_experiment
@@ -83,7 +87,7 @@ class TestParseConfig:
         )
         assert cfg.truncation == 64
         assert cfg.n_r == 32
-        assert cfg.p.as_dict() == {(0, 1): 1.0}
+        assert dict(cfg.p.coeffs) == {(0, 1): 1.0}
 
     def test_all_bundled_configs_parse(self):
         paths = sorted(CONFIG_DIR.glob("*.json"))
@@ -331,6 +335,8 @@ class TestMain:
                 ' "model": {"kind": "tabulated", "weights": [3.0], "limit": 3.0}',
                 id="pincus_default_point_inside_sup",
             ),
+            # g is 1 on the disc of radius model.limit; a table without one has no disc
+            pytest.param('"model": {"kind": "tabulated", "weights": [1, 2]}', id="hh_no_limit"),
         ],
     )
     def test_run_malformed_value_exits_two(self, tmp_path, capsys, fields):
@@ -383,6 +389,44 @@ class TestMain:
         assert code == 0
         assert json.loads(out.read_text())["all_pass"] is True
 
+    @pytest.mark.parametrize(
+        "weight, p, q",
+        [(0.5, [[0, 1, 1, 0]], [[1, 0, 1, 0]]), (1.5, [[0, 1, 1, 0]], [[1, 0, 1, 0]]),
+         (1.5, [[0, 2, 1, 0]], [[2, 0, 1, 0]])],
+        ids=["0.5-zbar,z", "1.5-zbar,z", "1.5-zbar2,z2"],
+    )
+    def test_run_helton_howe_constant_weight_passes(self, tmp_path, weight, p, q):
+        payload = {
+            "experiment": "helton-howe",
+            "model": {"kind": "tabulated", "weights": [weight], "limit": weight},
+            "p": p,
+            "q": q,
+        }
+        code, out = self.run_config(tmp_path, payload)
+        assert code == 0
+        assert json.loads(out.read_text())["all_pass"] is True
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            # the default map grid moves an interior point within the winding margin
+            {"experiment": "constancy",
+             "model": {"kind": "tabulated", "weights": [1.5], "limit": 1.5}},
+            # s_min of T_n* - 2 with weights 3 decays like (2/3)^n: the guard refuses the solve
+            {"experiment": "resolvent-probe", "points": [[2.0, 0.0]],
+             "model": {"kind": "tabulated", "weights": [3.0], "limit": 3.0}},
+        ],
+        ids=["constancy_too_close", "probe_singular"],
+    )
+    def test_run_library_refusal_exits_two(self, tmp_path, capsys, payload):
+        code, out = self.run_config(tmp_path, payload)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("extra", [[], ["--model-lambda", "2.5"]], ids=["shift", "rational"])
     def test_default_grid_matches_full_curve_oracle(self, tmp_path, extra):
         # the default grid winds its inner rings on strided curves
@@ -406,6 +450,61 @@ class TestMain:
         assert code == 0
         checks = json.loads(out.read_text())["checks"]
         assert all(c["lhs"] == [0.0, 0.0] and c["rhs"] == [0.0, 0.0] for c in checks)
+
+
+def _pair(lo, hi):
+    return st.lists(st.floats(lo, hi), min_size=2, max_size=2)
+
+
+_MODELS = st.one_of(
+    st.just({"kind": "unilateral"}),
+    st.fixed_dictionaries({"kind": st.just("rational"), "lambda": st.floats(0.5, 6.0)}),
+    st.fixed_dictionaries(
+        {"kind": st.just("tabulated"),
+         "weights": st.lists(st.floats(0.05, 4.0), min_size=1, max_size=4)},
+        optional={"limit": st.floats(0.05, 4.0)},
+    ),
+)
+_POLYNOMIALS = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+    .map(list),
+    min_size=1, max_size=3,
+)
+# p and q are always given, since the other experiments ignore them
+_CONFIGS = st.fixed_dictionaries(
+    {"experiment": st.sampled_from(sorted(EXPERIMENTS)), "model": _MODELS,
+     "p": _POLYNOMIALS, "q": _POLYNOMIALS},
+    optional={
+        "truncation": st.integers(4, 64),
+        "grid": st.fixed_dictionaries(
+            {"n_r": st.integers(12, 32), "n_theta": st.integers(12, 32)}
+        ),
+        "points": st.lists(_pair(-5.0, 5.0), max_size=3),
+        "mobius": st.fixed_dictionaries(
+            {"beta_arg": st.floats(-4.0, 4.0), "a": _pair(-1.2, 1.2)}
+        ),
+        "c_values": st.lists(st.floats(0.01, 1.2), max_size=3),
+        "area": st.floats(-1.0, 20.0),
+        "tolerance": st.floats(-1e-3, 1.0),
+    },
+)
+
+
+@given(_CONFIGS)
+@settings(max_examples=200, deadline=None)
+def test_run_keeps_the_exit_code_contract(config):
+    # exit 0 all pass, 1 only with a [FAIL] line, 2 for anything refused; never a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = os.path.join(tmp, "cfg.json")
+        with open(cfg_path, "w") as fh:
+            json.dump(config, fh)
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["run", "--config", cfg_path, "--out", os.path.join(tmp, "r.json")]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert ("[FAIL]" in out.getvalue()) == (code == 1)
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -10,13 +10,14 @@ from hyposhift.traceforms import (
     berger_shaw_putnam_check,
     full_finite_trace,
     helton_howe_check,
-    monomial,
     tracial_form,
     window_margin,
-    wirtinger_jacobian,
 )
 
-from oracles import adjoint, eval_poly_at_operator, materialize
+from oracles import (
+    Polynomial, adjoint, eval_poly_at_operator, helton_howe_area, materialize, monomial,
+    wirtinger_jacobian,
+)
 
 
 small_coeffs = st.dictionaries(
@@ -33,7 +34,7 @@ class TestPolynomialAlgebra:
         assert p.deg_zbar == 3
 
     def test_zero_polynomial(self):
-        z = BivariatePolynomial()
+        z = Polynomial()
         assert z.deg_z == 0 and z.deg_zbar == 0
         assert z.eval(1.5 + 1j) == 0
 
@@ -58,14 +59,14 @@ class TestPolynomialAlgebra:
     @given(small_coeffs, small_coeffs, st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False))
     @settings(max_examples=50, deadline=None)
     def test_ring_laws_pointwise(self, d1, d2, z):
-        p = BivariatePolynomial.from_dict(d1)
-        q = BivariatePolynomial.from_dict(d2)
+        p = Polynomial.from_dict(d1)
+        q = Polynomial.from_dict(d2)
         assert (p + q).eval(z) == pytest.approx(p.eval(z) + q.eval(z), abs=1e-8)
         assert (p * q).eval(z) == pytest.approx(p.eval(z) * q.eval(z), abs=1e-6)
         assert (p - p).eval(z) == pytest.approx(0.0, abs=1e-10)
 
     def test_eval_grid_matches_eval(self):
-        p = BivariatePolynomial.from_dict({(2, 0): 1.0, (1, 1): -0.5j, (0, 2): 2.0})
+        p = Polynomial.from_dict({(2, 0): 1.0, (1, 1): -0.5j, (0, 2): 2.0})
         zeta = np.array([0.3 + 0.1j, -0.5j, 0.9])
         grid = p.eval_grid(zeta)
         for i, z in enumerate(zeta):
@@ -150,14 +151,60 @@ class TestTracialForm:
 class TestHeltonHoweCheck:
     def test_three_pairs_pass(self):
         model = unilateral()
-        g = constant_grid(1.0, 200, 200)
         for p, q, tol in (
             (monomial(0, 1), monomial(1, 0), 1e-4),
             (monomial(0, 1), monomial(2, 0), 1e-8),
             (monomial(0, 2), monomial(2, 0), 1e-2),
         ):
-            check = helton_howe_check(p, q, model, g, 128, tol)
+            check = helton_howe_check(p, q, model, 128, tol, 200, 200)
             assert check.passed, f"{check.name}: {check.lhs} vs {check.rhs}"
+
+    @given(
+        small_coeffs,
+        small_coeffs,
+        st.sampled_from([1, 2, 3, 5, 16, 37]),
+        st.sampled_from([1, 2, 7, 40]),
+        st.sampled_from([0.5, 1.0, 1.5]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_ring_moments_match_node_sum(self, d1, d2, n_theta, n_r, c):
+        # exponents <= 3 give |s - t| <= 6, so n_theta <= 5 can alias
+        p, q = BivariatePolynomial.from_dict(d1), BivariatePolynomial.from_dict(d2)
+        rhs = helton_howe_check(p, q, tabulated([c], limit=c), 64, 0.0, n_r, n_theta).rhs
+        want = helton_howe_area(p, q, constant_grid(1.0, n_r, n_theta), c)
+        # each coefficient pair adds a b j k z^s zbar^t and subtracts a b i l z^s zbar^t,
+        # and (1/pi) int |z^s zbar^t| dA over the disc of radius c is at most c^(s+t+2)
+        mass = sum(
+            abs(a * b) * (j * k + i * l) * c ** (i + j + k + l)
+            for (i, j), a in p.coeffs
+            for (k, l), b in q.coeffs
+        )
+        assert abs(rhs - want) <= 1e-13 * mass
+
+    @pytest.mark.parametrize("n_theta", [1, 2, 3, 4])
+    def test_aliased_terms_are_kept(self, n_theta):
+        # J(zbar, z^5 + z) = 5 z^4 + 1 integrates to 1 over the unit disc, but
+        # 5 z^4 has the angular sum n_theta (-1)^(4/n_theta) when n_theta divides 4
+        p, q = monomial(0, 1), monomial(5, 0) + monomial(1, 0)
+        check = helton_howe_check(p, q, unilateral(), 64, 1.0, 40, n_theta)
+        want = helton_howe_area(p, q, constant_grid(1.0, 40, n_theta))
+        assert check.rhs == pytest.approx(want, rel=1e-13)
+        assert (abs(check.rhs - 1.0) > 1.0) == (4 % n_theta == 0)
+
+    @pytest.mark.parametrize("c", [0.5, 1.5])
+    def test_constant_weight_scales_the_disc(self, c):
+        # (1/pi) int z^m zbar^m dA over the disc of radius c is c^(2m+2)/(m+1)
+        for p, q, want in (
+            (monomial(0, 1), monomial(1, 0), c**2),
+            (monomial(0, 2), monomial(2, 0), 2.0 * c**4),
+        ):
+            check = helton_howe_check(p, q, tabulated([c], limit=c), 128, 1e-3)
+            assert check.passed, f"{check.lhs} vs {check.rhs}"
+            assert check.rhs == pytest.approx(want, rel=1e-4)
+
+    def test_needs_a_declared_limit(self):
+        with pytest.raises(NoLimitDeclared):
+            helton_howe_check(monomial(0, 1), monomial(1, 0), tabulated([1.0, 2.0]), 64, 1e-3)
 
 
 class TestBergerShawPutnam:
