@@ -215,6 +215,18 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"truncation: helton-howe {exc}") from exc
     if name in ("helton-howe", "berger-shaw-putnam") and cfg.model.limit is None:
         raise ConfigError(f"model.limit: {name} requires a declared limit")
+    if name in ("change-of-variable", "constancy") and cfg.model.limit is not None:
+        # phi must be analytic on the spectrum, the closed disc of radius model.limit
+        if cfg.mobius is not None:
+            where, maps = "mobius", (cfg.mobius,)
+        else:
+            where, maps = "default maps", DEFAULT_MAP_GRID if name == "constancy" else ()
+        for phi in maps:
+            if abs(phi.a) * cfg.model.limit >= 1.0:
+                raise ConfigError(
+                    f"{where}: the pole 1/conj(a) of a = {phi.a} lies in the spectrum, "
+                    f"the disc of radius {cfg.model.limit}; need |a| * limit < 1"
+                )
     if name == "pincus-check":
         try:
             check_rank_one(cfg.model, cfg.truncation)

@@ -5,11 +5,11 @@ winding number of its symbol curve (the essential-spectrum circle) about the
 evaluation point, i.e. minus the Fredholm index of T - lambda.  Windings are
 computed for a batch of points on one shared sampled curve: the curve's
 adjacent gaps, and with them the margin of CURVE_MARGIN_FACTOR x the largest
-gap, are computed once, and the argument increments run over the points in
-chunks of WINDING_CHUNK so that no points x samples matrix is ever formed.
-A chunk far from the curve winds on the subsample curve[::k] instead of the
-whole curve; the stride k is exact, not an approximation (see
-winding_numbers).
+gap, are computed once.  The curve is cut into blocks of COARSE_STRIDE edges;
+a block far from a point turns about it exactly as the chord between its end
+knots does, so each point sums whole edges only in the few blocks near it
+(see winding_numbers).  Points run in chunks so that no points x samples
+matrix is ever formed.
 
 The disc integral exp(-(1/pi) int g(zeta) / ((zeta - z)(conj(zeta) - conj(w))) dA)
 is computed by midpoint polar quadrature for a g constant on each ring, whose
@@ -31,8 +31,9 @@ from .shifts import WeightSequence, symbol_curve
 
 DEFAULT_CURVE_SAMPLES = 4096
 CURVE_MARGIN_FACTOR = 10.0
-WINDING_CHUNK = 8  # points per argument-increment pass; bounds each temporary to 8 x samples
-COARSE_STRIDE = 64  # subsample step of the distance bound that picks each chunk's stride
+WINDING_CHUNK = 4  # every winding temporary holds at most 4 x samples elements
+COARSE_STRIDE = 64  # edges per block of the block-chord winding
+_TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
@@ -76,78 +77,109 @@ def winding_numbers(curve: np.ndarray, points) -> np.ndarray:
     """Windings of a closed sampled curve about each point, by argument increments.
 
     Every point must keep a distance of more than CURVE_MARGIN_FACTOR x the
-    maximal adjacent-point spacing (gap) from the curve, which makes the
-    rounded argument sum refinement-stable; otherwise TooCloseToCurve names the
-    first offending point in input order.  Points beyond the curve's bounding
-    circle plus that margin get winding 0 without the argument sum: the sampled
-    polygon lies inside the circle, and the products of far differences would
-    overflow.  Curve and points must be finite (ValueError).  Returns an int
-    array shaped like points.
+    maximal adjacent-point spacing (gap) from the curve's vertices, which makes
+    the rounded argument sum refinement-stable; otherwise TooCloseToCurve names
+    the first offending point in input order.  Points beyond the curve's
+    bounding circle plus that margin get winding 0 without the argument sum:
+    the sampled polygon lies inside the circle, and the products of far
+    differences would overflow.  Curve and points must be finite and the curve
+    non-empty (ValueError).  Returns an int array shaped like points.
 
-    Stride.  Every vertex of the polygon is at most COARSE_STRIDE/2 edges from
-    a vertex of curve[::COARSE_STRIDE], so every point of the polygon lies
-    within (COARSE_STRIDE/2 + 1) gap of that subsample, and
-    d = min |p - curve[::COARSE_STRIDE]| - (COARSE_STRIDE/2 + 1) gap bounds the
-    distance from p to the polygon from below.  A chunk of points winds on
-    curve[::k], with k the largest power of two <= len(curve)/COARSE_STRIDE
-    such that d > CURVE_MARGIN_FACTOR k gap for every point of the chunk
-    (k = 1 when there is none).  The result is exact:
+    Blocks.  The closed polygon is cut into blocks of COARSE_STRIDE edges (the
+    last may be shorter; a curve of at most COARSE_STRIDE samples is one
+    block).  Block j runs from the knot a_j = curve[j COARSE_STRIDE] to the
+    next knot (the last block ends at curve[0]), and l_j is its path length.
+    A point p and block j are far when |p - a_j| > l_j + margin (up to a
+    relative rounding guard of 1e-12, which only moves pairs to near), and the
+    block's turn about a far p is exact from its two knots alone:
 
-    * the polygon's winding about p is that of the strided polygon plus the
-      windings of the dropped sub-loops, each made of at most k edges and the
-      closing chord.  A sub-loop lies in the disc of radius k gap about its
-      first vertex, which p is outside of, so it winds 0 about p;
-    * the strided polygon's largest gap is at most k gap, so p keeps the
-      refinement-stable margin on it too.
+    * the block's path and its closing chord lie in the disc of radius l_j
+      about a_j, which p is outside of, so the loop they form winds 0 about
+      p, and the block turns about p exactly as its chord does;
+    * the chord is no longer than l_j < |p - a_j|, so it subtends less than
+      pi/2 at p, and its turn is the wrapped difference of the knots'
+      arguments about p;
+    * every vertex of the block is within l_j of a_j, so it clears the
+      margin.
 
-    Every chunk is checked against the margin, and only a chunk with k = 1,
-    which winds on the whole curve, can fail the check: a point within the
-    margin has d <= CURVE_MARGIN_FACTOR gap and forces k = 1.  So
-    TooCloseToCurve fires on exactly the points that are too close.
+    A near pair sums the exact edge increments of its block's vertices and
+    takes their exact distances.  By the third point, a vertex within the
+    margin always lies in a near block, so TooCloseToCurve fires on exactly
+    the points that are too close, with the full curve's minimum distance.
+    Points run in chunks, and near pairs in batches, sized so that no
+    temporary holds more than WINDING_CHUNK x samples elements.
     """
     curve = np.asarray(curve, dtype=np.complex128)
     points = np.asarray(points, dtype=np.complex128)
     if not (np.all(np.isfinite(curve)) and np.all(np.isfinite(points))):
         raise ValueError("winding needs a finite curve and finite points")
+    if curve.size == 0:
+        raise ValueError("winding needs a non-empty curve")
     flat = points.reshape(-1)
-    following = np.roll(curve, -1)
-    gap = float(np.max(np.abs(following - curve)))
+    samples = curve.size
+    block = min(COARSE_STRIDE, samples)
+    starts = np.arange(0, samples, block)
+    # the curve closed by its first sample and padded with it up to whole
+    # blocks: block j's vertices are closed[j block : (j + 1) block + 1], and
+    # a short last block repeats its end vertex, which turns by exactly 0
+    closed = np.concatenate([curve, np.full(starts.size * block + 1 - samples, curve[0])])
+    edges = np.abs(closed[1 : samples + 1] - curve)
+    gap = float(np.max(edges))
     margin = CURVE_MARGIN_FACTOR * gap
+    reach = (np.add.reduceat(edges, starts) + margin) * (1.0 + 1e-12)
+    knots = closed[starts]
+    vertices = np.lib.stride_tricks.sliding_window_view(closed, block + 1)[::block]
     re, im = curve.real, curve.imag
     center = complex(np.max(re) + np.min(re), np.max(im) + np.min(im)) / 2.0
     radius = float(np.max(np.abs(curve - center)))
     near = np.flatnonzero(np.abs(flat - center) <= radius + margin)
-    coarse = curve[::COARSE_STRIDE]
-    slack = (COARSE_STRIDE // 2 + 1) * gap
-    top_stride = 1 << max((curve.size // COARSE_STRIDE).bit_length() - 1, 0)
-    strided = {1: (curve, following)}  # stride -> (curve[::k], its successors), built lazily
+    per_chunk = WINDING_CHUNK * samples // starts.size
+    per_batch = WINDING_CHUNK * samples // (block + 1)
     out = np.zeros(flat.shape, dtype=np.int64)
-    for start in range(0, near.size, WINDING_CHUNK):
-        rows = near[start : start + WINDING_CHUNK]
-        chunk = flat[rows, None]
-        reach = float(np.min(np.abs(coarse - chunk))) - slack
-        k = top_stride
-        while k > 1 and reach <= margin * k:
-            k //= 2
-        if k not in strided:
-            sub = curve[::k]
-            strided[k] = (sub, np.roll(sub, -1))
-        sub, sub_following = strided[k]
-        rel = sub - chunk
-        min_dist = np.min(np.abs(rel), axis=1)
+    for start in range(0, near.size, per_chunk):
+        rows = near[start : start + per_chunk]
+        chunk = flat[rows]
+        far, total = _chord_turns(knots, reach, chunk)
+        min_dist = np.full(rows.size, np.inf)
+        owner, which = np.nonzero(~far)
+        for lo in range(0, owner.size, per_batch):
+            own = owner[lo : lo + per_batch]
+            dist, turn = _edge_turns(vertices, which[lo : lo + per_batch], chunk[own])
+            np.minimum.at(min_dist, own, dist)
+            total += np.bincount(own, turn, rows.size)
         close = np.flatnonzero(min_dist <= margin)
         if close.size:
             i = close[0]
             raise TooCloseToCurve(
-                f"point {complex(chunk[i, 0])} is {min_dist[i]:.3e} from the curve; "
+                f"point {complex(chunk[i])} is {min_dist[i]:.3e} from the curve; "
                 f"need > {margin:.3e}"
             )
-        # arg((next - p) / (curve - p)) without the division, reusing the buffers
-        step = sub_following - chunk
-        step *= np.conjugate(rel, out=rel)
-        turns = np.sum(np.angle(step), axis=1) / (2.0 * np.pi)
-        out[rows] = np.rint(turns)
+        out[rows] = np.rint(total / _TWO_PI)
     return out.reshape(points.shape)
+
+
+def _chord_turns(knots: np.ndarray, reach: np.ndarray, points: np.ndarray):
+    """Which blocks are far from each point, and the summed turns of the far blocks' chords."""
+    rel = knots - points[:, None]
+    far = np.abs(rel) > reach
+    theta = np.angle(rel)
+    del rel  # the complex buffer is the largest; free it before the real temporaries
+    turn = np.roll(theta, -1, axis=1)
+    turn -= theta
+    # wrap to [-pi, pi], with theta as the scratch buffer
+    turn -= _TWO_PI * np.rint(np.divide(turn, _TWO_PI, out=theta), out=theta)
+    return far, np.sum(turn, axis=1, where=far)
+
+
+def _edge_turns(vertices: np.ndarray, blocks: np.ndarray, points: np.ndarray):
+    """Minimum vertex distance and summed edge turns of each block about its point."""
+    rel = vertices[blocks]
+    rel -= points[:, None]
+    dist = np.min(np.abs(rel), axis=1)
+    # arg((next - p) / (vertex - p)) without the division
+    step = np.conjugate(rel[:, :-1])
+    step *= rel[:, 1:]
+    return dist, np.sum(np.angle(step), axis=1)
 
 
 def principal_value_at(

@@ -96,17 +96,25 @@ def write_checks_csv(report: VerificationReport, path: str) -> None:
 
 
 def write_grid_csv(grid, path: str) -> None:
-    """Dump a GridFunction as rows r, theta, re, im, g (one row per node)."""
-    radii = grid.radii()
-    angles = grid.angles()
+    """Dump a GridFunction as rows r, theta, re, im, g (one row per node).
+
+    The text is what csv.writer makes of the same rows (repr of each float,
+    CRLF line ends), built in one string and written at once.
+    """
+    angles = grid.angles().tolist()
+    cos = [math.cos(th) for th in angles]
+    sin = [math.sin(th) for th in angles]
+    thetas = [repr(th) for th in angles]
+    lines = ["r,theta,re,im,g\r\n"]
+    for r, row in zip(grid.radii().tolist(), grid.values.tolist()):
+        head = repr(r)
+        lines.extend(
+            f"{head},{th},{r * c!r},{r * s!r},{g!r}\r\n"
+            for th, c, s, g in zip(thetas, cos, sin, row)
+        )
+    text = "".join(lines)
     try:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["r", "theta", "re", "im", "g"])
-            for i, r in enumerate(radii):
-                for j, th in enumerate(angles):
-                    writer.writerow(
-                        [r, th, r * math.cos(th), r * math.sin(th), grid.values[i, j]]
-                    )
+            fh.write(text)
     except OSError as exc:
         raise IoError(f"cannot write grid CSV to {path}: {exc}") from exc

@@ -12,8 +12,11 @@ against, disc_cauchy_exponential the node-by-node disc quadrature behind the
 ring sums of principal.disc_cauchy_exponential, helton_howe_area the
 node-by-node Jacobian quadrature behind the ring moments of
 traceforms.helton_howe_check (with Polynomial, the symbolic algebra it needs),
-and weight the scalar rule behind WeightSequence.weights.
+weight the scalar rule behind WeightSequence.weights, and write_grid_csv the
+row-by-row csv.writer dump that reporting.write_grid_csv matches byte for byte.
 """
+import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -496,3 +499,13 @@ def helton_howe_area(p, q, g, c: float = 1.0) -> complex:
     jac = wirtinger_jacobian(p, q)
     terms = jac.eval_grid(c * g.nodes()) * g.values * (c * c) * cell_measure(g)
     return complex(np.sum(terms) / np.pi)
+
+
+def write_grid_csv(grid, path: str) -> None:
+    """reporting.write_grid_csv row by row through csv.writer, as the byte reference."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["r", "theta", "re", "im", "g"])
+        for i, r in enumerate(grid.radii()):
+            for j, th in enumerate(grid.angles()):
+                writer.writerow([r, th, r * math.cos(th), r * math.sin(th), grid.values[i, j]])

@@ -23,7 +23,7 @@ from hyposhift.reporting import (
     write_grid_csv,
     write_report,
 )
-from hyposhift.principal import constant_grid
+from hyposhift.principal import GridFunction, constant_grid
 from hyposhift.shifts import rational_family, symbol_curve, unilateral
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -154,6 +154,19 @@ class TestReporting:
             rows = list(csv.reader(fh))
         assert rows[0] == ["r", "theta", "re", "im", "g"]
         assert len(rows) == 7
+
+    @pytest.mark.parametrize(
+        "n_r, n_theta", [(24, 48), (8, 16), (1, 1), (1, 2), (3, 7), (2, 6), (100, 37)]
+    )
+    def test_grid_csv_matches_row_writer(self, tmp_path, n_r, n_theta):
+        # the one-string writer against csv.writer row by row, byte for byte; an
+        # n_theta = 2 (mod 4) grid has a node at theta = pi/2, where re is ~1e-17
+        values = np.random.default_rng(n_r * n_theta).random((n_r, n_theta))
+        values[0] = 1.0
+        grid = GridFunction(n_r, n_theta, values)
+        write_grid_csv(grid, str(tmp_path / "fast.csv"))
+        oracles.write_grid_csv(grid, str(tmp_path / "rows.csv"))
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 class TestMain:
@@ -409,9 +422,9 @@ class TestMain:
     @pytest.mark.parametrize(
         "payload",
         [
-            # the default map grid moves an interior point within the winding margin
+            # the default map grid moves a default point within the winding margin
             {"experiment": "constancy",
-             "model": {"kind": "tabulated", "weights": [1.5], "limit": 1.5}},
+             "model": {"kind": "tabulated", "weights": [1.2], "limit": 1.2}},
             # s_min of T_n* - 2 with weights 3 decays like (2/3)^n: the guard refuses the solve
             {"experiment": "resolvent-probe", "points": [[2.0, 0.0]],
              "model": {"kind": "tabulated", "weights": [3.0], "limit": 3.0}},
@@ -427,9 +440,43 @@ class TestMain:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            # the pole 1/conj(a) at 2.19 lies inside the spectrum's disc of radius 2.8
+            {"experiment": "change-of-variable",
+             "model": {"kind": "tabulated", "weights": [3.2], "limit": 2.8},
+             "mobius": {"beta_arg": 1.07, "a": [0.4565, 0]}},
+            {"experiment": "constancy", "mobius": {"a": [0.0, 0.8]},
+             "model": {"kind": "tabulated", "weights": [1.25], "limit": 1.25}},
+            # the default map a = 0.7i has its pole at |z| = 1.43 < 1.5
+            {"experiment": "constancy",
+             "model": {"kind": "tabulated", "weights": [1.5], "limit": 1.5}},
+        ],
+        ids=["change_of_variable", "constancy_map", "constancy_default_maps"],
+    )
+    def test_run_mobius_pole_on_spectrum_exits_two(self, tmp_path, capsys, payload):
+        code, out = self.run_config(tmp_path, payload)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert "pole" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("a", [[0.0, 0.6], [-0.5, 0.3]])
+    def test_run_mobius_pole_off_spectrum_passes(self, tmp_path, a):
+        # |a| limit < 1 on a limit-1.2 model: phi is analytic on the spectrum
+        payload = {"experiment": "change-of-variable", "mobius": {"a": a},
+                   "model": {"kind": "tabulated", "weights": [1.2], "limit": 1.2}}
+        code, out = self.run_config(tmp_path, payload)
+        assert code == 0
+        assert json.loads(out.read_text())["all_pass"] is True
+
     @pytest.mark.parametrize("extra", [[], ["--model-lambda", "2.5"]], ids=["shift", "rational"])
     def test_default_grid_matches_full_curve_oracle(self, tmp_path, extra):
-        # the default grid winds its inner rings on strided curves
+        # the default grid's outer ring sums edges in near blocks, its inner rings only chords
         out = tmp_path / "grid.csv"
         assert main(["grid", "--experiment", "pincus-check", "--out", str(out)] + extra) == 0
         with open(out, newline="") as fh:

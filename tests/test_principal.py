@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from hyposhift.errors import (
 )
 from hyposhift.mobius import MobiusMap, mobius_eval
 from hyposhift.principal import (
+    COARSE_STRIDE,
     WINDING_CHUNK,
     GridFunction,
     closed_form_oracle,
@@ -86,6 +89,10 @@ def oracle_windings(curve, points):
     return [oracles.winding_number(curve, p) for p in points]
 
 
+# points per chunk on a curve of whole blocks: WINDING_CHUNK x samples / blocks
+PER_CHUNK = WINDING_CHUNK * COARSE_STRIDE
+
+
 class TestWindingNumbers:
     """The batched winding against the one-point division-form oracle."""
 
@@ -96,7 +103,7 @@ class TestWindingNumbers:
         st.lists(
             st.complex_numbers(max_magnitude=2.5, allow_nan=False, allow_infinity=False),
             min_size=1,
-            max_size=3 * WINDING_CHUNK,
+            max_size=24,
         ),
     )
     @settings(max_examples=80, deadline=None)
@@ -120,7 +127,7 @@ class TestWindingNumbers:
         assert got.shape == (0,)
         assert got.dtype.kind == "i"
 
-    @pytest.mark.parametrize("count", [1, WINDING_CHUNK, WINDING_CHUNK + 1])
+    @pytest.mark.parametrize("count", [1, PER_CHUNK, PER_CHUNK + 1])
     def test_chunk_boundaries(self, count):
         curve = unit_circle(512)
         k = np.arange(count)
@@ -147,15 +154,15 @@ class TestWindingNumbers:
         assert winding_numbers(curve, 1e300 + 1e300j) == 0
 
     def test_names_first_close_point_in_input_order(self):
-        points = [0.0] * (WINDING_CHUNK + 2) + [0.99, 1.01]
-        points[WINDING_CHUNK + 1] = 1.0 + 1e-3j
+        points = [0.0] * (PER_CHUNK + 2) + [0.99, 1.01]
+        points[PER_CHUNK + 1] = 1.0 + 1e-3j
         with pytest.raises(TooCloseToCurve, match=r"point \(1\+0\.001j\)"):
             winding_numbers(unit_circle(256), points)
 
     def test_names_first_close_point_after_far_chunks(self):
-        # the centre winds on a strided curve; the chunk holding the close
+        # the centre is far from every block; the chunk holding the close
         # points starts with far ones, and a far chunk follows
-        points = [0.0] * WINDING_CHUNK + [0.5, -0.3j, 1.0 + 1e-3j, 0.999] + [0.1] * WINDING_CHUNK
+        points = [0.0] * PER_CHUNK + [0.5, -0.3j, 1.0 + 1e-3j, 0.999] + [0.1] * PER_CHUNK
         with pytest.raises(TooCloseToCurve, match=r"point \(1\+0\.001j\)"):
             winding_numbers(unit_circle(8192), points)
 
@@ -173,34 +180,41 @@ class TestWindingNumbers:
         with pytest.raises(ValueError, match="finite"):
             winding_numbers(curve, points)
 
+    def test_rejects_empty_curve(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            winding_numbers(np.zeros(0, dtype=complex), [0.0])
 
-# distances from the unit circle that span every stride of these curves, from inside
-# the winding margin to far off
-STRIDE_DISTANCES = (1e-3, 0.02, 0.05, 0.1, 0.2, 0.4, 0.7, 0.95)
+
+# distances from the unit circle, from inside the winding margin of these curves
+# through near blocks to far off
+BLOCK_DISTANCES = (1e-3, 0.02, 0.05, 0.1, 0.2, 0.4, 0.7, 0.95)
 
 
 class TestStrideWinding:
-    """Strided windings of long curves against the full-curve division-form oracle."""
+    """Block-chord windings against the full-curve division-form oracle."""
 
     @given(
-        st.sampled_from([4096, 6000, 8192, 16384]),
+        st.sampled_from([3, 5, 63, 64, 65, 1000, 4096, 6000, 16384]),
         st.floats(0.0, 2 * np.pi),
-        st.complex_numbers(max_magnitude=0.6, allow_nan=False, allow_infinity=False),
+        # up to |a| = 0.95 the image curve's spacing varies by a factor of 1500
+        st.floats(0.0, 0.95),
+        st.floats(0.0, 2 * np.pi),
         st.sampled_from([(1, False), (1, True), (2, False), (2, True)]),
         st.lists(
             st.tuples(
-                st.sampled_from(STRIDE_DISTANCES),
+                st.sampled_from(BLOCK_DISTANCES),
                 st.sampled_from([-1.0, 1.0, 3.0]),
                 st.floats(0.0, 2 * np.pi),
             ),
             min_size=1,
-            max_size=3 * WINDING_CHUNK,
+            max_size=24,
         ),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_matches_oracle(self, samples, beta_arg, a, variant, offsets):
+    @settings(max_examples=80, deadline=None)
+    def test_matches_oracle(self, samples, beta_arg, modulus, a_arg, variant, offsets):
         loops, reverse = variant
-        curve = mobius_eval(MobiusMap(beta=np.exp(1j * beta_arg), a=a), unit_circle(samples, loops))
+        phi = MobiusMap(beta=np.exp(1j * beta_arg), a=modulus * np.exp(1j * a_arg))
+        curve = mobius_eval(phi, unit_circle(samples, loops))
         if reverse:
             curve = curve[::-1]
         # inside (-1), just outside (+1) or far outside (+3) the circle, by the chosen distance
@@ -223,7 +237,7 @@ class TestStrideWinding:
         assert got.tolist() == [expected for _, expected in clear]
 
     def test_strided_kernel_agrees_with_full_curve(self, monkeypatch):
-        # the same kernel with every stride forced to 1, on points of all strides
+        # the same kernel with one whole-curve block, on points near and far from the curve
         curve = mobius_eval(MobiusMap(beta=1.0, a=0.4 - 0.2j), unit_circle(16384, loops=2))
         points = np.outer(1.0 + np.array([-0.95, -0.5, -0.2, -0.06, 0.06, 0.2, 0.5, 2.0]),
                           np.exp(0.37j * np.arange(8) * np.pi)).T
@@ -231,6 +245,28 @@ class TestStrideWinding:
         monkeypatch.setattr(principal, "COARSE_STRIDE", curve.size + 1)
         assert winding_numbers(curve, points).tolist() == strided.tolist()
         assert set(strided.ravel().tolist()) == {0, 2}
+
+    @pytest.mark.parametrize("samples", [4096, 4097, 4159])
+    def test_short_last_block(self, samples):
+        # 4096 = 64 whole blocks; 4097 and 4159 leave a last block of 1 and 63 edges,
+        # which the points 5 % inside and outside curve[0] take as a chord and edge by edge
+        curve = mobius_eval(MobiusMap(beta=1.0, a=0.3j), unit_circle(samples))
+        points = [0.0, 0.5j, -0.6, 2.0, 1.5 - 1.5j, 0.95 * curve[0], 1.05 * curve[0]]
+        assert winding_numbers(curve, points).tolist() == oracle_windings(curve, points)
+
+    def test_temporaries_stay_within_the_chunk_bound(self):
+        # 3000 points in near blocks of a 4096-sample curve; one points x samples
+        # complex matrix would take 197 MB
+        curve = unit_circle(4096)
+        points = 0.98 * np.exp(2j * np.pi * np.arange(3000) / 3000)
+        tracemalloc.start()
+        try:
+            winding_numbers(curve, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a few complex temporaries of WINDING_CHUNK x samples elements at a time
+        assert peak < 8 * WINDING_CHUNK * curve.size * 16
 
 
 class TestPrincipalValue:
