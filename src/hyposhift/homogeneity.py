@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DomainError, OnEssentialSpectrum, SpectrumHit, TooCloseToCurve
 from .mobius import MobiusMap, mobius_eval, mobius_invert
-from .principal import principal_value_at, winding_numbers
+from .principal import _principal_value_on, winding_numbers
 from .reporting import Check, make_check
 from .shifts import WeightSequence, adjoint_resolvent_smin, adjoint_resolvent_solve, symbol_curve
 
@@ -97,10 +97,11 @@ def change_of_variable_check(
     model: WeightSequence, phi: MobiusMap, points, samples: int = 4096
 ) -> list[Check]:
     """Index of phi(T) at zeta vs index of T at phi^{-1}(zeta), integer equality."""
-    lhs = winding_numbers(transformed_symbol_curve(model, phi, samples), points)
+    curve = symbol_curve(model, samples)
+    lhs = winding_numbers(mobius_eval(phi, curve), points)
     pulled_back = mobius_eval(mobius_invert(phi), np.asarray(points, dtype=np.complex128))
     try:
-        rhs = winding_numbers(symbol_curve(model, samples), pulled_back)
+        rhs = winding_numbers(curve, pulled_back)
     except TooCloseToCurve as exc:
         raise OnEssentialSpectrum(
             f"pulled-back point too close to the essential circle of radius "
@@ -125,12 +126,13 @@ def constancy_check(
         interior_points = default_interior_points()
     if exterior_points is None:
         exterior_points = default_exterior_points()
-    base = principal_value_at(model, interior_points[0], samples)
+    curve = symbol_curve(model, samples)
+    base = _principal_value_on(curve, model, interior_points[0])
     # one winding call per map: the curve's gap, margin and bounds are shared
     points = np.asarray(list(interior_points) + list(exterior_points), dtype=np.complex128)
     checks = []
     for phi in maps:
-        windings = winding_numbers(transformed_symbol_curve(model, phi, samples), points)
+        windings = winding_numbers(mobius_eval(phi, curve), points)
         inside, outside = windings[: len(interior_points)], windings[len(interior_points) :]
         checks.extend(
             make_check(f"constant index at zeta={zeta}, a={phi.a}", int(w), base, 0.0)

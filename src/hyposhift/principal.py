@@ -186,7 +186,11 @@ def principal_value_at(
     model: WeightSequence, point: complex, samples: int = DEFAULT_CURVE_SAMPLES
 ) -> int:
     """g(point) = minus the Fredholm index = winding of the symbol curve about the point."""
-    curve = symbol_curve(model, samples)
+    return _principal_value_on(symbol_curve(model, samples), model, point)
+
+
+def _principal_value_on(curve: np.ndarray, model: WeightSequence, point: complex) -> int:
+    """principal_value_at on an already sampled symbol curve of model."""
     try:
         return int(winding_numbers(curve, point))
     except TooCloseToCurve as exc:

@@ -3,8 +3,11 @@
 The model is a WeightSequence: closed-form or tabulated weights together with
 their limit value.  The n-truncation T_n is stored as its band: entry
 (k+1, k) = w_k, zero elsewhere.  The adjoint resolvent (T_n* - conj(w))^{-1},
-its singularity guard and its norm are computed from that band in O(n); no
-function here builds the dense matrix, which only the test oracles need.
+its singularity guard and its norm are computed from that band in O(n) per
+sweep; no function here builds the dense matrix, which only the test oracles
+need.  The norm is 1/s_min: Laguerre's iteration on the Sturm pivots of the
+Golub-Kahan tridiagonal closes in on s_min in a few sweeps, and Sturm counts
+at the last iterate certify it to the ulp.
 
 The exact infinite-model self-commutator data comes from closed forms, never
 from truncations: the finite self-commutator is always traceless, so
@@ -30,6 +33,11 @@ SINGULAR_CUTOFF = 1e-13
 
 # Stand-in for an exactly zero Sturm pivot.
 _PIVOT_FLOOR = sys.float_info.min
+_EPS = sys.float_info.epsilon
+
+# A Laguerre step for s_min that is not this many times shorter than the one
+# before it hands over to bisection: near s_min each step shrinks far more.
+_LAGUERRE_SHRINK = 2.0
 
 
 @dataclass(frozen=True)
@@ -65,12 +73,16 @@ class WeightSequence:
             raise ValueError(f"unknown weight kind {self.kind!r}")
 
     def weights(self, n: int) -> np.ndarray:
-        """(w_0, ..., w_{n-1}); a tabulated table extends by its declared limit."""
+        """(w_0, ..., w_{n-1}) in a fresh array that callers may overwrite; a
+        tabulated table extends by its declared limit."""
         if self.kind == KIND_UNILATERAL:
             return np.ones(n)
         if self.kind == KIND_RATIONAL:
             k = np.arange(n, dtype=np.float64)
-            return (k + 1.0) / (k + self.lam)
+            w = k + 1.0
+            k += self.lam
+            w /= k
+            return w
         stored = len(self.table)
         if n <= stored:
             return np.array(self.table[:n], dtype=np.float64)
@@ -140,12 +152,13 @@ def adjoint_resolvent_smin(model: WeightSequence, w: complex, n: int) -> float:
     """Smallest singular value of T_n* - conj(w), i.e. 1 / ||(T_n* - conj(w))^{-1}||.
 
     Raises SingularResolvent when it is at most 1e-13 s_max.  Otherwise
-    bisects with Sturm counts on the Golub-Kahan tridiagonal (see
-    _count_below), to relative accuracy.
+    runs Laguerre's iteration up from the guard's lower bound and certifies
+    the result with Sturm counts on the Golub-Kahan tridiagonal (see
+    _laguerre_singular_value), to relative accuracy.
     """
     sub = band(model, n)
     lo = _resolvent_guard(sub, w)
-    return _bisect_singular_value(_golub_kahan_squares(sub, w), 1, lo, abs(w))
+    return _laguerre_singular_value(_golub_kahan_squares(sub, w), lo, abs(w))
 
 
 def _resolvent_guard(sub: np.ndarray, w: complex) -> float:
@@ -177,7 +190,7 @@ def _golub_kahan_squares(sub: np.ndarray, w: complex) -> list:
     the Golub-Kahan tridiagonal [[0, B*], [B, 0]], reordered, has zero
     diagonal, these off-diagonal entries and eigenvalues +-s_j.
     """
-    e = np.full(2 * sub.size + 1, abs(w))
+    e = np.full(2 * sub.size + 1, float(abs(w)))
     e[1::2] = sub
     return (e * e).tolist()
 
@@ -198,6 +211,95 @@ def _count_below(e2: list, lam: float) -> int:
         if q < 0.0:
             negative += 1
     return negative - (len(e2) + 1) // 2
+
+
+def _laguerre_sweep(e2: list, lam: float) -> tuple[int, float, float]:
+    """Number of singular values below lam > 0, with G = p'/p and
+    H = -(p'/p)' at lam for p(lam) = det(GK - lam).
+
+    p is the product of the LDL* pivots d_i, so G = sum r_i and
+    H = sum r_i^2 - s_i with r_i = d_i'/d_i and s_i = d_i''/d_i.
+    Differentiating d_i = -lam - e2_i / d_{i-1} with t = e2_i / d_{i-1} gives
+    r_i = (t r_{i-1} - 1) / d_i and s_i = t (s_{i-1} - 2 r_{i-1}^2) / d_i.
+    The pivots, the zero-pivot floor and the count are _count_below's, bit for
+    bit.
+    """
+    neg_lam = -float(lam)
+    negative = 1
+    q = neg_lam
+    r = -1.0 / q
+    s = 0.0
+    g = r
+    h = r * r
+    for sq in e2:
+        t = sq / q
+        q = neg_lam - t
+        if q < 0.0:
+            negative += 1
+        elif q == 0.0:
+            q = -_PIVOT_FLOOR
+        inv = 1.0 / q
+        s = (s - 2.0 * r * r) * t * inv
+        r = (r * t - 1.0) * inv
+        g += r
+        h += r * r - s
+    return negative - (len(e2) + 1) // 2, g, h
+
+
+def _laguerre_singular_value(e2: list, lo: float, hi: float) -> float:
+    """Smallest singular value in [lo, hi], to relative accuracy, given that
+    none lies below lo.
+
+    Laguerre's iteration on p(lam) = det(GK - lam) (Li and Zeng 1994) steps
+    lam up by N / (sqrt((N-1)(N H - G^2)) - G), N = 2n.  The eigenvalues
+    +-s_j are real, and Laguerre's two iterates from a point between adjacent
+    eigenvalues bound an interval around it that holds none, so from lam below
+    s_min the step lands at most on s_min: lam climbs monotonically and
+    converges cubically, each step about the last one times the cube of their
+    ratio.  It stops once that predicted next step is below an ulp.
+
+    Rounding can still overshoot (G cancels badly at a lam far below every
+    s_j, such as the guard's threshold bound), and Laguerre creeps when many
+    eigenvalues crowd just beyond s_min, so each sweep keeps its Sturm count.
+    A sweep that counts a singular value below lam, or whose step is not
+    finite, leaves [lo, hi] or is not _LAGUERRE_SHRINK times shorter than the
+    one before, hands the bracket to plain bisection.
+
+    Laguerre only proposes lam; Sturm counts decide the answer.  Counts at
+    lam (1 -+ k eps) bracket s_min (k widens until they do), and
+    _bisect_singular_value finishes that few-ulp bracket.  The count is
+    monotone in its argument, so the result is the float where it turns to 1:
+    the same bits that bisection from the original [lo, hi] returns.
+    """
+    big = len(e2) + 1
+    lam, last = lo, math.inf
+    while True:
+        below, g, h = _laguerre_sweep(e2, lam)
+        if below:
+            return _bisect_singular_value(e2, 1, lo, lam)
+        lo = lam
+        disc = (big - 1) * (big * h - g * g)
+        root = math.sqrt(disc) if 0.0 <= disc < math.inf else math.nan
+        step = big / (root - g) if root > g else math.nan
+        if not (_LAGUERRE_SHRINK * step <= last and lam + step < hi):
+            return _bisect_singular_value(e2, 1, lo, hi)
+        lam += step
+        ratio = step / last if last < math.inf else 1.0
+        if step * ratio**3 <= _EPS * lam:
+            break
+        last = step
+    k = 1.0
+    while True:
+        left, right = lam * (1.0 - k * _EPS), lam * (1.0 + k * _EPS)
+        for x in (left, right):
+            if lo < x < hi:
+                if _count_below(e2, x):
+                    hi = x
+                else:
+                    lo = x
+        if lo >= left and hi <= right:
+            return _bisect_singular_value(e2, 1, lo, hi)
+        k *= 4.0
 
 
 def _bisect_singular_value(e2: list, k: int, lo: float, hi: float) -> float:
@@ -225,10 +327,11 @@ def exact_commutator_diagonal(model: WeightSequence, n: int) -> np.ndarray:
     """
     if n < 1:
         raise InvalidDimension(f"need n >= 1, got {n}")
-    w2 = model.weights(n) ** 2
+    w2 = model.weights(n)
+    w2 *= w2
     diag = np.empty(n)
     diag[0] = w2[0]
-    diag[1:] = w2[1:] - w2[:-1]
+    np.subtract(w2[1:], w2[:-1], out=diag[1:])
     return diag
 
 

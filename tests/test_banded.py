@@ -4,11 +4,15 @@ Tolerances are fixed here, not tuned to the data: 1e-10 times the size of the
 summed terms for traces, 1e-12 relative for the solve and the smallest
 singular value, 1e-12 times max(1, |<u_w, u_z>|) for the determining determinant.
 """
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from hyposhift import shifts
 from hyposhift.determinants import determining_det
 from hyposhift.errors import DimensionTooSmall, NoLimitDeclared, SingularResolvent
 from hyposhift.homogeneity import resolvent_norm_probe
@@ -166,4 +170,85 @@ class TestGuardEquivalence:
         model = tabulated([0.5, 2.0, 0.7], limit=1.1)
         s_min = adjoint_resolvent_smin(model, 1.05j, 50)
         dense = oracles.adjoint_resolvent_svals(model, 1.05j, 50)[-1]
+        assert s_min == pytest.approx(dense, rel=REL_TOL)
+
+
+def bisection_smin(model, w, n):
+    """s_min by Sturm bisection over the guard's whole bracket [lo, |w|]."""
+    sub = band(model, n)
+    lo = shifts._resolvent_guard(sub, w)
+    return shifts._bisect_singular_value(shifts._golub_kahan_squares(sub, w), 1, lo, abs(w))
+
+
+@st.composite
+def smin_models(draw):
+    kind = draw(st.sampled_from(["unilateral", "rational", "tabulated", "isolated"]))
+    if kind == "unilateral":
+        return unilateral()
+    if kind == "rational":
+        return rational_family(draw(st.floats(1.0, 6.0, exclude_min=True)))
+    if kind == "tabulated":
+        return draw(tabulated_models())
+    # one large weight among small ones: s_min sits far above the Weyl bound
+    small = st.lists(st.floats(0.05, 1.0), max_size=5)
+    table = draw(small) + [draw(st.floats(2.0, 5.0))] + draw(small)
+    return tabulated(table, limit=draw(st.floats(0.05, 1.2)))
+
+
+class TestLaguerreSmin:
+    """The Laguerre kernel returns bisection's s_min and raises where the guard does."""
+
+    # moduli below sup w take the guard's threshold path
+    @given(smin_models(), st.integers(2, 300), st.floats(0.3, 4.0), st.floats(-np.pi, np.pi))
+    @example(tabulated([0.5, 2.0, 0.7], limit=1.1), 50, 0.525, np.pi / 2)  # w = 1.05j
+    # w = 2.7: the first step from the guard's threshold bound overshoots s_min
+    @example(tabulated([3.0], limit=3.0), 100, 0.9, 0.0)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_full_bisection(self, model, n, scale, phase):
+        w = model.sup * scale * np.exp(1j * phase)
+        try:
+            want = bisection_smin(model, w, n)
+        except SingularResolvent:
+            with pytest.raises(SingularResolvent):
+                adjoint_resolvent_smin(model, w, n)
+            return
+        got = adjoint_resolvent_smin(model, w, n)
+        assert abs(got - want) <= 2 * math.ulp(want)
+
+    @staticmethod
+    def count_sweeps(monkeypatch):
+        calls = Counter()
+        for name in ("_laguerre_sweep", "_count_below"):
+            def spy(*args, _fn=getattr(shifts, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(shifts, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("w", [1.55, 2.0, 3.9])
+    def test_sweep_budget(self, monkeypatch, w):
+        want = bisection_smin(unilateral(), w, 1024)
+        calls = self.count_sweeps(monkeypatch)
+        assert adjoint_resolvent_smin(unilateral(), w, 1024) == want
+        assert calls["_laguerre_sweep"] <= 3
+        assert calls["_count_below"] <= 8
+
+    def test_creeping_iteration_falls_back_to_bisection(self, monkeypatch):
+        # s_min = 8.8996 sits at the edge of a dense cluster, far above the Weyl
+        # bound 8: Laguerre's steps shrink by only ~5 %
+        model = tabulated([0.5, 2.0, 0.7], limit=1.1)
+        want = bisection_smin(model, 10.0, 1024)
+        calls = self.count_sweeps(monkeypatch)
+        assert adjoint_resolvent_smin(model, 10.0, 1024) == want
+        assert calls["_laguerre_sweep"] <= 2
+        assert calls["_count_below"] > 8
+
+    def test_integer_point_matches_complex_point(self):
+        # an int |w| must not make the Golub-Kahan array integer: that
+        # truncated every weight below 1 to 0
+        model = rational_family(2.0)
+        s_min = adjoint_resolvent_smin(model, 2, 64)
+        assert s_min == adjoint_resolvent_smin(model, 2.0 + 0j, 64)
+        dense = oracles.adjoint_resolvent_svals(model, 2.0, 64)[-1]
         assert s_min == pytest.approx(dense, rel=REL_TOL)

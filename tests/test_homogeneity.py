@@ -1,8 +1,12 @@
+from pathlib import Path
+
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hyposhift import homogeneity, principal
+from hyposhift.cli import parse_config, run_experiment
 from hyposhift.errors import DomainError, SpectrumHit
 from hyposhift.homogeneity import (
     DEFAULT_MAP_GRID,
@@ -126,6 +130,23 @@ class TestSymbolCurveTransport:
                 exterior_points=default_exterior_points(3),
             )
             assert all(c.passed for c in checks)
+
+
+    @pytest.mark.parametrize("config", ["constancy.json", "change_of_variable.json"])
+    def test_one_symbol_curve_per_run(self, monkeypatch, config):
+        # every map transports the same sampled curve
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return symbol_curve(*args)
+
+        monkeypatch.setattr(homogeneity, "symbol_curve", spy)
+        monkeypatch.setattr(principal, "symbol_curve", spy)
+        text = (Path(__file__).resolve().parents[1] / "configs" / config).read_text()
+        report = run_experiment(parse_config(text))
+        assert report.checks and all(c.passed for c in report.checks)
+        assert len(calls) == 1
 
 
 class TestResolventProbe:

@@ -60,6 +60,20 @@ def test_exact_diagonal_rational():
     np.testing.assert_allclose(diag, [0.25, 7.0 / 36.0, 17.0 / 144.0], atol=1e-15)
 
 
+@pytest.mark.parametrize(
+    "model",
+    [unilateral(), rational_family(1.5), rational_family(7.3), tabulated([0.5, 2.0], limit=0.9)],
+    ids=["unilateral", "rational-1.5", "rational-7.3", "tabulated"],
+)
+def test_exact_diagonal_bit_equal_to_scalar_weights(model):
+    # the kernel squares and differences in place on the fresh weight array
+    for n in (1, 2, 3, 1000):
+        w2 = np.array([oracles.weight(model, k) for k in range(n)]) ** 2
+        expected = np.concatenate((w2[:1], w2[1:] - w2[:-1]))
+        assert np.array_equal(exact_commutator_diagonal(model, n), expected)
+    assert np.array_equal(model.weights(3), [oracles.weight(model, k) for k in range(3)])
+
+
 def test_exact_diagonal_telescopes():
     for lam in (1.5, 2.0, 5.0):
         model = rational_family(lam)
