@@ -2,9 +2,13 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .errors import IoError
 
@@ -52,47 +56,68 @@ class VerificationReport:
     def all_pass(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "parameters": self.parameters,
-            "checks": [
-                {
-                    "name": c.name,
-                    "lhs": [c.lhs.real, c.lhs.imag],
-                    "rhs": [c.rhs.real, c.rhs.imag],
-                    "tolerance": c.tolerance,
-                    "pass": c.passed,
-                }
-                for c in self.checks
-            ],
-            "all_pass": self.all_pass,
-            "runtime_ms": self.runtime_ms,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        """json.dumps(dict, indent=2, sort_keys=True) + "\n", byte for byte, from one
+        fixed template per check: their numbers and bools go through json's C
+        encoder in one flat list, split at ", " (which no JSON scalar holds)."""
+        flat = []
+        for c in self.checks:
+            flat += (c.lhs.real, c.lhs.imag, None, c.passed, c.rhs.real, c.rhs.imag, c.tolerance)
+        flat += (self.all_pass, self.runtime_ms)
+        cells = json.dumps(flat)[1:-1].split(", ")
+        cells[2:-2:7] = [encode_basestring_ascii(c.name) for c in self.checks]
+        body = ",\n".join([_CHECK] * len(self.checks)) % tuple(cells[:-2])
+        checks = "[\n" + body + "\n  ]" if body else "[]"
+        params = json.dumps(self.parameters, indent=2, sort_keys=True).replace("\n", "\n  ")
+        return (
+            f'{{\n  "all_pass": {cells[-2]},\n  "checks": {checks},\n'
+            f'  "experiment": {encode_basestring_ascii(self.experiment)},\n'
+            f'  "parameters": {params},\n  "runtime_ms": {cells[-1]}\n}}\n'
+        )
+
+
+_CHECK = """\
+    {
+      "lhs": [
+        %s,
+        %s
+      ],
+      "name": %s,
+      "pass": %s,
+      "rhs": [
+        %s,
+        %s
+      ],
+      "tolerance": %s
+    }"""
+
+
+def _write_text(path: str, text: str, newline: str | None, what: str) -> None:
+    """Overwrite path in place and cut a regular file to the new length: unlike
+    open(path, "w"), no truncation to zero first, and /dev/null or a pipe work."""
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w", newline=newline) as fh:
+            fh.write(text)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
+    except OSError as exc:
+        raise IoError(f"cannot write {what} to {path}: {exc}") from exc
 
 
 def write_report(report: VerificationReport, path: str) -> None:
-    try:
-        with open(path, "w") as fh:
-            fh.write(report.to_json())
-    except OSError as exc:
-        raise IoError(f"cannot write report to {path}: {exc}") from exc
+    _write_text(path, report.to_json(), None, "report")
 
 
 def write_checks_csv(report: VerificationReport, path: str) -> None:
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["name", "lhs_re", "lhs_im", "rhs_re", "rhs_im", "tol", "pass"])
-            for c in report.checks:
-                writer.writerow(
-                    [c.name, c.lhs.real, c.lhs.imag, c.rhs.real, c.rhs.imag, c.tolerance, c.passed]
-                )
-    except OSError as exc:
-        raise IoError(f"cannot write CSV to {path}: {exc}") from exc
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["name", "lhs_re", "lhs_im", "rhs_re", "rhs_im", "tol", "pass"])
+    writer.writerows(
+        [c.name, c.lhs.real, c.lhs.imag, c.rhs.real, c.rhs.imag, c.tolerance, c.passed]
+        for c in report.checks
+    )
+    _write_text(path, buf.getvalue(), "", "CSV")
 
 
 def write_grid_csv(grid, path: str) -> None:
@@ -112,9 +137,4 @@ def write_grid_csv(grid, path: str) -> None:
             f"{head},{th},{r * c!r},{r * s!r},{g!r}\r\n"
             for th, c, s, g in zip(thetas, cos, sin, row)
         )
-    text = "".join(lines)
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise IoError(f"cannot write grid CSV to {path}: {exc}") from exc
+    _write_text(path, "".join(lines), "", "grid CSV")

@@ -167,7 +167,10 @@ def _resolvent_guard(sub: np.ndarray, w: complex) -> float:
 
     Weyl's inequality gives |w| - max w_k <= s_min and s_max <= |w| + max w_k,
     which decides the guard without matrix work once |w| clears the weights.
-    Otherwise s_max is bisected and one Sturm count at the threshold decides.
+    Otherwise s_max is bisected in that bracket [lo, hi] only until a Sturm
+    count at the cutoff of each end agrees: none below 1e-13 hi passes (and
+    1e-13 hi is the bound returned), some below 1e-13 lo raises.  The count is
+    monotone, so that is the decision at the fully bisected s_max.
     """
     a, top = abs(w), float(np.max(sub))
     if not math.isfinite(a):
@@ -175,11 +178,23 @@ def _resolvent_guard(sub: np.ndarray, w: complex) -> float:
     if a - top > SINGULAR_CUTOFF * (a + top):
         return a - top
     e2 = _golub_kahan_squares(sub, w)
-    s_max = _bisect_singular_value(e2, sub.size + 1, max(a, top), a + top)
-    threshold = SINGULAR_CUTOFF * s_max
-    if _count_below(e2, threshold) > 0:
+    lo, hi = max(a, top), a + top
+    singular_hi = _count_below(e2, SINGULAR_CUTOFF * hi) > 0
+    singular_lo = singular_hi and _count_below(e2, SINGULAR_CUTOFF * lo) > 0
+    while singular_lo != singular_hi:
+        mid = 0.5 * (lo + hi)  # hi <= 2 lo: _bisect_singular_value's arithmetic step
+        if not lo < mid < hi:
+            lo = hi = mid
+            singular_lo = singular_hi = _count_below(e2, SINGULAR_CUTOFF * mid) > 0
+        elif _count_below(e2, mid) >= sub.size + 1:
+            hi = mid
+            singular_hi = _count_below(e2, SINGULAR_CUTOFF * hi) > 0
+        else:
+            lo = mid
+            singular_lo = _count_below(e2, SINGULAR_CUTOFF * lo) > 0
+    if singular_hi:
         raise SingularResolvent(f"T* - ({np.conj(w)})I is numerically singular")
-    return threshold
+    return SINGULAR_CUTOFF * hi
 
 
 def _golub_kahan_squares(sub: np.ndarray, w: complex) -> list:

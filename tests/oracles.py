@@ -12,15 +12,20 @@ against, disc_cauchy_exponential the node-by-node disc quadrature behind the
 ring sums of principal.disc_cauchy_exponential, helton_howe_area the
 node-by-node Jacobian quadrature behind the ring moments of
 traceforms.helton_howe_check (with Polynomial, the symbolic algebra it needs),
-weight the scalar rule behind WeightSequence.weights, and write_grid_csv the
-row-by-row csv.writer dump that reporting.write_grid_csv matches byte for byte.
+weight the scalar rule behind WeightSequence.weights, write_grid_csv and
+write_checks_csv the row-by-row csv.writer dumps that reporting's writers match
+byte for byte, report_json the indented json.dumps that
+VerificationReport.to_json matches byte for byte, and resolvent_guard the
+guard that bisects s_max to the ulp before its one cutoff count.
 """
 import csv
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from hyposhift import shifts
 from hyposhift.errors import (
     EvaluationInsideDisc, HyposhiftError, NoLimitDeclared, NotAContraction, SingularResolvent,
     SpectrumHit, TooCloseToCurve,
@@ -509,3 +514,49 @@ def write_grid_csv(grid, path: str) -> None:
         for i, r in enumerate(grid.radii()):
             for j, th in enumerate(grid.angles()):
                 writer.writerow([r, th, r * math.cos(th), r * math.sin(th), grid.values[i, j]])
+
+
+def write_checks_csv(report, path: str) -> None:
+    """reporting.write_checks_csv row by row through csv.writer, as the byte reference."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["name", "lhs_re", "lhs_im", "rhs_re", "rhs_im", "tol", "pass"])
+        for c in report.checks:
+            writer.writerow(
+                [c.name, c.lhs.real, c.lhs.imag, c.rhs.real, c.rhs.imag, c.tolerance, c.passed]
+            )
+
+
+def report_json(report) -> str:
+    """VerificationReport.to_json through json's indented encoder, as the byte reference."""
+    data = {
+        "experiment": report.experiment,
+        "parameters": report.parameters,
+        "checks": [
+            {
+                "name": c.name,
+                "lhs": [c.lhs.real, c.lhs.imag],
+                "rhs": [c.rhs.real, c.rhs.imag],
+                "tolerance": c.tolerance,
+                "pass": c.passed,
+            }
+            for c in report.checks
+        ],
+        "all_pass": report.all_pass,
+        "runtime_ms": report.runtime_ms,
+    }
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def resolvent_guard(sub, w) -> float:
+    """shifts._resolvent_guard with s_max bisected to the ulp before the one
+    cutoff count, as the reference for its early-stopping bracket."""
+    a, top = abs(w), float(np.max(sub))
+    if a - top > SINGULAR_CUTOFF * (a + top):
+        return a - top
+    e2 = shifts._golub_kahan_squares(sub, w)
+    s_max = shifts._bisect_singular_value(e2, sub.size + 1, max(a, top), a + top)
+    threshold = SINGULAR_CUTOFF * s_max
+    if shifts._count_below(e2, threshold) > 0:
+        raise SingularResolvent(f"T* - ({np.conj(w)})I is numerically singular")
+    return threshold

@@ -201,8 +201,10 @@ class TestLaguerreSmin:
     # moduli below sup w take the guard's threshold path
     @given(smin_models(), st.integers(2, 300), st.floats(0.3, 4.0), st.floats(-np.pi, np.pi))
     @example(tabulated([0.5, 2.0, 0.7], limit=1.1), 50, 0.525, np.pi / 2)  # w = 1.05j
-    # w = 2.7: the first step from the guard's threshold bound overshoots s_min
+    # a Laguerre step from the guard's threshold bound overshoots s_min at w = 0.9 on
+    # the shift; at w = 2.7 it did so only from the fully bisected guard's bound
     @example(tabulated([3.0], limit=3.0), 100, 0.9, 0.0)
+    @example(unilateral(), 100, 0.9, 0.0)
     @settings(max_examples=150, deadline=None)
     def test_matches_full_bisection(self, model, n, scale, phase):
         w = model.sup * scale * np.exp(1j * phase)
@@ -252,3 +254,96 @@ class TestLaguerreSmin:
         assert s_min == adjoint_resolvent_smin(model, 2.0 + 0j, 64)
         dense = oracles.adjoint_resolvent_svals(model, 2.0, 64)[-1]
         assert s_min == pytest.approx(dense, rel=REL_TOL)
+
+
+def full_guard_smin(model, w, n):
+    """adjoint_resolvent_smin behind the guard that bisects s_max to the ulp."""
+    sub = band(model, n)
+    lo = oracles.resolvent_guard(sub, w)
+    return shifts._laguerre_singular_value(shifts._golub_kahan_squares(sub, w), lo, abs(w))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SingularResolvent:
+        return "singular"
+
+
+class TestGuardCutoff:
+    """The guard stops bisecting s_max once the cutoff count is settled at both
+    ends of its bracket; decisions and s_min bits stay those of the full bisection."""
+
+    CASES = [
+        (unilateral(), 64, 0.3),
+        (tabulated([3.0], limit=3.0), 70, 0.0),
+        (rational_family(2.0), 100, 1.0),
+        (tabulated([0.2, 5.0, 0.3], limit=0.4), 40, np.pi / 2),
+    ]
+
+    @staticmethod
+    def cutoff_modulus(model, n, phase):
+        """Smallest float modulus on the ray at which the full guard stops raising."""
+        sub = band(model, n)
+        lo, hi = 0.01 * model.sup, model.sup
+        assert outcome(oracles.resolvent_guard, sub, lo * np.exp(1j * phase)) == "singular"
+        assert outcome(oracles.resolvent_guard, sub, hi * np.exp(1j * phase)) != "singular"
+        while True:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                return hi
+            if outcome(oracles.resolvent_guard, sub, mid * np.exp(1j * phase)) == "singular":
+                lo = mid
+            else:
+                hi = mid
+
+    @pytest.mark.parametrize(
+        "model, n, phase", CASES, ids=["shift", "weights-3", "rational", "isolated"]
+    )
+    def test_matches_full_bisection_near_cutoff(self, model, n, phase):
+        r_cut = self.cutoff_modulus(model, n, phase)
+        moduli = [r_cut * f for f in (0.5, 0.9, 0.99, 0.999, 1.001, 1.01, 1.1)]
+        r = r_cut
+        for _ in range(4):
+            r = math.nextafter(r, 0.0)
+        for _ in range(8):
+            moduli.append(r)
+            r = math.nextafter(r, math.inf)
+        decisions = set()
+        for modulus in moduli:
+            w = modulus * np.exp(1j * phase)
+            want = outcome(full_guard_smin, model, w, n)
+            assert outcome(adjoint_resolvent_smin, model, w, n) == want
+            decisions.add(want == "singular")
+        assert decisions == {True, False}
+
+    @given(st.floats(1.0, 1.5, exclude_min=True, exclude_max=True), st.integers(-3, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_cutoff_within_ulps_of_s_max(self, s_max, k):
+        # a stand-in count for singular values {s_min, s_max} with s_min a few ulps
+        # from 1e-13 s_max: the bracket [1, 1.5] of s_max must shrink to adjacent floats
+        s_min = shifts.SINGULAR_CUTOFF * s_max
+        for _ in range(abs(k)):
+            s_min = math.nextafter(s_min, math.copysign(math.inf, k))
+
+        def count(_e2, lam):
+            return (s_min < lam) + (s_max < lam)
+
+        sub = np.array([1.0])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(shifts, "_count_below", count)
+            want = outcome(oracles.resolvent_guard, sub, 0.5)
+            got = outcome(shifts._resolvent_guard, sub, 0.5)
+        assert (got == "singular") == (want == "singular")
+        if got != "singular":
+            assert count(None, got) == 0
+
+    def test_threshold_path_settles_at_first_bracket(self, monkeypatch):
+        # the full guard spends ~52 counts on s_max; one count at 1e-13 (|w| + max w_k) decides here
+        model = tabulated([0.2, 5.0, 0.3], limit=0.4)
+        want = full_guard_smin(model, 1.05j, 1024)
+        calls = TestLaguerreSmin.count_sweeps(monkeypatch)
+        shifts._resolvent_guard(band(model, 1024), 1.05j)
+        assert calls["_count_below"] == 1
+        assert adjoint_resolvent_smin(model, 1.05j, 1024) == want
+        assert calls["_count_below"] <= 61
