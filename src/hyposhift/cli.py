@@ -182,6 +182,8 @@ def _parse_field(cfg: ExperimentConfig, key: str, value) -> None:
         cfg.tolerance = float(value)
         if cfg.tolerance < 0:
             raise ConfigError("tolerance: must be non-negative")
+    elif key != "experiment":
+        raise ConfigError(f"{key}: unknown config key")
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -233,9 +235,11 @@ def parse_config(text: str) -> ExperimentConfig:
         except HyposhiftError as exc:
             raise ConfigError(f"model: pincus-check {exc}") from exc
     if name in _DEFAULT_POINTS:
-        # the quadrature of pincus-check needs |z| > 1 and its determinant
-        # |z| > sup w_k; the resolvent probe keeps off the spectrum
-        bound = max(1.0, cfg.model.sup) if name == "pincus-check" else PROBE_MIN_MODULUS
+        # pincus-check's determinant needs |z| > sup w_k, and its quadrature,
+        # at z/c, |z| > c = sup w_k; the resolvent probe's bound needs
+        # |w| > ||T|| = sup w_k, and the probe itself |w| > PROBE_MIN_MODULUS
+        sup = cfg.model.sup
+        bound = sup if name == "pincus-check" else max(1.0, sup) * PROBE_MIN_MODULUS
         where = "points" if cfg.points else "default points"
         cfg.points = cfg.points or list(_DEFAULT_POINTS[name])
         for i, z in enumerate(cfg.points):
@@ -309,7 +313,7 @@ def _run_resolvent_probe(cfg: ExperimentConfig) -> list:
         probe = resolvent_norm_probe(model, w, cfg.truncation)
         checks.append(
             make_bound_check(
-                f"resolvent norm vs 1/(|w|-1) at w={w}",
+                f"resolvent norm vs 1/(|w|-sup w_k) at w={w}",
                 probe.operator_norm,
                 probe.distance_bound,
                 5e-2,

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, OnEssentialSpectrum, SpectrumHit, TooCloseToCurve
+from .errors import DomainError, SpectrumHit
 from .mobius import MobiusMap, mobius_eval, mobius_invert
-from .principal import _principal_value_on, winding_numbers
+from .principal import DEFAULT_CURVE_SAMPLES, _principal_values_on, winding_numbers
 from .reporting import Check, make_check
 from .shifts import WeightSequence, adjoint_resolvent_smin, adjoint_resolvent_solve, symbol_curve
 
@@ -25,7 +25,7 @@ DEFAULT_MAP_GRID = tuple(
 )
 
 DEFAULT_WITNESS_GRID = tuple(1.05 + 0.05 * k for k in range(180))  # 1.05 .. 10.0
-# resolvent_norm_probe needs |w| above this: the spectrum of T is the closed unit disc.
+# resolvent_norm_probe needs |w| above this: the shift's spectrum is the closed unit disc.
 PROBE_MIN_MODULUS = 1.0 + 1e-6
 
 
@@ -67,7 +67,7 @@ def inequality_gap(c: float, r: float) -> tuple[float, float]:
     return gap, 16.0 * sys.float_info.epsilon * (d * u + growth)
 
 
-def witness_search(c: float, r_grid=DEFAULT_WITNESS_GRID) -> float | None:
+def witness_search(c: float) -> float | None:
     """Smallest grid r where 1 - c/r^2 exceeds (1 - 1/r^2)^c beyond roundoff, or None.
 
     A witness exists for every c < 1 (the two sides differ at order r^{-4}
@@ -76,58 +76,38 @@ def witness_search(c: float, r_grid=DEFAULT_WITNESS_GRID) -> float | None:
     inequality_gap with its rounding bound, so it stays honest for c within
     a few ulp of 1.
     """
-    for r in r_grid:
+    for r in DEFAULT_WITNESS_GRID:
         gap, bound = inequality_gap(c, r)
         if gap > bound:
             return float(r)
     return None
 
 
-def transformed_symbol_curve(model: WeightSequence, phi: MobiusMap, samples: int = 4096) -> np.ndarray:
-    """Image of the symbol curve under phi.
+def change_of_variable_check(model: WeightSequence, phi: MobiusMap, points) -> list[Check]:
+    """Index of phi(T) at zeta vs index of T at phi^{-1}(zeta), integer equality.
 
     phi(T) - mu is invertible exactly when T - phi^{-1}(mu) is, so the index
-    of phi(T) - mu is the winding of the mapped curve; no operator needs to be
-    materialized.
+    of phi(T) - mu is the winding of the mapped symbol curve; no operator
+    needs to be materialized.
     """
-    return mobius_eval(phi, symbol_curve(model, samples))
-
-
-def change_of_variable_check(
-    model: WeightSequence, phi: MobiusMap, points, samples: int = 4096
-) -> list[Check]:
-    """Index of phi(T) at zeta vs index of T at phi^{-1}(zeta), integer equality."""
-    curve = symbol_curve(model, samples)
+    curve = symbol_curve(model, DEFAULT_CURVE_SAMPLES)
     lhs = winding_numbers(mobius_eval(phi, curve), points)
     pulled_back = mobius_eval(mobius_invert(phi), np.asarray(points, dtype=np.complex128))
-    try:
-        rhs = winding_numbers(curve, pulled_back)
-    except TooCloseToCurve as exc:
-        raise OnEssentialSpectrum(
-            f"pulled-back point too close to the essential circle of radius "
-            f"{model.limit}: {exc}"
-        ) from exc
+    rhs = _principal_values_on(curve, model, pulled_back)
     return [
         make_check(f"index transport at zeta={zeta}", int(left), int(right), 0.0)
         for zeta, left, right in zip(points, lhs, rhs)
     ]
 
 
-def constancy_check(
-    model: WeightSequence,
-    maps=DEFAULT_MAP_GRID,
-    interior_points=None,
-    exterior_points=None,
-    samples: int = 4096,
-) -> list[Check]:
+def constancy_check(model: WeightSequence, maps=DEFAULT_MAP_GRID, interior_points=None) -> list[Check]:
     """The index is the same integer at every interior point, across all maps,
-    and zero at every exterior point."""
+    and zero at every default exterior point."""
     if interior_points is None:
         interior_points = default_interior_points()
-    if exterior_points is None:
-        exterior_points = default_exterior_points()
-    curve = symbol_curve(model, samples)
-    base = _principal_value_on(curve, model, interior_points[0])
+    exterior_points = default_exterior_points()
+    curve = symbol_curve(model, DEFAULT_CURVE_SAMPLES)
+    base = int(_principal_values_on(curve, model, interior_points[0]))
     # one winding call per map: the curve's gap, margin and bounds are shared
     points = np.asarray(list(interior_points) + list(exterior_points), dtype=np.complex128)
     checks = []
@@ -145,15 +125,16 @@ def constancy_check(
     return checks
 
 
-def default_interior_points(count: int = 20, radius: float = 0.8):
-    """Deterministic spiral of interior sample points, bounded away from the circle."""
-    k = np.arange(count)
-    return list(radius * (k + 1) / count * np.exp(2j * np.pi * k / count))
+def default_interior_points():
+    """Deterministic spiral of 20 interior sample points, radii up to 0.8."""
+    k = np.arange(20)
+    return list(0.8 * (k + 1) / 20 * np.exp(2j * np.pi * k / 20))
 
 
-def default_exterior_points(count: int = 5, start: float = 1.3):
-    k = np.arange(count)
-    return list((start + 0.4 * k) * np.exp(2j * np.pi * k / count))
+def default_exterior_points():
+    """5 exterior sample points, radii 1.3 to 2.9."""
+    k = np.arange(5)
+    return list((1.3 + 0.4 * k) * np.exp(2j * np.pi * k / 5))
 
 
 @dataclass(frozen=True)
@@ -161,7 +142,7 @@ class ResolventProbe:
     w: complex
     operator_norm: float  # computed norm of (T_n* - conj(w))^{-1}
     spectral_bound: float  # 1/|w|
-    distance_bound: float  # 1/(|w| - 1)
+    distance_bound: float  # 1/(|w| - sup w_k), inf unless |w| > sup w_k
     vector_norm: float  # ||(T* - conj(w))^{-1} x|| for the rank-one vector x
 
 
@@ -169,9 +150,12 @@ def resolvent_norm_probe(model: WeightSequence, w: complex, n: int) -> Resolvent
     """Report the resolvent norm of the truncated adjoint next to both candidate
     bounds, plus the exact rank-one vector norm (1/|w| scaled by w_0 for shifts).
 
-    This probe reports rather than asserts: the two bounds differ and the data
-    is the point.  Both numbers come from the weight band in O(n); raises
-    SingularResolvent when T_n* - conj(w) is numerically singular.
+    The distance bound is Neumann's 1/(|w| - ||T||) with ||T|| = sup w_k; it
+    holds for the truncation too, whose adjoint is T* restricted to the
+    invariant span(e_0, ..., e_{n-1}).  This probe reports rather than
+    asserts: the two bounds differ and the data is the point.  Both numbers
+    come from the weight band in O(n); raises SingularResolvent when
+    T_n* - conj(w) is numerically singular.
     """
     if abs(w) <= PROBE_MIN_MODULUS:
         raise SpectrumHit(f"|w| must exceed 1, got {abs(w)}")
@@ -183,7 +167,7 @@ def resolvent_norm_probe(model: WeightSequence, w: complex, n: int) -> Resolvent
         w=complex(w),
         operator_norm=op_norm,
         spectral_bound=1.0 / abs(w),
-        distance_bound=1.0 / (abs(w) - 1.0),
+        distance_bound=1.0 / (abs(w) - model.sup) if abs(w) > model.sup else math.inf,
         vector_norm=float(np.sqrt(np.vdot(u, u).real)),
     )
 

@@ -79,11 +79,9 @@ def winding_numbers(curve: np.ndarray, points) -> np.ndarray:
     Every point must keep a distance of more than CURVE_MARGIN_FACTOR x the
     maximal adjacent-point spacing (gap) from the curve's vertices, which makes
     the rounded argument sum refinement-stable; otherwise TooCloseToCurve names
-    the first offending point in input order.  Points beyond the curve's
-    bounding circle plus that margin get winding 0 without the argument sum:
-    the sampled polygon lies inside the circle, and the products of far
-    differences would overflow.  Curve and points must be finite and the curve
-    non-empty (ValueError).  Returns an int array shaped like points.
+    the first offending point in input order.  Curve and points must be finite
+    and the curve non-empty (ValueError).  Returns an int array shaped like
+    points.
 
     Blocks.  The closed polygon is cut into blocks of COARSE_STRIDE edges (the
     last may be shorter; a curve of at most COARSE_STRIDE samples is one
@@ -106,8 +104,10 @@ def winding_numbers(curve: np.ndarray, points) -> np.ndarray:
     takes their exact distances.  By the third point, a vertex within the
     margin always lies in a near block, so TooCloseToCurve fires on exactly
     the points that are too close, with the full curve's minimum distance.
-    Points run in chunks, and near pairs in batches, sized so that no
-    temporary holds more than WINDING_CHUNK x samples elements.
+    A point far from every block sums chord angles only and forms no product
+    of differences, so no point is too far to wind.  Points run in chunks, and
+    near pairs in batches, sized so that no temporary holds more than
+    WINDING_CHUNK x samples elements.
     """
     curve = np.asarray(curve, dtype=np.complex128)
     points = np.asarray(points, dtype=np.complex128)
@@ -129,24 +129,19 @@ def winding_numbers(curve: np.ndarray, points) -> np.ndarray:
     reach = (np.add.reduceat(edges, starts) + margin) * (1.0 + 1e-12)
     knots = closed[starts]
     vertices = np.lib.stride_tricks.sliding_window_view(closed, block + 1)[::block]
-    re, im = curve.real, curve.imag
-    center = complex(np.max(re) + np.min(re), np.max(im) + np.min(im)) / 2.0
-    radius = float(np.max(np.abs(curve - center)))
-    near = np.flatnonzero(np.abs(flat - center) <= radius + margin)
     per_chunk = WINDING_CHUNK * samples // starts.size
     per_batch = WINDING_CHUNK * samples // (block + 1)
-    out = np.zeros(flat.shape, dtype=np.int64)
-    for start in range(0, near.size, per_chunk):
-        rows = near[start : start + per_chunk]
-        chunk = flat[rows]
+    out = np.empty(flat.shape, dtype=np.int64)
+    for start in range(0, flat.size, per_chunk):
+        chunk = flat[start : start + per_chunk]
         far, total = _chord_turns(knots, reach, chunk)
-        min_dist = np.full(rows.size, np.inf)
+        min_dist = np.full(chunk.size, np.inf)
         owner, which = np.nonzero(~far)
         for lo in range(0, owner.size, per_batch):
             own = owner[lo : lo + per_batch]
             dist, turn = _edge_turns(vertices, which[lo : lo + per_batch], chunk[own])
             np.minimum.at(min_dist, own, dist)
-            total += np.bincount(own, turn, rows.size)
+            total += np.bincount(own, turn, chunk.size)
         close = np.flatnonzero(min_dist <= margin)
         if close.size:
             i = close[0]
@@ -154,7 +149,7 @@ def winding_numbers(curve: np.ndarray, points) -> np.ndarray:
                 f"point {complex(chunk[i])} is {min_dist[i]:.3e} from the curve; "
                 f"need > {margin:.3e}"
             )
-        out[rows] = np.rint(total / _TWO_PI)
+        out[start : start + per_chunk] = np.rint(total / _TWO_PI)
     return out.reshape(points.shape)
 
 
@@ -182,21 +177,19 @@ def _edge_turns(vertices: np.ndarray, blocks: np.ndarray, points: np.ndarray):
     return dist, np.sum(np.angle(step), axis=1)
 
 
-def principal_value_at(
-    model: WeightSequence, point: complex, samples: int = DEFAULT_CURVE_SAMPLES
-) -> int:
+def principal_value_at(model: WeightSequence, point: complex) -> int:
     """g(point) = minus the Fredholm index = winding of the symbol curve about the point."""
-    return _principal_value_on(symbol_curve(model, samples), model, point)
+    return int(_principal_values_on(symbol_curve(model, DEFAULT_CURVE_SAMPLES), model, point))
 
 
-def _principal_value_on(curve: np.ndarray, model: WeightSequence, point: complex) -> int:
-    """principal_value_at on an already sampled symbol curve of model."""
+def _principal_values_on(curve: np.ndarray, model: WeightSequence, points) -> np.ndarray:
+    """principal_value_at for a batch of points on an already sampled symbol
+    curve of model; OnEssentialSpectrum names the first point too close to it."""
     try:
-        return int(winding_numbers(curve, point))
+        return winding_numbers(curve, points)
     except TooCloseToCurve as exc:
         raise OnEssentialSpectrum(
-            f"{point} is too close to the essential circle of radius "
-            f"{model.limit}"
+            f"{exc}: too close to the essential circle of radius {model.limit}"
         ) from exc
 
 
@@ -268,8 +261,6 @@ def pincus_consistency(
     n: int = 256,
     n_r: int = 400,
     n_theta: int = 400,
-    quad_tol: float = 5e-3,
-    exact_tol: float = 1e-12,
 ) -> list:
     """Triangle of oracles for the determinantal identity at one (z, w).
 
@@ -279,7 +270,8 @@ def pincus_consistency(
     the disc of radius c; substituting zeta = c eta turns that disc integral
     into the unit-disc one at (z/c, w/c), so both oracles run there and give
     1 - c^2/(z conj(w)).  The resolvent value matches the closed form to
-    machine precision; the quadrature carries the grid tolerance.
+    machine precision (tolerance 1e-12); the quadrature carries the grid
+    tolerance 5e-3.
     """
     x = np.zeros(n, dtype=np.complex128)
     x[0] = model.weights(1)[0]
@@ -288,8 +280,9 @@ def pincus_consistency(
     quad_val = disc_cauchy_exponential(constant_grid(1.0, n_r, n_theta), z / c, w / c)
     oracle_val = closed_form_oracle(z / c, w / c, 1.0)
     tag = f"z={z}, w={w}"
+    quad_tol = 5e-3
     return [
-        make_check(f"determinant vs closed form [{tag}]", det_val, oracle_val, exact_tol),
+        make_check(f"determinant vs closed form [{tag}]", det_val, oracle_val, 1e-12),
         make_check(f"quadrature vs closed form [{tag}]", quad_val, oracle_val, quad_tol),
         make_check(f"determinant vs quadrature [{tag}]", det_val, quad_val, quad_tol),
     ]

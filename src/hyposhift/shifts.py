@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import InvalidDimension, NoLimitDeclared, SingularResolvent
 
-KIND_UNILATERAL = "unilateral"
 KIND_RATIONAL = "rational"
 KIND_TABULATED = "tabulated"
 
@@ -45,7 +44,6 @@ class WeightSequence:
     """Weighted shift model: weights w_0, w_1, ... with a declared limit w_inf.
 
     kinds:
-      unilateral  w_n = 1
       rational    w_n = (n+1)/(n+lam), lam > 1 (strictly increasing, sup 1)
       tabulated   finite list, constant equal to the declared limit beyond it
     """
@@ -56,9 +54,7 @@ class WeightSequence:
     limit: float | None = None
 
     def __post_init__(self):
-        if self.kind == KIND_UNILATERAL:
-            object.__setattr__(self, "limit", 1.0)
-        elif self.kind == KIND_RATIONAL:
+        if self.kind == KIND_RATIONAL:
             if self.lam is None or self.lam <= 1.0:
                 raise ValueError("rational weight family requires lam > 1")
             object.__setattr__(self, "limit", 1.0)
@@ -75,8 +71,6 @@ class WeightSequence:
     def weights(self, n: int) -> np.ndarray:
         """(w_0, ..., w_{n-1}) in a fresh array that callers may overwrite; a
         tabulated table extends by its declared limit."""
-        if self.kind == KIND_UNILATERAL:
-            return np.ones(n)
         if self.kind == KIND_RATIONAL:
             k = np.arange(n, dtype=np.float64)
             w = k + 1.0
@@ -97,7 +91,7 @@ class WeightSequence:
 
     @property
     def sup(self) -> float:
-        if self.kind == KIND_UNILATERAL or self.kind == KIND_RATIONAL:
+        if self.kind == KIND_RATIONAL:
             return 1.0
         vals = list(self.table)
         if self.limit is not None:
@@ -106,7 +100,9 @@ class WeightSequence:
 
 
 def unilateral() -> WeightSequence:
-    return WeightSequence(KIND_UNILATERAL)
+    """The unilateral shift: the constant weight 1, the one homogeneous member of
+    the rank-one (constant-weight) family."""
+    return tabulated((1.0,), limit=1.0)
 
 
 def rational_family(lam: float) -> WeightSequence:

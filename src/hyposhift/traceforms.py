@@ -127,7 +127,7 @@ def full_finite_trace(
 
 def helton_howe_check(
     p: BivariatePolynomial, q: BivariatePolynomial, model: WeightSequence, n: int, tol: float,
-    n_r: int = 400, n_theta: int = 400, name: str | None = None,
+    n_r: int = 400, n_theta: int = 400,
 ) -> Check:
     """Windowed commutator trace vs (1/pi) int J(p, q) g dA, g = 1 on the disc of radius c.
 
@@ -164,21 +164,15 @@ def helton_howe_check(
                 continue
             moment = 2.0 * np.sum(radii ** (s + t + 1)) / n_r
             rhs += a * b * (j * k - i * l) * (-1) ** turns * c ** (s + t + 2) * moment
-    return make_check(name or "trace formula", lhs, complex(rhs), tol)
+    return make_check("trace formula", lhs, complex(rhs), tol)
 
 
-def berger_shaw_putnam_check(
-    model: WeightSequence,
-    area: float,
-    multiplicity: int = 1,
-    diag_samples: int = 4096,
-    tol: float = 1e-12,
-) -> list[Check]:
-    """Trace and norm bounds for the exact infinite-model self-commutator.
+def berger_shaw_putnam_check(model: WeightSequence, area: float, diag_samples: int = 4096) -> list[Check]:
+    """Trace and norm bounds for the exact infinite-model self-commutator, to 1e-12.
 
-    tr [T*, T] (telescoped closed form w_inf^2) against (m/pi) * area, and
-    ||[T*, T]|| (largest exact diagonal entry) against area/pi.  The area of
-    the spectrum is supplied analytically by the caller.
+    tr [T*, T] (telescoped closed form w_inf^2) against (m/pi) * area with
+    multiplicity m = 1, and ||[T*, T]|| (largest exact diagonal entry) against
+    area/pi.  The area of the spectrum is supplied analytically by the caller.
     """
     w_inf = model.limit
     if w_inf is None:
@@ -187,8 +181,6 @@ def berger_shaw_putnam_check(
     diag = exact_commutator_diagonal(model, diag_samples)
     norm_val = float(np.max(diag))
     return [
-        make_bound_check(
-            "commutator trace <= (m/pi) area", trace_val, multiplicity / math.pi * area, tol
-        ),
-        make_bound_check("commutator norm <= area/pi", norm_val, area / math.pi, tol),
+        make_bound_check("commutator trace <= (m/pi) area", trace_val, 1 / math.pi * area, 1e-12),
+        make_bound_check("commutator norm <= area/pi", norm_val, area / math.pi, 1e-12),
     ]

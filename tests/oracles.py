@@ -32,7 +32,7 @@ from hyposhift.errors import (
 )
 from hyposhift.mobius import CONTRACTION_TOL, MobiusMap
 from hyposhift.principal import CURVE_MARGIN_FACTOR
-from hyposhift.shifts import KIND_RATIONAL, KIND_UNILATERAL, SINGULAR_CUTOFF, band
+from hyposhift.shifts import KIND_RATIONAL, SINGULAR_CUTOFF, band
 from hyposhift.traceforms import BivariatePolynomial
 
 
@@ -161,8 +161,6 @@ def materialize(model, n: int) -> np.ndarray:
 
 def weight(model, n: int) -> float:
     """w_n of the weight sequence, one index at a time."""
-    if model.kind == KIND_UNILATERAL:
-        return 1.0
     if model.kind == KIND_RATIONAL:
         return (n + 1) / (n + model.lam)
     if n < len(model.table):

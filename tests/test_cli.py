@@ -52,6 +52,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="rational"):
             parse_config('{"experiment": "t-lambda-trace", "model": {"kind": "unilateral"}}')
 
+    def test_rejects_unknown_key_by_name(self):
+        with pytest.raises(ConfigError, match="tolerence"):
+            parse_config('{"experiment": "helton-howe", "tolerence": 1e-12}')
+
     def test_helton_howe_requires_polynomials(self):
         with pytest.raises(ConfigError, match="p/q"):
             parse_config('{"experiment": "helton-howe"}')
@@ -332,6 +336,8 @@ class TestMain:
                 '"model": {"kind": "tabulated", "weights": "x", "limit": 1}', id="weights_str"
             ),
             pytest.param('"tolerance": -1e-3', id="tolerance_negative"),
+            # a misspelt key is refused, not ignored at the default tolerance
+            pytest.param('"tolerence": 1e-9', id="unknown_key"),
             # truncation 256 is not above 4 x the window margin 80 of degree-40 polynomials
             pytest.param('"p": [[0, 40, 1, 0]], "q": [[40, 0, 1, 0]]', id="window_margin"),
             pytest.param(
@@ -365,16 +371,30 @@ class TestMain:
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize(
-        "experiment, points, index",
+        "experiment, points, index, weight",
         [
-            ("pincus-check", [[0.5, 0.0]], 0),
-            ("pincus-check", [[2.0, 0.0], [0.0, 1.0]], 1),
-            ("resolvent-probe", [[2.0, 0.0], [0.0, 0.5]], 1),
-            ("resolvent-probe", [[1.0000001, 0.0]], 0),
+            pytest.param("pincus-check", [[0.5, 0.0]], 0, 1.0, id="pincus-check-points0-0"),
+            pytest.param(
+                "pincus-check", [[2.0, 0.0], [0.0, 1.0]], 1, 1.0, id="pincus-check-points1-1"
+            ),
+            pytest.param(
+                "resolvent-probe", [[2.0, 0.0], [0.0, 0.5]], 1, 1.0, id="resolvent-probe-points2-1"
+            ),
+            pytest.param(
+                "resolvent-probe", [[1.0000001, 0.0]], 0, 1.0, id="resolvent-probe-points3-0"
+            ),
+            # w = 2 lies inside sup w_k = 3, where 1/(|w| - sup w_k) bounds nothing
+            pytest.param("resolvent-probe", [[2.0, 0.0]], 0, 3.0, id="probe_singular"),
+            # the probe keeps its floor |w| > 1 + 1e-6 below sup w_k = 1
+            pytest.param("resolvent-probe", [[3.0, 0.0], [0.9, 0.0]], 1, 0.5, id="probe_floor"),
         ],
     )
-    def test_run_point_inside_disc_exits_two(self, tmp_path, capsys, experiment, points, index):
-        code, out = self.run_config(tmp_path, {"experiment": experiment, "points": points})
+    def test_run_point_inside_disc_exits_two(
+        self, tmp_path, capsys, experiment, points, index, weight
+    ):
+        model = {"kind": "tabulated", "weights": [weight], "limit": weight}
+        payload = {"experiment": experiment, "model": model, "points": points}
+        code, out = self.run_config(tmp_path, payload)
         assert code == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
@@ -390,7 +410,11 @@ class TestMain:
         for extra in ([], ["--model-lambda", "2.5"]):
             assert main(["grid", "--experiment", "pincus-check", "--out", out] + extra) == 0
 
-    @pytest.mark.parametrize("weight, points", [(0.5, None), (1.5, None), (1.5, [[1.6, 0], [0, -1.7]])])
+    # the quadrature runs at (z/c, w/c), so points need only clear sup w_k = c
+    @pytest.mark.parametrize(
+        "weight, points",
+        [(0.5, None), (1.5, None), (1.5, [[1.6, 0], [0, -1.7]]), (0.5, [[0.8, 0], [0, 0.9]])],
+    )
     def test_run_pincus_constant_weight_passes(self, tmp_path, weight, points):
         payload = {
             "experiment": "pincus-check",
@@ -401,6 +425,21 @@ class TestMain:
         code, out = self.run_config(tmp_path, payload)
         assert code == 0
         assert json.loads(out.read_text())["all_pass"] is True
+
+    @pytest.mark.parametrize("weight, points", [(2.0, [[2.5, 0]]), (1.5, [[1.6, 0], [0, -3.0]])])
+    def test_run_resolvent_probe_past_sup_passes(self, tmp_path, weight, points):
+        # Neumann's bound 1/(|w| - ||T||) with ||T|| = sup w_k holds past sup w_k
+        payload = {
+            "experiment": "resolvent-probe",
+            "model": {"kind": "tabulated", "weights": [weight], "limit": weight},
+            "points": points,
+        }
+        code, out = self.run_config(tmp_path, payload)
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["all_pass"] is True
+        bounds = [c["rhs"][0] for c in report["checks"] if c["name"].startswith("resolvent norm")]
+        assert bounds == [1.0 / (abs(complex(*w)) - weight) for w in points]
 
     @pytest.mark.parametrize(
         "weight, p, q",
@@ -425,11 +464,8 @@ class TestMain:
             # the default map grid moves a default point within the winding margin
             {"experiment": "constancy",
              "model": {"kind": "tabulated", "weights": [1.2], "limit": 1.2}},
-            # s_min of T_n* - 2 with weights 3 decays like (2/3)^n: the guard refuses the solve
-            {"experiment": "resolvent-probe", "points": [[2.0, 0.0]],
-             "model": {"kind": "tabulated", "weights": [3.0], "limit": 3.0}},
         ],
-        ids=["constancy_too_close", "probe_singular"],
+        ids=["constancy_too_close"],
     )
     def test_run_library_refusal_exits_two(self, tmp_path, capsys, payload):
         code, out = self.run_config(tmp_path, payload)

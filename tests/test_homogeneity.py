@@ -19,11 +19,10 @@ from hyposhift.homogeneity import (
     resolvent_norm_probe,
     t_lambda_trace_check,
     theorem_inequality_eval,
-    transformed_symbol_curve,
     witness_search,
 )
-from hyposhift.mobius import MobiusMap
-from hyposhift.shifts import rational_family, symbol_curve, unilateral
+from hyposhift.mobius import MobiusMap, mobius_eval
+from hyposhift.shifts import rational_family, symbol_curve, tabulated, unilateral
 
 
 class TestInequality:
@@ -93,13 +92,13 @@ class TestSymbolCurveTransport:
     def test_identity_map_fixes_curve(self):
         model = unilateral()
         np.testing.assert_allclose(
-            transformed_symbol_curve(model, MobiusMap(), 64), symbol_curve(model, 64)
+            mobius_eval(MobiusMap(), symbol_curve(model, 64)), symbol_curve(model, 64)
         )
 
     def test_image_stays_on_unit_circle(self):
         model = unilateral()
         for phi in DEFAULT_MAP_GRID:
-            image = transformed_symbol_curve(model, phi, 256)
+            image = mobius_eval(phi, symbol_curve(model, 256))
             np.testing.assert_allclose(np.abs(image), 1.0, atol=1e-12)
 
     def test_change_of_variable_default_points(self):
@@ -123,12 +122,8 @@ class TestSymbolCurveTransport:
 
     def test_constancy_rational(self):
         for lam in (1.5, 2.0, 5.0):
-            checks = constancy_check(
-                rational_family(lam),
-                maps=(MobiusMap(a=0.4),),
-                interior_points=default_interior_points(8),
-                exterior_points=default_exterior_points(3),
-            )
+            checks = constancy_check(rational_family(lam), maps=(MobiusMap(a=0.4),))
+            assert len(checks) == 25
             assert all(c.passed for c in checks)
 
 
@@ -173,6 +168,14 @@ class TestResolventProbe:
     def test_rejects_small_point(self):
         with pytest.raises(SpectrumHit):
             resolvent_norm_probe(unilateral(), 0.9, 32)
+
+    def test_distance_bound_is_past_sup(self):
+        # ||T|| = sup w_k = 2: Neumann's 1/(|w| - 2) bounds the norm at |w| = 2.5
+        probe = resolvent_norm_probe(tabulated([2.0], limit=2.0), 2.5, 128)
+        assert probe.distance_bound == 2.0
+        assert probe.operator_norm <= probe.distance_bound
+        # inside sup w_k the bound is vacuous
+        assert resolvent_norm_probe(tabulated([3.0], limit=3.0), 2.0, 40).distance_bound == np.inf
 
 
 class TestTLambdaTrace:

@@ -1,0 +1,79 @@
+"""The public surface of src/hyposhift, name by name.
+
+A public name is one bound at module level (def, class or assignment) without
+a leading underscore; imported names do not count.  Adding or removing one
+fails this test until PUBLIC_NAMES is updated, so every change to the surface
+shows in the diff.
+"""
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "hyposhift"
+
+PUBLIC_NAMES = {
+    "__init__": [],
+    "__main__": [],
+    "cli": [
+        "DEFAULT_GRID", "DEFAULT_TRUNCATION", "EXPERIMENTS", "ExperimentConfig", "MIN_GRID",
+        "MIN_TRUNCATION", "build_parser", "main", "parse_config", "run_experiment",
+    ],
+    "determinants": ["check_rank_one", "determining_det"],
+    "errors": [
+        "ConfigError", "DimensionTooSmall", "DomainError", "EvaluationInsideDisc",
+        "HyposhiftError", "InvalidDimension", "IoError", "NoLimitDeclared", "NotAContraction",
+        "NotRankOne", "OnEssentialSpectrum", "PoleHit", "SingularResolvent", "SpectrumHit",
+        "TooCloseToCurve",
+    ],
+    "homogeneity": [
+        "DEFAULT_MAP_GRID", "DEFAULT_WITNESS_GRID", "InequalityProbe", "PROBE_MIN_MODULUS",
+        "ResolventProbe", "change_of_variable_check", "constancy_check",
+        "default_exterior_points", "default_interior_points", "inequality_gap",
+        "resolvent_norm_probe", "t_lambda_trace_check", "theorem_inequality_eval",
+        "witness_search",
+    ],
+    "mobius": [
+        "BAND_CUTOFF", "CONTRACTION_TOL", "MobiusMap", "UNIMODULAR_TOL", "mobius_eval",
+        "mobius_invert", "transformed_commutator_window",
+    ],
+    "principal": [
+        "COARSE_STRIDE", "CURVE_MARGIN_FACTOR", "DEFAULT_CURVE_SAMPLES", "GridFunction",
+        "WINDING_CHUNK", "closed_form_oracle", "constant_grid", "disc_cauchy_exponential",
+        "pincus_consistency", "principal_value_at", "winding_numbers",
+    ],
+    "reporting": [
+        "Check", "VerificationReport", "make_bound_check", "make_check", "write_checks_csv",
+        "write_grid_csv", "write_report",
+    ],
+    "shifts": [
+        "KIND_RATIONAL", "KIND_TABULATED", "SINGULAR_CUTOFF", "WeightSequence",
+        "adjoint_resolvent_smin", "adjoint_resolvent_solve", "band",
+        "exact_commutator_diagonal", "rational_family", "symbol_curve", "tabulated",
+        "unilateral",
+    ],
+    "traceforms": [
+        "BivariatePolynomial", "berger_shaw_putnam_check", "check_window", "full_finite_trace",
+        "helton_howe_check", "tracial_form", "window_margin",
+    ],
+}
+
+
+def public_names(path: Path) -> list[str]:
+    names = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return sorted(n for n in names if not n.startswith("_"))
+
+
+def test_public_names_are_listed():
+    found = {path.stem: public_names(path) for path in sorted(SRC.glob("*.py"))}
+    assert found == {module: sorted(names) for module, names in PUBLIC_NAMES.items()}
+
+
+def test_public_name_count():
+    # the number of public names that the ROADMAP's quality pillar tracks
+    assert sum(len(names) for names in PUBLIC_NAMES.values()) == 85
