@@ -236,10 +236,10 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"model: pincus-check {exc}") from exc
     if name in _DEFAULT_POINTS:
         # pincus-check's determinant needs |z| > sup w_k, and its quadrature,
-        # at z/c, |z| > c = sup w_k; the resolvent probe's bound needs
-        # |w| > ||T|| = sup w_k, and the probe itself |w| > PROBE_MIN_MODULUS
+        # at z/c, |z| > c = sup w_k; the resolvent probe's Neumann bound needs
+        # |w| > ||T|| = sup w_k, and the probe |w| > sup w_k PROBE_MIN_MODULUS
         sup = cfg.model.sup
-        bound = sup if name == "pincus-check" else max(1.0, sup) * PROBE_MIN_MODULUS
+        bound = sup if name == "pincus-check" else sup * PROBE_MIN_MODULUS
         where = "points" if cfg.points else "default points"
         cfg.points = cfg.points or list(_DEFAULT_POINTS[name])
         for i, z in enumerate(cfg.points):

@@ -25,7 +25,8 @@ DEFAULT_MAP_GRID = tuple(
 )
 
 DEFAULT_WITNESS_GRID = tuple(1.05 + 0.05 * k for k in range(180))  # 1.05 .. 10.0
-# resolvent_norm_probe needs |w| above this: the shift's spectrum is the closed unit disc.
+# resolvent_norm_probe needs |w| above sup w_k times this, where Neumann's
+# bound 1/(|w| - ||T||) holds with ||T|| = sup w_k.
 PROBE_MIN_MODULUS = 1.0 + 1e-6
 
 
@@ -142,7 +143,7 @@ class ResolventProbe:
     w: complex
     operator_norm: float  # computed norm of (T_n* - conj(w))^{-1}
     spectral_bound: float  # 1/|w|
-    distance_bound: float  # 1/(|w| - sup w_k), inf unless |w| > sup w_k
+    distance_bound: float  # 1/(|w| - sup w_k)
     vector_norm: float  # ||(T* - conj(w))^{-1} x|| for the rank-one vector x
 
 
@@ -154,11 +155,13 @@ def resolvent_norm_probe(model: WeightSequence, w: complex, n: int) -> Resolvent
     holds for the truncation too, whose adjoint is T* restricted to the
     invariant span(e_0, ..., e_{n-1}).  This probe reports rather than
     asserts: the two bounds differ and the data is the point.  Both numbers
-    come from the weight band in O(n); raises SingularResolvent when
-    T_n* - conj(w) is numerically singular.
+    come from the weight band in O(n).  Raises SpectrumHit unless
+    |w| > sup w_k PROBE_MIN_MODULUS; past that floor Weyl's bound
+    s_min >= |w| - sup w_k keeps T_n* - conj(w) invertible.
     """
-    if abs(w) <= PROBE_MIN_MODULUS:
-        raise SpectrumHit(f"|w| must exceed 1, got {abs(w)}")
+    floor = model.sup * PROBE_MIN_MODULUS
+    if abs(w) <= floor:
+        raise SpectrumHit(f"|w| must exceed {floor}, got {abs(w)}")
     op_norm = 1.0 / adjoint_resolvent_smin(model, w, n)
     x = np.zeros(n, dtype=np.complex128)
     x[0] = model.weights(1)[0]
@@ -167,7 +170,7 @@ def resolvent_norm_probe(model: WeightSequence, w: complex, n: int) -> Resolvent
         w=complex(w),
         operator_norm=op_norm,
         spectral_bound=1.0 / abs(w),
-        distance_bound=1.0 / (abs(w) - model.sup) if abs(w) > model.sup else math.inf,
+        distance_bound=1.0 / (abs(w) - model.sup),
         vector_norm=float(np.sqrt(np.vdot(u, u).real)),
     )
 

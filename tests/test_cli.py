@@ -385,8 +385,8 @@ class TestMain:
             ),
             # w = 2 lies inside sup w_k = 3, where 1/(|w| - sup w_k) bounds nothing
             pytest.param("resolvent-probe", [[2.0, 0.0]], 0, 3.0, id="probe_singular"),
-            # the probe keeps its floor |w| > 1 + 1e-6 below sup w_k = 1
-            pytest.param("resolvent-probe", [[3.0, 0.0], [0.9, 0.0]], 1, 0.5, id="probe_floor"),
+            # the probe's floor is sup w_k (1 + 1e-6), also below sup w_k = 1
+            pytest.param("resolvent-probe", [[3.0, 0.0], [0.5, 0.0]], 1, 0.5, id="probe_floor"),
         ],
     )
     def test_run_point_inside_disc_exits_two(
@@ -426,7 +426,9 @@ class TestMain:
         assert code == 0
         assert json.loads(out.read_text())["all_pass"] is True
 
-    @pytest.mark.parametrize("weight, points", [(2.0, [[2.5, 0]]), (1.5, [[1.6, 0], [0, -3.0]])])
+    @pytest.mark.parametrize(
+        "weight, points", [(2.0, [[2.5, 0]]), (1.5, [[1.6, 0], [0, -3.0]]), (0.5, [[0.9, 0]])]
+    )
     def test_run_resolvent_probe_past_sup_passes(self, tmp_path, weight, points):
         # Neumann's bound 1/(|w| - ||T||) with ||T|| = sup w_k holds past sup w_k
         payload = {

@@ -174,8 +174,17 @@ class TestResolventProbe:
         probe = resolvent_norm_probe(tabulated([2.0], limit=2.0), 2.5, 128)
         assert probe.distance_bound == 2.0
         assert probe.operator_norm <= probe.distance_bound
-        # inside sup w_k the bound is vacuous
-        assert resolvent_norm_probe(tabulated([3.0], limit=3.0), 2.0, 40).distance_bound == np.inf
+        # inside sup w_k the bound is vacuous, and the probe refuses the point
+        with pytest.raises(SpectrumHit, match="must exceed"):
+            resolvent_norm_probe(tabulated([3.0], limit=3.0), 2.0, 40)
+
+    def test_floor_follows_sup_below_one(self):
+        # sup w_k = 0.5: |w| = 0.9 lies past ||T||, where Neumann's bound is 1/0.4
+        probe = resolvent_norm_probe(tabulated([0.5], limit=0.5), 0.9, 128)
+        assert probe.distance_bound == pytest.approx(2.5)
+        assert probe.operator_norm <= probe.distance_bound
+        with pytest.raises(SpectrumHit):
+            resolvent_norm_probe(tabulated([0.5], limit=0.5), 0.5, 128)
 
 
 class TestTLambdaTrace:

@@ -155,6 +155,16 @@ class TestOperatorAction:
         np.testing.assert_allclose(lhs, rhs, atol=1e-8)
 
 
+ABOVE_ONE = 1.0 + 0.5 * CONTRACTION_TOL
+
+
+def shift_with(at, value):
+    """The 4 x 4 shift truncation with one entry overwritten."""
+    t = materialize(unilateral(), 4)
+    t[at] = value
+    return t
+
+
 weight_models = st.one_of(
     st.just(unilateral()),
     st.floats(1.01, 20.0).map(rational_family),
@@ -182,6 +192,51 @@ class TestBandedWindow:
         assert got.shape == (window, window)
         assert np.max(np.abs(got - expected)) <= 1e-12
 
+    # exact-1 weights have zero defect, so the window keeps some indices of R
+    # and drops others; 1 + CONTRACTION_TOL / 2 leaves a slightly negative defect
+    @given(
+        st.lists(st.sampled_from([1.0, ABOVE_ONE, 0.5, 0.3, 0.9]), min_size=1, max_size=12),
+        st.sampled_from([1.0, ABOVE_ONE, 0.7]),
+        st.integers(2, 40),
+        st.data(),
+        st.one_of(st.just(0j), st.complex_numbers(max_magnitude=0.95, allow_nan=False)),
+    )
+    @example([1.0, 0.5, 1.0, 1.0, 0.3], 1.0, 24, None, 0.5j)
+    @example([ABOVE_ONE], ABOVE_ONE, 24, None, 0.7)
+    @settings(max_examples=120, deadline=None)
+    def test_partial_defect_support_matches_dense_oracle(self, table, limit, n, data, a):
+        window = data.draw(st.integers(1, n), label="window") if data else n // 2
+        phi = MobiusMap(a=a)
+        s = materialize(tabulated(table, limit=limit), n)
+        expected = self_commutator(apply_to_operator(phi, s))[:window, :window]
+        assert np.max(np.abs(transformed_commutator_window(phi, s, window) - expected)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "n, window, a",
+        [(2, 1, 0j), (2, 2, 0j), (2, 1, 0.6j), (7, 7, 0.5), (40, 40, -0.9j)],
+    )
+    @pytest.mark.parametrize("model", [unilateral(), rational_family(2.0)], ids=["shift", "rational"])
+    def test_edges_match_dense_oracle(self, model, n, window, a):
+        phi = MobiusMap(a=a)
+        s = materialize(model, n)
+        expected = self_commutator(apply_to_operator(phi, s))[:window, :window]
+        got = transformed_commutator_window(phi, s, window)
+        assert got.shape == (window, window)
+        assert np.max(np.abs(got - expected)) <= 1e-12
+
+    def test_one_by_one_window_is_zero(self):
+        # n = 1: R = I and no band below it; phi(T) = -a beta is normal
+        got = transformed_commutator_window(MobiusMap(a=0.3), np.zeros((1, 1)), 1)
+        assert got.shape == (1, 1) and got[0, 0] == 0
+
+    @pytest.mark.parametrize("model", [unilateral(), rational_family(3.0)], ids=["shift", "rational"])
+    def test_beta_drops_out(self, model):
+        s = materialize(model, 50)
+        for a in (0.0, 0.3, 0.5 * np.exp(1j * np.pi / 4), 0.7j):
+            plain = transformed_commutator_window(MobiusMap(a=a), s, 30)
+            turned = transformed_commutator_window(MobiusMap(beta=np.exp(1j * np.pi / 7), a=a), s, 30)
+            assert np.array_equal(plain, turned)
+
     def test_expansive_weight_raises(self):
         s = materialize(tabulated([0.5, 1.0 + 2 * CONTRACTION_TOL, 0.5], 0.5), 6)
         with pytest.raises(NotAContraction):
@@ -193,12 +248,27 @@ class TestBandedWindow:
 
     @pytest.mark.parametrize(
         "t",
-        [0.5 * np.eye(4), np.eye(4, k=1), materialize(unilateral(), 4) + 1e-3 * np.eye(4, k=-2)],
-        ids=["scalar", "upper-shift", "second-subdiagonal"],
+        [0.5 * np.eye(4), np.eye(4, k=1), materialize(unilateral(), 4) + 1e-3 * np.eye(4, k=-2),
+         shift_with((0, 3), 1e-300j), shift_with((3, 3), 3.0), shift_with((2, 3), 5e-324)],
+        ids=["scalar", "upper-shift", "second-subdiagonal", "first-row", "corner", "subnormal"],
     )
     def test_non_shift_input_raises(self, t):
         with pytest.raises(ValueError, match="weighted shift"):
             transformed_commutator_window(MobiusMap(a=0.3), t, 2)
+        # the window range is checked first
+        with pytest.raises(ValueError, match="window"):
+            transformed_commutator_window(MobiusMap(a=0.3), t, 5)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)], ids=str)
+    @pytest.mark.parametrize(
+        "at", [(1, 0), (3, 2), (0, 0), (0, 3), (2, 0), (3, 3), (1, 3)],
+        ids=["band-first", "band-last", "diagonal", "first-row", "second-subdiagonal", "corner",
+             "above"],
+    )
+    def test_non_finite_entry_raises_non_finite(self, at, value):
+        # a non-finite entry anywhere is reported as such, before any other check
+        with pytest.raises(ValueError, match="non-finite"):
+            transformed_commutator_window(MobiusMap(a=0.3), shift_with(at, value), 5)
 
     @pytest.mark.parametrize("window", [0, -1, 9])
     def test_bad_window_raises(self, window):
