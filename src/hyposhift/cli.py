@@ -11,11 +11,12 @@ arguments, an output that cannot be written, or an input the library refuses.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .homogeneity import (
     PROBE_MIN_MODULUS,
     change_of_variable_check,
     constancy_check,
-    default_exterior_points,
     default_interior_points,
     resolvent_norm_probe,
     t_lambda_trace_check,
@@ -40,7 +40,6 @@ from .reporting import (
     Check,
     VerificationReport,
     make_bound_check,
-    make_check,
     write_checks_csv,
     write_grid_csv,
     write_report,
@@ -57,23 +56,48 @@ DEFAULT_TRUNCATION = 256
 DEFAULT_GRID = (400, 400)
 MIN_TRUNCATION = 8
 MIN_GRID = 16
+_INTERIOR = tuple(default_interior_points())
 
 
 @dataclass
 class ExperimentConfig:
+    """A parsed config: its runner's keyword arguments and the JSON it came from."""
+
     experiment: str
-    model: WeightSequence = field(default_factory=unilateral)
-    mobius: MobiusMap | None = None
-    truncation: int = DEFAULT_TRUNCATION
-    n_r: int = DEFAULT_GRID[0]
-    n_theta: int = DEFAULT_GRID[1]
-    points: list = field(default_factory=list)
-    p: BivariatePolynomial | None = None
-    q: BivariatePolynomial | None = None
-    c_values: list = field(default_factory=list)
-    area: float | None = None
-    tolerance: float | None = None
-    raw: dict = field(default_factory=dict)
+    args: dict
+    raw: dict
+
+
+def _refuse_unread(spec: dict, reads, where: str, reader: str) -> None:
+    for key in spec:
+        if key not in reads:
+            raise ConfigError(
+                f"{where}{key}: {reader} does not read this key; it reads {', '.join(reads)}"
+            )
+
+
+def _number(value, path: str, integer: bool = False):
+    """A JSON number as a float, or as an int if integer is set; strings and booleans
+    are refused, so "2" or true never reads as a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    if integer:
+        if int(value) != value:
+            raise ConfigError(f"{path}: {value!r} is not an integer")
+        return int(value)
+    return float(value)
+
+
+def _items(raw, path: str, parse, what: str) -> list:
+    if not isinstance(raw, list):
+        raise ConfigError(f"{path}: expected a list of {what}")
+    return [parse(x, f"{path}[{i}]") for i, x in enumerate(raw)]
+
+
+def _complex(pair, path: str) -> complex:
+    if not (isinstance(pair, list) and len(pair) == 2):
+        raise ConfigError(f"{path}: expected [re, im]")
+    return complex(_number(pair[0], f"{path}[0]"), _number(pair[1], f"{path}[1]"))
 
 
 def _parse_model(spec, path: str) -> WeightSequence:
@@ -81,43 +105,30 @@ def _parse_model(spec, path: str) -> WeightSequence:
         raise ConfigError(f"{path}: expected an object with a 'kind' field")
     kind = spec["kind"]
     if kind == "unilateral":
+        _refuse_unread(spec, ("kind",), f"{path}.", "a unilateral model")
         return unilateral()
     if kind == "rational":
+        _refuse_unread(spec, ("kind", "lambda"), f"{path}.", "a rational model")
         if "lambda" not in spec:
             raise ConfigError(f"{path}.lambda: required for rational weights")
-        return rational_family(float(spec["lambda"]))
+        return rational_family(_number(spec["lambda"], f"{path}.lambda"))
     if kind == "tabulated":
+        _refuse_unread(spec, ("kind", "weights", "limit"), f"{path}.", "a tabulated model")
         if "weights" not in spec:
             raise ConfigError(f"{path}.weights: required for tabulated weights")
-        return tabulated(spec["weights"], spec.get("limit"))
+        limit = spec.get("limit")
+        if limit is not None:
+            limit = _number(limit, f"{path}.limit")
+        return tabulated(_items(spec["weights"], f"{path}.weights", _number, "numbers"), limit)
     raise ConfigError(f"{path}.kind: unknown kind {kind!r}")
 
 
 def _parse_mobius(spec, path: str) -> MobiusMap:
     if not isinstance(spec, dict):
         raise ConfigError(f"{path}: expected an object")
-    beta = np.exp(1j * float(spec.get("beta_arg", 0.0)))
-    a_pair = spec.get("a", [0.0, 0.0])
-    if not (isinstance(a_pair, list) and len(a_pair) == 2):
-        raise ConfigError(f"{path}.a: expected [re, im]")
-    return MobiusMap(beta=beta, a=complex(a_pair[0], a_pair[1]))
-
-
-def _parse_points(raw, path: str) -> list[complex]:
-    if not isinstance(raw, list):
-        raise ConfigError(f"{path}: expected a list of [re, im] pairs")
-    out = []
-    for i, pair in enumerate(raw):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ConfigError(f"{path}[{i}]: expected [re, im]")
-        out.append(complex(pair[0], pair[1]))
-    return out
-
-
-def _integer(value) -> int:
-    if int(value) != value:
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
+    _refuse_unread(spec, ("beta_arg", "a"), f"{path}.", path)
+    beta = np.exp(1j * _number(spec.get("beta_arg", 0.0), f"{path}.beta_arg"))
+    return MobiusMap(beta=beta, a=_complex(spec.get("a", [0.0, 0.0]), f"{path}.a"))
 
 
 def _parse_poly(raw, path: str) -> BivariatePolynomial:
@@ -128,10 +139,10 @@ def _parse_poly(raw, path: str) -> BivariatePolynomial:
     for i, row in enumerate(raw):
         if not (isinstance(row, list) and len(row) == 4):
             raise ConfigError(f"{path}[{i}]: expected [j, k, re, im]")
-        j, k = _integer(row[0]), _integer(row[1])
+        j, k, re, im = (_number(x, f"{path}[{i}][{m}]", integer=m < 2) for m, x in enumerate(row))
         if j < 0 or k < 0:
             raise ConfigError(f"{path}[{i}]: exponents must be non-negative")
-        coeffs[(j, k)] = coeffs.get((j, k), 0) + complex(row[2], row[3])
+        coeffs[(j, k)] = coeffs.get((j, k), 0) + complex(re, im)
     return BivariatePolynomial.from_dict(coeffs)
 
 
@@ -146,48 +157,49 @@ def _finite_number(token: str) -> float:
 _DECODER = json.JSONDecoder(parse_constant=_finite_number, parse_float=_finite_number)
 
 
-# Experiments whose points must lie outside a disc, with their default points.
-_DEFAULT_POINTS = {"pincus-check": [2.0 + 0j, 3.0 + 0j], "resolvent-probe": [2.0 + 0j, 10.0 + 0j]}
-
-
-def _parse_field(cfg: ExperimentConfig, key: str, value) -> None:
+def _parse_field(key: str, value):
     if key == "model":
-        cfg.model = _parse_model(value, key)
-    elif key == "mobius":
-        cfg.mobius = _parse_mobius(value, key)
-    elif key == "truncation":
-        cfg.truncation = _integer(value)
-        if cfg.truncation < MIN_TRUNCATION:
+        return _parse_model(value, key)
+    if key == "mobius":
+        return _parse_mobius(value, key)
+    if key == "truncation":
+        truncation = _number(value, key, integer=True)
+        if truncation < MIN_TRUNCATION:
             raise ConfigError(f"truncation: must be >= {MIN_TRUNCATION}")
-    elif key == "grid":
+        return truncation
+    if key == "grid":
         if not isinstance(value, dict):
             raise ConfigError("grid: expected an object with n_r, n_theta")
-        cfg.n_r = _integer(value.get("n_r", DEFAULT_GRID[0]))
-        cfg.n_theta = _integer(value.get("n_theta", DEFAULT_GRID[1]))
-        if cfg.n_r < MIN_GRID or cfg.n_theta < MIN_GRID:
+        _refuse_unread(value, ("n_r", "n_theta"), "grid.", "grid")
+        n_r = _number(value.get("n_r", DEFAULT_GRID[0]), "grid.n_r", integer=True)
+        n_theta = _number(value.get("n_theta", DEFAULT_GRID[1]), "grid.n_theta", integer=True)
+        if n_r < MIN_GRID or n_theta < MIN_GRID:
             raise ConfigError(f"grid: sizes must be >= {MIN_GRID}")
-    elif key == "points":
-        cfg.points = _parse_points(value, key)
-    elif key in ("p", "q"):
-        setattr(cfg, key, _parse_poly(value, key))
-    elif key == "c_values":
-        cfg.c_values = [float(c) for c in value]
-        if any(not (0.0 < c <= 1.0) for c in cfg.c_values):
+        return n_r, n_theta
+    if key in ("p", "q"):
+        return _parse_poly(value, key)
+    if value == [] and key in ("points", "c_values"):  # it would check nothing, and pass
+        raise ConfigError(f"{key}: an empty list checks nothing")
+    if key == "points":
+        return _items(value, key, _complex, "[re, im] pairs")
+    if key == "c_values":
+        c_values = _items(value, key, _number, "numbers")
+        if any(not (0.0 < c <= 1.0) for c in c_values):
             raise ConfigError("c_values: every value must lie in (0, 1]")
-    elif key == "area":
-        cfg.area = float(value)
-        if cfg.area <= 0:
+        return c_values
+    if key == "area":
+        area = _number(value, key)
+        if area <= 0:
             raise ConfigError("area: must be positive")
-    elif key == "tolerance":
-        cfg.tolerance = float(value)
-        if cfg.tolerance < 0:
-            raise ConfigError("tolerance: must be non-negative")
-    elif key != "experiment":
-        raise ConfigError(f"{key}: unknown config key")
+        return area
+    tolerance = _number(value, key)  # the one key left: tolerance
+    if tolerance < 0:
+        raise ConfigError("tolerance: must be non-negative")
+    return tolerance
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a JSON config; every malformed value raises ConfigError."""
+    """Parse and validate a JSON config; a malformed value or an unread key raises ConfigError."""
     try:
         raw = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
@@ -199,86 +211,92 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(
             f"experiment: unknown name {name!r}; known: {', '.join(sorted(EXPERIMENTS))}"
         )
-    cfg = ExperimentConfig(experiment=name, raw=raw)
-    for key, value in raw.items():
+    signature = _SIGNATURES[name]
+    fields = {key: value for key, value in raw.items() if key != "experiment"}
+    _refuse_unread(fields, tuple(signature.parameters), "", name)
+    given = {}
+    for key, value in fields.items():
         try:
-            _parse_field(cfg, key, value)
-        except (TypeError, ValueError, OverflowError) as exc:
+            given[key] = _parse_field(key, value)
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(f"{key}: {exc}") from exc
     # experiment-specific requirements
-    if name == "t-lambda-trace" and cfg.model.kind != "rational":
+    if name == "helton-howe" and not ("p" in given and "q" in given):
+        raise ConfigError("p/q: helton-howe requires both polynomials")
+    bound = signature.bind(**given)
+    bound.apply_defaults()
+    args = bound.arguments
+    model = args.get("model")
+    if name == "t-lambda-trace" and model.kind != "rational":
         raise ConfigError("model: t-lambda-trace requires rational weights with lambda > 1")
     if name == "helton-howe":
-        if cfg.p is None or cfg.q is None:
-            raise ConfigError("p/q: helton-howe requires both polynomials")
         try:
-            check_window(cfg.p, cfg.q, cfg.truncation)
+            check_window(args["p"], args["q"], args["truncation"])
         except HyposhiftError as exc:
             raise ConfigError(f"truncation: helton-howe {exc}") from exc
-    if name in ("helton-howe", "berger-shaw-putnam") and cfg.model.limit is None:
+    if name in ("helton-howe", "berger-shaw-putnam") and model.limit is None:
         raise ConfigError(f"model.limit: {name} requires a declared limit")
-    if name in ("change-of-variable", "constancy") and cfg.model.limit is not None:
+    if name in ("change-of-variable", "constancy") and model.limit is not None:
         # phi must be analytic on the spectrum, the closed disc of radius model.limit
-        if cfg.mobius is not None:
-            where, maps = "mobius", (cfg.mobius,)
-        else:
-            where, maps = "default maps", DEFAULT_MAP_GRID if name == "constancy" else ()
+        where = "mobius" if "mobius" in given else "default maps"
+        maps = (args["mobius"],) if args["mobius"] is not None else DEFAULT_MAP_GRID
         for phi in maps:
-            if abs(phi.a) * cfg.model.limit >= 1.0:
+            if abs(phi.a) * model.limit >= 1.0:
                 raise ConfigError(
                     f"{where}: the pole 1/conj(a) of a = {phi.a} lies in the spectrum, "
-                    f"the disc of radius {cfg.model.limit}; need |a| * limit < 1"
+                    f"the disc of radius {model.limit}; need |a| * limit < 1"
                 )
     if name == "pincus-check":
         try:
-            check_rank_one(cfg.model, cfg.truncation)
+            check_rank_one(model, args["truncation"])
         except HyposhiftError as exc:
             raise ConfigError(f"model: pincus-check {exc}") from exc
-    if name in _DEFAULT_POINTS:
+    if name in ("pincus-check", "resolvent-probe"):
         # pincus-check's determinant needs |z| > sup w_k, and its quadrature,
         # at z/c, |z| > c = sup w_k; the resolvent probe's Neumann bound needs
         # |w| > ||T|| = sup w_k, and the probe |w| > sup w_k PROBE_MIN_MODULUS
-        sup = cfg.model.sup
-        bound = sup if name == "pincus-check" else sup * PROBE_MIN_MODULUS
-        where = "points" if cfg.points else "default points"
-        cfg.points = cfg.points or list(_DEFAULT_POINTS[name])
-        for i, z in enumerate(cfg.points):
-            if abs(z) <= bound:
-                raise ConfigError(f"{where}[{i}]: {name} needs |z| > {bound}, got {abs(z)}")
-    return cfg
+        radius = model.sup if name == "pincus-check" else model.sup * PROBE_MIN_MODULUS
+        where = "points" if "points" in given else "default points"
+        for i, z in enumerate(args["points"]):
+            if abs(z) <= radius:
+                raise ConfigError(f"{where}[{i}]: {name} needs |z| > {radius}, got {abs(z)}")
+    return ExperimentConfig(experiment=name, args=args, raw=raw)
 
 
-def _run_pincus(cfg: ExperimentConfig) -> list:
+def _run_pincus(
+    model=unilateral(), points=(2.0 + 0j, 3.0 + 0j), truncation=DEFAULT_TRUNCATION,
+    grid=DEFAULT_GRID,
+) -> list:
+    """determinantal identity: resolvent determinant = disc integral of g = closed form"""
     checks = []
-    for i, z in enumerate(cfg.points):
-        for w in cfg.points[i:]:
-            checks.extend(
-                pincus_consistency(
-                    cfg.model, z, w, n=cfg.truncation, n_r=cfg.n_r, n_theta=cfg.n_theta
-                )
-            )
+    for i, z in enumerate(points):
+        for w in points[i:]:
+            checks.extend(pincus_consistency(model, z, w, truncation, *grid))
     return checks
 
 
-def _run_helton_howe(cfg: ExperimentConfig) -> list:
-    tol = cfg.tolerance if cfg.tolerance is not None else 1e-3
-    return [helton_howe_check(cfg.p, cfg.q, cfg.model, cfg.truncation, tol, cfg.n_r, cfg.n_theta)]
+def _run_helton_howe(
+    p, q, model=unilateral(), truncation=DEFAULT_TRUNCATION, grid=DEFAULT_GRID, tolerance=1e-3
+) -> list:
+    """trace of a polynomial commutator vs area integral of the Jacobian against g"""
+    return [helton_howe_check(p, q, model, truncation, tolerance, *grid)]
 
 
-def _run_change_of_variable(cfg: ExperimentConfig) -> list:
-    phi = cfg.mobius if cfg.mobius is not None else MobiusMap()
-    points = cfg.points or default_interior_points()
-    return change_of_variable_check(cfg.model, phi, points)
+def _run_change_of_variable(model=unilateral(), mobius=MobiusMap(), points=_INTERIOR) -> list:
+    """index of the transformed symbol curve vs index at the pulled-back point"""
+    return change_of_variable_check(model, mobius, points)
 
 
-def _run_constancy(cfg: ExperimentConfig) -> list:
-    maps = (cfg.mobius,) if cfg.mobius is not None else DEFAULT_MAP_GRID
-    interior = cfg.points or None
-    return constancy_check(cfg.model, maps=maps, interior_points=interior)
+def _run_constancy(model=unilateral(), mobius=None, points=_INTERIOR) -> list:
+    """index constant across interior points and disc automorphisms, zero outside"""
+    maps = (mobius,) if mobius is not None else DEFAULT_MAP_GRID
+    return constancy_check(model, maps=maps, interior_points=points)
 
 
-def _run_theorem_inequality(cfg: ExperimentConfig) -> list:
-    c_values = cfg.c_values or [0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0]
+def _run_theorem_inequality(c_values=(0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0)) -> list:
+    """(1 - c/r^2) <= (1 - 1/r^2)^c holds only at c = 1; witnesses found for c < 1"""
+    # Both c = 1 checks hold by construction: inequality_gap is exactly 0 there,
+    # and 1 - 1/r^2 and (1 - 1/r^2) ** 1.0 are the same float; only c < 1 can fail.
     checks = []
     for c in c_values:
         witness = witness_search(c)
@@ -302,15 +320,18 @@ def _bool_check(name: str, ok: bool, value: float) -> Check:
     return Check(name=name, lhs=complex(value), rhs=complex(value), tolerance=0.0, passed=ok)
 
 
-def _run_t_lambda(cfg: ExperimentConfig) -> list:
-    return [t_lambda_trace_check(cfg.model.lam, cfg.truncation)]
+def _run_t_lambda(model=unilateral(), truncation=DEFAULT_TRUNCATION) -> list:
+    """rational weight family: commutator trace telescopes to 1"""
+    return [t_lambda_trace_check(model.lam, truncation)]
 
 
-def _run_resolvent_probe(cfg: ExperimentConfig) -> list:
-    model = cfg.model
+def _run_resolvent_probe(
+    model=unilateral(), points=(2.0 + 0j, 10.0 + 0j), truncation=DEFAULT_TRUNCATION
+) -> list:
+    """resolvent norm of the truncated adjoint vs spectral and distance bounds"""
     checks = []
-    for w in cfg.points:
-        probe = resolvent_norm_probe(model, w, cfg.truncation)
+    for w in points:
+        probe = resolvent_norm_probe(model, w, truncation)
         checks.append(
             make_bound_check(
                 f"resolvent norm vs 1/(|w|-sup w_k) at w={w}",
@@ -330,51 +351,30 @@ def _run_resolvent_probe(cfg: ExperimentConfig) -> list:
     return checks
 
 
-def _run_berger_shaw_putnam(cfg: ExperimentConfig) -> list:
-    area = cfg.area if cfg.area is not None else math.pi * cfg.model.limit ** 2
-    return berger_shaw_putnam_check(cfg.model, area)
+def _run_berger_shaw_putnam(model=unilateral(), area=None) -> list:
+    """commutator trace and norm against the area bounds (Berger-Shaw, Putnam)"""
+    return berger_shaw_putnam_check(model, area if area is not None else math.pi * model.limit**2)
 
 
+# Each runner's keyword parameters are the config keys its experiment reads,
+# with their defaults; its docstring is its line in `hyposhift list`.
 EXPERIMENTS = {
-    "pincus-check": (
-        _run_pincus,
-        "determinantal identity: resolvent determinant = disc integral of g = closed form",
-    ),
-    "helton-howe": (
-        _run_helton_howe,
-        "trace of a polynomial commutator vs area integral of the Jacobian against g",
-    ),
-    "change-of-variable": (
-        _run_change_of_variable,
-        "index of the transformed symbol curve vs index at the pulled-back point",
-    ),
-    "constancy": (
-        _run_constancy,
-        "index constant across interior points and disc automorphisms, zero outside",
-    ),
-    "theorem-inequality": (
-        _run_theorem_inequality,
-        "(1 - c/r^2) <= (1 - 1/r^2)^c holds only at c = 1; witnesses found for c < 1",
-    ),
-    "t-lambda-trace": (
-        _run_t_lambda,
-        "rational weight family: commutator trace telescopes to 1",
-    ),
-    "resolvent-probe": (
-        _run_resolvent_probe,
-        "resolvent norm of the truncated adjoint vs spectral and distance bounds",
-    ),
-    "berger-shaw-putnam": (
-        _run_berger_shaw_putnam,
-        "commutator trace and norm against the area bounds (Berger-Shaw, Putnam)",
-    ),
+    "pincus-check": _run_pincus,
+    "helton-howe": _run_helton_howe,
+    "change-of-variable": _run_change_of_variable,
+    "constancy": _run_constancy,
+    "theorem-inequality": _run_theorem_inequality,
+    "t-lambda-trace": _run_t_lambda,
+    "resolvent-probe": _run_resolvent_probe,
+    "berger-shaw-putnam": _run_berger_shaw_putnam,
 }
+_SIGNATURES = {name: inspect.signature(run) for name, run in EXPERIMENTS.items()}
 
 
 def run_experiment(cfg: ExperimentConfig) -> VerificationReport:
-    runner, _ = EXPERIMENTS[cfg.experiment]
+    runner = EXPERIMENTS[cfg.experiment]
     start = time.perf_counter()
-    checks = runner(cfg)
+    checks = runner(**cfg.args)
     elapsed = (time.perf_counter() - start) * 1000.0
     params = {k: v for k, v in cfg.raw.items() if k != "experiment"}
     return VerificationReport(
@@ -409,8 +409,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_list(_args) -> int:
     for name in sorted(EXPERIMENTS):
-        _, blurb = EXPERIMENTS[name]
-        print(f"{name:20s} {blurb}")
+        print(f"{name:20s} {EXPERIMENTS[name].__doc__}")
     return 0
 
 

@@ -234,8 +234,8 @@ def disc_cauchy_exponential(g: GridFunction, z: complex, w: complex) -> complex:
     return complex(np.exp(-integral / np.pi))
 
 
-def closed_form_oracle(z: complex, w: complex, c: float = 1.0) -> complex:
-    """(1 - 1/(z conj(w)))^c via the scalar series for the logarithm.
+def closed_form_oracle(z: complex, w: complex) -> complex:
+    """1 - 1/(z conj(w)) as the exponential of the scalar series for its logarithm.
 
     log(1 - u) = -sum_{m >= 1} u^m / m with u = 1/(z conj(w)), truncated when
     the term magnitude drops below 1e-15.  Independent of every matrix and
@@ -251,7 +251,7 @@ def closed_form_oracle(z: complex, w: complex, c: float = 1.0) -> complex:
         log_val -= term / m
         term *= u
         m += 1
-    return complex(np.exp(c * log_val))
+    return complex(np.exp(log_val))
 
 
 def pincus_consistency(
@@ -278,7 +278,7 @@ def pincus_consistency(
     det_val = determining_det(model, x, z, w, n)
     c = model.limit
     quad_val = disc_cauchy_exponential(constant_grid(1.0, n_r, n_theta), z / c, w / c)
-    oracle_val = closed_form_oracle(z / c, w / c, 1.0)
+    oracle_val = closed_form_oracle(z / c, w / c)
     tag = f"z={z}, w={w}"
     quad_tol = 5e-3
     return [

@@ -64,7 +64,7 @@ def test_criterion_02_determinant_triangle():
     for z, w in ((2.0, 2.0), (2.0, 3.0), (2j, 2j)):
         det_val = determining_det(model, basis(256), z, w, 256)
         quad_val = disc_cauchy_exponential(g, z, w)
-        oracle = closed_form_oracle(z, w, 1.0)
+        oracle = closed_form_oracle(z, w)
         ok &= abs(det_val - oracle) <= 1e-12
         ok &= abs(quad_val - oracle) <= 5e-3
         ok &= abs(det_val - quad_val) <= 5e-3

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import inspect
 import io
 import json
 import os
@@ -15,6 +16,8 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from hyposhift.cli import EXPERIMENTS, main, parse_config, run_experiment
 from hyposhift.errors import ConfigError
+from hyposhift.homogeneity import default_interior_points
+from hyposhift.mobius import MobiusMap
 from hyposhift.reporting import (
     VerificationReport,
     make_bound_check,
@@ -27,6 +30,20 @@ from hyposhift.principal import GridFunction, constant_grid
 from hyposhift.shifts import rational_family, symbol_curve, unilateral
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+# The config keys each experiment reads; `grid` sets two values, n_r and n_theta.
+SCHEMA = {
+    "pincus-check": ["model", "points", "truncation", "grid"],
+    "helton-howe": ["p", "q", "model", "truncation", "grid", "tolerance"],
+    "change-of-variable": ["model", "mobius", "points"],
+    "constancy": ["model", "mobius", "points"],
+    "theorem-inequality": ["c_values"],
+    "t-lambda-trace": ["model", "truncation"],
+    "resolvent-probe": ["model", "points", "truncation"],
+    "berger-shaw-putnam": ["model", "area"],
+}
+TOP_LEVEL_KEYS = sorted({key for keys in SCHEMA.values() for key in keys})
+UNREAD = [(name, key) for name, keys in SCHEMA.items() for key in TOP_LEVEL_KEYS if key not in keys]
 
 
 class TestParseConfig:
@@ -89,9 +106,62 @@ class TestParseConfig:
                 }
             )
         )
-        assert cfg.truncation == 64
-        assert cfg.n_r == 32
-        assert dict(cfg.p.coeffs) == {(0, 1): 1.0}
+        assert cfg.args["truncation"] == 64
+        assert cfg.args["grid"] == (32, 32)
+        assert cfg.args["tolerance"] == 1e-4
+        assert dict(cfg.args["p"].coeffs) == {(0, 1): 1.0}
+
+    @pytest.mark.parametrize(
+        "experiment, defaults",
+        [
+            ("pincus-check", {"model": unilateral(), "points": (2 + 0j, 3 + 0j),
+                              "truncation": 256, "grid": (400, 400)}),
+            ("change-of-variable", {"model": unilateral(), "mobius": MobiusMap(),
+                                    "points": tuple(default_interior_points())}),
+            ("constancy", {"model": unilateral(), "mobius": None,
+                           "points": tuple(default_interior_points())}),
+            ("theorem-inequality", {"c_values": (0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0)}),
+            ("resolvent-probe", {"model": unilateral(), "points": (2 + 0j, 10 + 0j),
+                                 "truncation": 256}),
+            ("berger-shaw-putnam", {"model": unilateral(), "area": None}),
+        ],
+    )
+    def test_fills_in_the_runner_defaults(self, experiment, defaults):
+        assert parse_config(json.dumps({"experiment": experiment})).args == defaults
+
+    def test_given_keys_override_the_defaults(self):
+        cfg = parse_config('{"experiment": "pincus-check", "points": [[4, 0]]}')
+        assert cfg.args["points"] == [4 + 0j]
+        assert cfg.args["truncation"] == 256
+
+    def test_each_runner_reads_its_schema(self):
+        reads = {name: list(inspect.signature(run).parameters) for name, run in EXPERIMENTS.items()}
+        assert reads == SCHEMA
+        # 26 settable values of the 88 that 11 per experiment would give
+        assert sum(len(keys) + ("grid" in keys) for keys in SCHEMA.values()) == 26
+        assert len(TOP_LEVEL_KEYS) == 10 and len(UNREAD) == 56
+
+    @pytest.mark.parametrize("experiment, key", UNREAD)
+    def test_refuses_a_key_the_experiment_does_not_read(self, experiment, key):
+        # refused before its value is parsed, so even a malformed value names the key
+        with pytest.raises(ConfigError, match=f"^{key}: {experiment} does not read this key"):
+            parse_config(json.dumps({"experiment": experiment, key: "not parsed"}))
+
+    @pytest.mark.parametrize(
+        "experiment, key, value, path",
+        [
+            ("change-of-variable", "mobius", {"A": [0.5, 0]}, "mobius.A"),
+            ("pincus-check", "grid", {"nr": 16}, "grid.nr"),
+            ("t-lambda-trace", "model", {"kind": "rational", "lamda": 2.0}, "model.lamda"),
+            ("pincus-check", "model", {"kind": "unilateral", "limit": 2.0}, "model.limit"),
+            ("t-lambda-trace", "model", {"kind": "rational", "lambda": 2, "limit": 1}, "model.limit"),
+            ("pincus-check", "model", {"kind": "tabulated", "weights": [1], "lambda": 2},
+             "model.lambda"),
+        ],
+    )
+    def test_refuses_a_nested_key_by_name(self, experiment, key, value, path):
+        with pytest.raises(ConfigError, match=f"^{path}: .* does not read this key"):
+            parse_config(json.dumps({"experiment": experiment, key: value}))
 
     def test_all_bundled_configs_parse(self):
         paths = sorted(CONFIG_DIR.glob("*.json"))
@@ -314,59 +384,146 @@ class TestMain:
         assert "cannot write" in err
 
     @pytest.mark.parametrize(
-        "fields",
+        "fields, path",
         [
-            pytest.param('"truncation": "abc"', id="truncation_str"),
-            pytest.param('"c_values": ["x"]', id="c_value_str"),
-            pytest.param('"c_values": 5', id="c_values_scalar"),
-            pytest.param('"truncation": 256.5', id="truncation_fraction"),
-            pytest.param('"grid": {"n_r": "a"}', id="grid_str"),
-            pytest.param('"grid": {"n_r": 32, "n_theta": 32.5}', id="grid_fraction"),
-            pytest.param('"p": [["x", 0, 1.0, 0.0]]', id="exponent_str"),
-            pytest.param('"p": [[1.5, 0, 1.0, 0.0]]', id="exponent_fraction"),
-            pytest.param('"mobius": {"beta_arg": "x"}', id="beta_arg_str"),
-            pytest.param('"mobius": {"a": [NaN, 0]}', id="mobius_a_nan"),
-            pytest.param('"points": [["x", 0]]', id="point_str"),
-            pytest.param('"area": "x"', id="area_str"),
-            pytest.param('"area": 1e400', id="area_overflow"),
-            pytest.param('"area": 1' + "0" * 400, id="area_int_overflow"),
-            pytest.param('"model": {"kind": "rational", "lambda": NaN}', id="lambda_nan"),
-            pytest.param('"model": {"kind": "rational", "lambda": Infinity}', id="lambda_inf"),
+            pytest.param('"truncation": "abc"', "truncation", id="truncation_str"),
             pytest.param(
-                '"model": {"kind": "tabulated", "weights": "x", "limit": 1}', id="weights_str"
+                '"experiment": "theorem-inequality", "c_values": ["x"]', "c_values[0]",
+                id="c_value_str",
             ),
-            pytest.param('"tolerance": -1e-3', id="tolerance_negative"),
+            pytest.param(
+                '"experiment": "theorem-inequality", "c_values": 5', "c_values",
+                id="c_values_scalar",
+            ),
+            pytest.param('"truncation": 256.5', "truncation", id="truncation_fraction"),
+            pytest.param('"grid": {"n_r": "a"}', "grid.n_r", id="grid_str"),
+            pytest.param('"grid": {"n_r": 32, "n_theta": 32.5}', "grid.n_theta", id="grid_fraction"),
+            pytest.param('"p": [["x", 0, 1.0, 0.0]]', "p[0][0]", id="exponent_str"),
+            pytest.param('"p": [[1.5, 0, 1.0, 0.0]]', "p[0][0]", id="exponent_fraction"),
+            pytest.param(
+                '"experiment": "change-of-variable", "mobius": {"beta_arg": "x"}',
+                "mobius.beta_arg", id="beta_arg_str",
+            ),
+            pytest.param(
+                '"experiment": "change-of-variable", "mobius": {"a": [NaN, 0]}', "config",
+                id="mobius_a_nan",
+            ),
+            pytest.param(
+                '"experiment": "pincus-check", "points": [["x", 0]]', "points[0][0]",
+                id="point_str",
+            ),
+            pytest.param('"experiment": "berger-shaw-putnam", "area": "x"', "area", id="area_str"),
+            pytest.param(
+                '"experiment": "berger-shaw-putnam", "area": 1e400', "config", id="area_overflow"
+            ),
+            pytest.param(
+                '"experiment": "berger-shaw-putnam", "area": 1' + "0" * 400, "area",
+                id="area_int_overflow",
+            ),
+            pytest.param(
+                '"model": {"kind": "rational", "lambda": NaN}', "config", id="lambda_nan"
+            ),
+            pytest.param(
+                '"model": {"kind": "rational", "lambda": Infinity}', "config", id="lambda_inf"
+            ),
+            pytest.param(
+                '"model": {"kind": "tabulated", "weights": "x", "limit": 1}', "model.weights",
+                id="weights_str",
+            ),
+            pytest.param('"tolerance": -1e-3', "tolerance", id="tolerance_negative"),
             # a misspelt key is refused, not ignored at the default tolerance
-            pytest.param('"tolerence": 1e-9', id="unknown_key"),
+            pytest.param('"tolerence": 1e-9', "tolerence", id="unknown_key"),
             # truncation 256 is not above 4 x the window margin 80 of degree-40 polynomials
-            pytest.param('"p": [[0, 40, 1, 0]], "q": [[40, 0, 1, 0]]', id="window_margin"),
+            pytest.param(
+                '"p": [[0, 40, 1, 0]], "q": [[40, 0, 1, 0]]', "truncation", id="window_margin"
+            ),
             pytest.param(
                 '"experiment": "pincus-check", "model": {"kind": "rational", "lambda": 2.0}',
-                id="pincus_not_rank_one",
+                "model", id="pincus_not_rank_one",
             ),
             pytest.param(
                 '"experiment": "pincus-check", "points": [[1.2, 0]],'
                 ' "model": {"kind": "tabulated", "weights": [1.5], "limit": 1.5}',
-                id="pincus_point_inside_sup",
+                "points[0]", id="pincus_point_inside_sup",
             ),
             pytest.param(
                 '"experiment": "pincus-check",'
                 ' "model": {"kind": "tabulated", "weights": [3.0], "limit": 3.0}',
-                id="pincus_default_point_inside_sup",
+                "default points[0]", id="pincus_default_point_inside_sup",
             ),
             # g is 1 on the disc of radius model.limit; a table without one has no disc
-            pytest.param('"model": {"kind": "tabulated", "weights": [1, 2]}', id="hh_no_limit"),
+            pytest.param(
+                '"model": {"kind": "tabulated", "weights": [1, 2]}', "model.limit",
+                id="hh_no_limit",
+            ),
+            # a JSON string or boolean is not a number, whatever it spells
+            pytest.param(
+                '"model": {"kind": "tabulated", "weights": "12", "limit": 1}', "model.weights",
+                id="weights_digits",
+            ),
+            pytest.param(
+                '"model": {"kind": "tabulated", "weights": [true], "limit": 1}',
+                "model.weights[0]", id="weight_bool",
+            ),
+            pytest.param(
+                '"model": {"kind": "tabulated", "weights": [1], "limit": "1"}', "model.limit",
+                id="limit_digits",
+            ),
+            pytest.param(
+                '"experiment": "t-lambda-trace", "model": {"kind": "rational", "lambda": "2"}',
+                "model.lambda", id="lambda_digits",
+            ),
+            pytest.param(
+                '"experiment": "change-of-variable", "mobius": {"beta_arg": true}',
+                "mobius.beta_arg", id="beta_arg_bool",
+            ),
+            pytest.param(
+                '"experiment": "change-of-variable", "mobius": {"a": ["0.5", 0]}', "mobius.a[0]",
+                id="mobius_a_digits",
+            ),
+            pytest.param(
+                '"experiment": "pincus-check", "points": [[2, false]]', "points[0][1]",
+                id="point_bool",
+            ),
+            pytest.param('"p": [[true, 1, 1, 0]]', "p[0][0]", id="exponent_bool"),
+            pytest.param('"p": [[0, 1, "1", 0]]', "p[0][2]", id="coefficient_digits"),
+            pytest.param(
+                '"experiment": "theorem-inequality", "c_values": "1"', "c_values",
+                id="c_values_digits",
+            ),
+            pytest.param(
+                '"experiment": "theorem-inequality", "c_values": [true]', "c_values[0]",
+                id="c_value_bool",
+            ),
+            pytest.param(
+                '"experiment": "berger-shaw-putnam", "area": "3.5"', "area", id="area_digits"
+            ),
+            pytest.param('"experiment": "berger-shaw-putnam", "area": true', "area", id="area_bool"),
+            pytest.param('"tolerance": "1e-3"', "tolerance", id="tolerance_digits"),
+            pytest.param('"truncation": "512"', "truncation", id="truncation_digits"),
+            pytest.param('"truncation": true', "truncation", id="truncation_bool"),
+            pytest.param('"grid": {"n_r": true}', "grid.n_r", id="grid_bool"),
+            # an empty list would check nothing and pass
+            pytest.param('"experiment": "pincus-check", "points": []', "points", id="points_empty"),
+            pytest.param(
+                '"experiment": "theorem-inequality", "c_values": []', "c_values",
+                id="c_values_empty",
+            ),
         ],
     )
-    def test_run_malformed_value_exits_two(self, tmp_path, capsys, fields):
-        # a valid helton-howe config; a later duplicate key overrides an earlier one
+    def test_run_malformed_value_exits_two(self, tmp_path, capsys, fields, path):
+        # a valid helton-howe config, unless the case names its own experiment;
+        # a later duplicate key overrides an earlier one
         valid = '"experiment": "helton-howe", "p": [[0, 1, 1.0, 0.0]], "q": [[1, 0, 1.0, 0.0]]'
+        if '"experiment"' not in fields:
+            fields = valid + ", " + fields
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text("{" + valid + ", " + fields + "}")
+        cfg_path.write_text("{" + fields + "}")
         argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
+        assert err.startswith(f"config error: {path}: ")
         assert "Traceback" not in err
         assert not (tmp_path / "r.json").exists()
 
@@ -555,24 +712,29 @@ _POLYNOMIALS = st.lists(
     .map(list),
     min_size=1, max_size=3,
 )
-# p and q are always given, since the other experiments ignore them
-_CONFIGS = st.fixed_dictionaries(
-    {"experiment": st.sampled_from(sorted(EXPERIMENTS)), "model": _MODELS,
-     "p": _POLYNOMIALS, "q": _POLYNOMIALS},
-    optional={
-        "truncation": st.integers(4, 64),
-        "grid": st.fixed_dictionaries(
-            {"n_r": st.integers(12, 32), "n_theta": st.integers(12, 32)}
-        ),
-        "points": st.lists(_pair(-5.0, 5.0), max_size=3),
-        "mobius": st.fixed_dictionaries(
-            {"beta_arg": st.floats(-4.0, 4.0), "a": _pair(-1.2, 1.2)}
-        ),
-        "c_values": st.lists(st.floats(0.01, 1.2), max_size=3),
-        "area": st.floats(-1.0, 20.0),
-        "tolerance": st.floats(-1e-3, 1.0),
-    },
-)
+_VALUES = {
+    "model": _MODELS,
+    "p": _POLYNOMIALS,
+    "q": _POLYNOMIALS,
+    "truncation": st.integers(4, 64),
+    "grid": st.fixed_dictionaries({"n_r": st.integers(12, 32), "n_theta": st.integers(12, 32)}),
+    "points": st.lists(_pair(-5.0, 5.0), max_size=3),
+    "mobius": st.fixed_dictionaries({"beta_arg": st.floats(-4.0, 4.0), "a": _pair(-1.2, 1.2)}),
+    "c_values": st.lists(st.floats(0.01, 1.2), max_size=3),
+    "area": st.floats(-1.0, 20.0),
+    "tolerance": st.floats(-1e-3, 1.0),
+}
+
+
+def _config_for(name):
+    # the keys the runner takes; one without a default (helton-howe's p, q) is always given
+    params = inspect.signature(EXPERIMENTS[name]).parameters.values()
+    required = {p.name: _VALUES[p.name] for p in params if p.default is p.empty}
+    optional = {p.name: _VALUES[p.name] for p in params if p.default is not p.empty}
+    return st.fixed_dictionaries({"experiment": st.just(name), **required}, optional=optional)
+
+
+_CONFIGS = st.sampled_from(sorted(EXPERIMENTS)).flatmap(_config_for)
 
 
 @given(_CONFIGS)
