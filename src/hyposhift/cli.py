@@ -234,7 +234,7 @@ def parse_config(text: str) -> ExperimentConfig:
             check_window(args["p"], args["q"], args["truncation"])
         except HyposhiftError as exc:
             raise ConfigError(f"truncation: helton-howe {exc}") from exc
-    if name in ("helton-howe", "berger-shaw-putnam") and model.limit is None:
+    if name in ("helton-howe", "berger-shaw-putnam", "pincus-check") and model.limit is None:
         raise ConfigError(f"model.limit: {name} requires a declared limit")
     if name in ("change-of-variable", "constancy") and model.limit is not None:
         # phi must be analytic on the spectrum, the closed disc of radius model.limit
@@ -248,7 +248,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 )
     if name == "pincus-check":
         try:
-            check_rank_one(model, args["truncation"])
+            check_rank_one(model)
         except HyposhiftError as exc:
             raise ConfigError(f"model: pincus-check {exc}") from exc
     if name in ("pincus-check", "resolvent-probe"):

@@ -15,18 +15,26 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotRankOne, SpectrumHit
-from .shifts import WeightSequence, adjoint_resolvent_solve, exact_commutator_diagonal
+from .shifts import (
+    KIND_RATIONAL, WeightSequence, adjoint_resolvent_solve, exact_commutator_diagonal,
+)
 
 
-def check_rank_one(model: WeightSequence, n: int) -> None:
+def check_rank_one(model: WeightSequence) -> None:
     """NotRankOne unless [T*, T] of the infinite model is w_0^2 e_0 (x) e_0.
 
-    Reads the first max(n, 8) exact diagonal entries, which for constant
-    weights vanish past the first.
+    Decided from the model alone, whatever the truncation.  The rational
+    family's weights strictly increase, so its entry w_1^2 - w_0^2 is
+    positive.  A table's entries w_k^2 - w_{k-1}^2 are 0 from two past its
+    end on, where both weights are the declared limit, so the exact diagonal
+    over the table, plus the one entry past it when a limit is declared,
+    decides; each of its entries past the first must be at most 1e-14.
     """
-    diag = exact_commutator_diagonal(model, max(n, 8))
-    if np.max(np.abs(diag[1:])) > 1e-14:
-        raise NotRankOne("infinite-model self-commutator is not rank one")
+    if model.kind != KIND_RATIONAL:
+        diag = exact_commutator_diagonal(model, len(model.table) + (model.limit is not None))
+        if np.max(np.abs(diag[1:]), initial=0.0) <= 1e-14:
+            return
+    raise NotRankOne("infinite-model self-commutator is not rank one")
 
 
 def determining_det(model: WeightSequence, x: np.ndarray, z: complex, w: complex, n: int) -> complex:
@@ -38,7 +46,7 @@ def determining_det(model: WeightSequence, x: np.ndarray, z: complex, w: complex
     """
     if abs(z) <= model.sup or abs(w) <= model.sup:
         raise SpectrumHit(f"|z| and |w| must exceed {model.sup}")
-    check_rank_one(model, n)
+    check_rank_one(model)
     x = np.asarray(x, dtype=np.complex128)
     if x.shape != (n,):
         raise ValueError(f"x must have shape ({n},), got {x.shape}")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .determinants import determining_det
-from .errors import EvaluationInsideDisc, OnEssentialSpectrum, TooCloseToCurve
+from .errors import EvaluationInsideDisc, NoLimitDeclared, OnEssentialSpectrum, TooCloseToCurve
 from .reporting import make_check
 from .shifts import WeightSequence, symbol_curve
 
@@ -58,7 +58,7 @@ class GridFunction:
         object.__setattr__(self, "values", vals)
 
     def radii(self) -> np.ndarray:
-        return (np.arange(self.n_r) + 0.5) / self.n_r
+        return _ring_radii(self.n_r)
 
     def angles(self) -> np.ndarray:
         return 2.0 * np.pi * (np.arange(self.n_theta) + 0.5) / self.n_theta
@@ -67,6 +67,11 @@ class GridFunction:
         r = self.radii()[:, None]
         th = self.angles()[None, :]
         return r * np.exp(1j * th)
+
+
+def _ring_radii(n_r: int) -> np.ndarray:
+    """Midpoint radii (i + 1/2)/n_r of the rings of an n_r-ring polar grid."""
+    return (np.arange(n_r) + 0.5) / n_r
 
 
 def constant_grid(value: float, n_r: int, n_theta: int) -> GridFunction:
@@ -213,16 +218,28 @@ def disc_cauchy_exponential(g: GridFunction, z: complex, w: complex) -> complex:
     |A|, |B| < 1: no power of a number of modulus above 1 is formed, and no
     denominator comes near 0.  Time and memory are O(n_r).
     """
+    z, w = _outside_unit_disc(z, w)
+    ring_values = g.values[:, 0]
+    if np.any(g.values != ring_values[:, None]):
+        raise ValueError("disc_cauchy_exponential needs g constant on each ring")
+    return _ring_cauchy_exponential(ring_values, g.n_theta, z, w)
+
+
+def _outside_unit_disc(z: complex, w: complex) -> tuple[complex, complex]:
+    """z and w as complex numbers; ValueError unless both are finite, and
+    EvaluationInsideDisc unless both lie strictly outside the closed unit disc."""
     z, w = complex(z), complex(w)
     if not (cmath.isfinite(z) and cmath.isfinite(w)):
         raise ValueError(f"z and w must be finite, got {z}, {w}")
     if abs(z) <= 1.0 or abs(w) <= 1.0:
         raise EvaluationInsideDisc("z and w must satisfy |z|, |w| > 1")
-    ring_values = g.values[:, 0]
-    if np.any(g.values != ring_values[:, None]):
-        raise ValueError("disc_cauchy_exponential needs g constant on each ring")
-    m = g.n_theta
-    r = g.radii()
+    return z, w
+
+
+def _ring_cauchy_exponential(ring_values: np.ndarray, m: int, z: complex, w: complex) -> complex:
+    """disc_cauchy_exponential's quadrature from the value of g on each ring,
+    with m angles per ring, for checked z and w."""
+    r = _ring_radii(ring_values.size)
     inv_z, conj_w = 1.0 / z, w.conjugate()
     outer = (r * inv_z) ** m
     inner = (r / conj_w) ** m
@@ -230,7 +247,7 @@ def disc_cauchy_exponential(g: GridFunction, z: complex, w: complex) -> complex:
     ring_sums = m * inv_z / (conj_w - r * r * inv_z) * (1.0 - outer * inner)
     ring_sums /= (1.0 + outer) * (1.0 + inner)
     # cell measure r dr dtheta with dr = 1/n_r and dtheta = 2 pi/M
-    integral = np.sum(ring_values * r * ring_sums) * (2.0 * np.pi / (g.n_r * m))
+    integral = np.sum(ring_values * r * ring_sums) * (2.0 * np.pi / (r.size * m))
     return complex(np.exp(-integral / np.pi))
 
 
@@ -273,11 +290,14 @@ def pincus_consistency(
     machine precision (tolerance 1e-12); the quadrature carries the grid
     tolerance 5e-3.
     """
+    c = model.limit
+    if c is None:
+        raise NoLimitDeclared("pincus_consistency needs a declared limit: g is 1 on its disc")
     x = np.zeros(n, dtype=np.complex128)
     x[0] = model.weights(1)[0]
     det_val = determining_det(model, x, z, w, n)
-    c = model.limit
-    quad_val = disc_cauchy_exponential(constant_grid(1.0, n_r, n_theta), z / c, w / c)
+    # disc_cauchy_exponential of constant_grid(1.0, n_r, n_theta), from its ring values
+    quad_val = _ring_cauchy_exponential(np.ones(n_r), n_theta, *_outside_unit_disc(z / c, w / c))
     oracle_val = closed_form_oracle(z / c, w / c)
     tag = f"z={z}, w={w}"
     quad_tol = 5e-3

@@ -5,14 +5,18 @@ their limit value.  The n-truncation T_n is stored as its band: entry
 (k+1, k) = w_k, zero elsewhere.  The adjoint resolvent (T_n* - conj(w))^{-1},
 its singularity guard and its norm are computed from that band in O(n) per
 sweep; no function here builds the dense matrix, which only the test oracles
-need.  The norm is 1/s_min: Laguerre's iteration on the Sturm pivots of the
-Golub-Kahan tridiagonal closes in on s_min in a few sweeps, and Sturm counts
-at the last iterate certify it to the ulp.
+need.  The solve back-substitutes from the last nonzero entry of its right-hand
+side: every row below it is an exact zero.  The norm is 1/s_min, and Sturm
+counts on the Golub-Kahan tridiagonal certify s_min to the ulp from an
+estimate.  On a constant band (every weight c < |w|, as for the shift) the
+estimate is the closed form of the constant bidiagonal's s_min; otherwise
+Laguerre's iteration on the Sturm pivots closes in on it in a few sweeps.
 
 The exact infinite-model self-commutator data comes from closed forms, never
 from truncations: the finite self-commutator is always traceless, so
 truncating before commuting destroys every trace identity.  All trace and rank
-claims therefore go through exact_commutator_diagonal.
+claims therefore go through exact_commutator_diagonal, which works through
+the weights in cache-sized blocks.
 """
 from __future__ import annotations
 
@@ -37,6 +41,12 @@ _EPS = sys.float_info.epsilon
 # A Laguerre step for s_min that is not this many times shorter than the one
 # before it hands over to bisection: near s_min each step shrinks far more.
 _LAGUERRE_SHRINK = 2.0
+
+# Entries per block of exact_commutator_diagonal: its two 128 KB temporaries
+# and the block of output stay in a core's L2 cache from the weights' first
+# pass to the difference, in place of whole-length arrays streamed through
+# memory; smaller blocks pay numpy's per-call cost more often.
+_DIAGONAL_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -71,22 +81,28 @@ class WeightSequence:
     def weights(self, n: int) -> np.ndarray:
         """(w_0, ..., w_{n-1}) in a fresh array that callers may overwrite; a
         tabulated table extends by its declared limit."""
+        return self._weights(0, n)
+
+    def _weights(self, start: int, stop: int) -> np.ndarray:
+        """(w_start, ..., w_{stop-1}) in a fresh array, each entry the same
+        float as in weights(stop)."""
         if self.kind == KIND_RATIONAL:
-            k = np.arange(n, dtype=np.float64)
+            k = np.arange(start, stop, dtype=np.float64)
             w = k + 1.0
             k += self.lam
             w /= k
             return w
         stored = len(self.table)
-        if n <= stored:
-            return np.array(self.table[:n], dtype=np.float64)
+        if stop <= stored:
+            return np.array(self.table[start:stop], dtype=np.float64)
         if self.limit is None:
             raise NoLimitDeclared(
                 f"tabulated sequence of length {stored} has no declared "
                 f"limit; cannot extend to index {stored}"
             )
-        out = np.full(n, float(self.limit))
-        out[:stored] = self.table
+        out = np.full(stop - start, float(self.limit))
+        if start < stored:
+            out[: stored - start] = self.table[start:]
         return out
 
     @property
@@ -125,36 +141,84 @@ def adjoint_resolvent_solve(model: WeightSequence, w: complex, x) -> np.ndarray:
 
     T_n* - conj(w) is upper bidiagonal (diagonal -conj(w), superdiagonal w_k),
     so u_{n-1} = -x_{n-1}/conj(w) and u_k = (x_k - w_k u_{k+1}) / (-conj(w)).
-    The recurrence runs in sequence: its cumulative products would overflow.
-    Raises SingularResolvent like the dense oracle (s_min <= 1e-13 s_max).
+    Below the last nonzero x_m every u_k is exactly zero, so the recurrence
+    starts at row m.  It runs in sequence: its cumulative products would
+    overflow.  Raises SingularResolvent like the dense oracle
+    (s_min <= 1e-13 s_max), on the full n x n band whatever the support of x.
     """
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 1:
         raise ValueError(f"expected a vector, got shape {x.shape}")
     sub = band(model, x.size)
     _resolvent_guard(sub, w)
+    u = np.zeros(x.size, dtype=np.complex128)
+    support = np.flatnonzero(x)
+    if support.size == 0:
+        return u
+    top = int(support[-1])
     diag = -complex(np.conj(w))
-    xs = x.tolist()
-    ws = sub.tolist()
-    acc = xs[-1] / diag
-    u = [acc]
-    for k in range(x.size - 2, -1, -1):
+    xs = x[: top + 1].tolist()
+    ws = sub[:top].tolist()
+    acc = xs[top] / diag
+    out = [acc]
+    for k in range(top - 1, -1, -1):
         acc = (xs[k] - ws[k] * acc) / diag
-        u.append(acc)
-    return np.array(u[::-1], dtype=np.complex128)
+        out.append(acc)
+    u[: top + 1] = out[::-1]
+    return u
 
 
 def adjoint_resolvent_smin(model: WeightSequence, w: complex, n: int) -> float:
     """Smallest singular value of T_n* - conj(w), i.e. 1 / ||(T_n* - conj(w))^{-1}||.
 
     Raises SingularResolvent when it is at most 1e-13 s_max.  Otherwise
-    runs Laguerre's iteration up from the guard's lower bound and certifies
-    the result with Sturm counts on the Golub-Kahan tridiagonal (see
-    _laguerre_singular_value), to relative accuracy.
+    Sturm counts on the Golub-Kahan tridiagonal certify s_min, to relative
+    accuracy, from an estimate (see _certify_singular_value).  On a constant
+    band c < |w| the estimate is _constant_band_smin; elsewhere, or when that
+    estimate is not finite or not strictly inside the guard's bracket
+    (lo, |w|), Laguerre's iteration runs up from the guard's lower bound (see
+    _laguerre_singular_value).  Either way the bits are those of bisection.
     """
     sub = band(model, n)
     lo = _resolvent_guard(sub, w)
-    return _laguerre_singular_value(_golub_kahan_squares(sub, w), lo, abs(w))
+    a = abs(w)
+    e2 = _golub_kahan_squares(sub, w)
+    c = float(sub[0])
+    if sub.min() == sub.max() and a > c:
+        seed = _constant_band_smin(a, c, n)
+        if lo < seed < a:  # False for a NaN seed too
+            return _certify_singular_value(e2, seed, lo, a)
+    return _laguerre_singular_value(e2, lo, a)
+
+
+def _constant_band_smin(a: float, c: float, n: int) -> float:
+    """Closed-form s_min of the n x n upper bidiagonal with diagonal a and
+    superdiagonal c, 0 < c < a (Yueh, Appl. Math. E-Notes 5 (2005)).
+
+    s_min^2 = (a - c)^2 + 4 a c sin^2(phi/2), where phi is the root in
+    (0, pi/(n+1)] of a sin((n+1) phi) = c sin(n phi): the left side minus
+    the right is positive near 0, since a (n+1) > c n, and -c sin(pi/(n+1))
+    < 0 at pi/(n+1).  phi is bisected to adjacent floats on that difference
+    written as (a - c) sin((n+1) phi) + 2 c cos((n+1/2) phi) sin(phi/2), whose
+    terms do not cancel as a -> c (a - c is exact for a <= 2c): it lands
+    within a few ulps of s_min, where the direct difference was off by
+    thousands at a = 1.0001 c and n = 10^4.  The result is an estimate only;
+    Sturm counts decide the bits.
+    """
+    gap = a - c
+    lo, hi = 0.0, math.pi / (n + 1)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        difference = gap * math.sin((n + 1) * mid)
+        difference += 2.0 * c * math.cos((n + 0.5) * mid) * math.sin(0.5 * mid)
+        if difference > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    half = math.sin(0.5 * lo)
+    return math.sqrt(gap * gap + 4.0 * a * c * half * half)
 
 
 def _resolvent_guard(sub: np.ndarray, w: complex) -> float:
@@ -276,11 +340,7 @@ def _laguerre_singular_value(e2: list, lo: float, hi: float) -> float:
     finite, leaves [lo, hi] or is not _LAGUERRE_SHRINK times shorter than the
     one before, hands the bracket to plain bisection.
 
-    Laguerre only proposes lam; Sturm counts decide the answer.  Counts at
-    lam (1 -+ k eps) bracket s_min (k widens until they do), and
-    _bisect_singular_value finishes that few-ulp bracket.  The count is
-    monotone in its argument, so the result is the float where it turns to 1:
-    the same bits that bisection from the original [lo, hi] returns.
+    Laguerre only proposes lam; _certify_singular_value decides the answer.
     """
     big = len(e2) + 1
     lam, last = lo, math.inf
@@ -297,8 +357,20 @@ def _laguerre_singular_value(e2: list, lo: float, hi: float) -> float:
         lam += step
         ratio = step / last if last < math.inf else 1.0
         if step * ratio**3 <= _EPS * lam:
-            break
+            return _certify_singular_value(e2, lam, lo, hi)
         last = step
+
+
+def _certify_singular_value(e2: list, lam: float, lo: float, hi: float) -> float:
+    """Smallest singular value in [lo, hi], to relative accuracy, from an
+    estimate lam strictly inside (lo, hi), given that none lies below lo.
+
+    Counts at lam (1 -+ k eps) bracket s_min (k widens until they do), and
+    _bisect_singular_value finishes that few-ulp bracket.  The count is
+    monotone in its argument, so the result is the float where it turns to 1:
+    the same bits that bisection from the original [lo, hi] returns.  A NaN
+    lam would never bracket, so callers pass only a finite one.
+    """
     k = 1.0
     while True:
         left, right = lam * (1.0 - k * _EPS), lam * (1.0 + k * _EPS)
@@ -338,11 +410,16 @@ def exact_commutator_diagonal(model: WeightSequence, n: int) -> np.ndarray:
     """
     if n < 1:
         raise InvalidDimension(f"need n >= 1, got {n}")
-    w2 = model.weights(n)
-    w2 *= w2
     diag = np.empty(n)
-    diag[0] = w2[0]
-    np.subtract(w2[1:], w2[:-1], out=diag[1:])
+    for start in range(0, n, _DIAGONAL_BLOCK):
+        # squares w_{lo}^2 .. w_{stop-1}^2, lo = start - 1 past the first block:
+        # each block recomputes the one square it differences against
+        lo = max(start - 1, 0)
+        w2 = model._weights(lo, min(start + _DIAGONAL_BLOCK, n))
+        w2 *= w2
+        np.subtract(w2[1:], w2[:-1], out=diag[lo + 1 : lo + w2.size])
+        if start == 0:
+            diag[0] = w2[0]
     return diag
 
 

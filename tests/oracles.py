@@ -17,6 +17,10 @@ write_checks_csv the row-by-row csv.writer dumps that reporting's writers match
 byte for byte, report_json the indented json.dumps that
 VerificationReport.to_json matches byte for byte, and resolvent_guard the
 guard that bisects s_max to the ulp before its one cutoff count.
+adjoint_resolvent_recurrence is the back-substitution over every row that
+shifts.adjoint_resolvent_solve starts at the support of its right-hand side,
+and exact_commutator_diagonal the whole-length expression that
+shifts.exact_commutator_diagonal evaluates block by block.
 """
 import csv
 import json
@@ -558,3 +562,29 @@ def resolvent_guard(sub, w) -> float:
     if shifts._count_below(e2, threshold) > 0:
         raise SingularResolvent(f"T* - ({np.conj(w)})I is numerically singular")
     return threshold
+
+
+def adjoint_resolvent_recurrence(model, w, x) -> np.ndarray:
+    """(T_n* - conj(w))^{-1} x by back-substitution over all n rows, behind the guard."""
+    x = np.asarray(x, dtype=np.complex128)
+    sub = band(model, x.size)
+    shifts._resolvent_guard(sub, w)
+    diag = -complex(np.conj(w))
+    xs = x.tolist()
+    ws = sub.tolist()
+    acc = xs[-1] / diag
+    u = [acc]
+    for k in range(x.size - 2, -1, -1):
+        acc = (xs[k] - ws[k] * acc) / diag
+        u.append(acc)
+    return np.array(u[::-1], dtype=np.complex128)
+
+
+def exact_commutator_diagonal(model, n: int) -> np.ndarray:
+    """(w_0^2, w_1^2 - w_0^2, ..., w_{n-1}^2 - w_{n-2}^2) over whole-length arrays."""
+    w2 = model.weights(n)
+    w2 *= w2
+    diag = np.empty(n)
+    diag[0] = w2[0]
+    np.subtract(w2[1:], w2[:-1], out=diag[1:])
+    return diag

@@ -7,12 +7,13 @@ singular value, 1e-12 times max(1, |<u_w, u_z>|) for the determining determinant
 import math
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from hyposhift import shifts
+from hyposhift import determinants, homogeneity, shifts
 from hyposhift.determinants import determining_det
 from hyposhift.errors import DimensionTooSmall, NoLimitDeclared, SingularResolvent
 from hyposhift.shifts import (
@@ -227,13 +228,23 @@ class TestLaguerreSmin:
             monkeypatch.setattr(shifts, name, spy)
         return calls
 
+    # the shift's constant band takes the closed-form seed: no Laguerre sweep
     @pytest.mark.parametrize("w", [1.55, 2.0, 3.9])
     def test_sweep_budget(self, monkeypatch, w):
         want = bisection_smin(unilateral(), w, 1024)
         calls = self.count_sweeps(monkeypatch)
         assert adjoint_resolvent_smin(unilateral(), w, 1024) == want
-        assert calls["_laguerre_sweep"] <= 3
-        assert calls["_count_below"] <= 8
+        assert calls["_laguerre_sweep"] == 0
+        assert calls["_count_below"] <= 4
+
+    # increasing weights are no constant band: Laguerre keeps its budget
+    @pytest.mark.parametrize("w", [1.55, 2.0, 3.9])
+    def test_rational_sweep_budget(self, monkeypatch, w):
+        want = bisection_smin(rational_family(2.0), w, 1024)
+        calls = self.count_sweeps(monkeypatch)
+        assert adjoint_resolvent_smin(rational_family(2.0), w, 1024) == want
+        assert calls["_laguerre_sweep"] <= 4
+        assert calls["_count_below"] <= 3
 
     def test_creeping_iteration_falls_back_to_bisection(self, monkeypatch):
         # s_min = 8.8996 sits at the edge of a dense cluster, far above the Weyl
@@ -253,6 +264,119 @@ class TestLaguerreSmin:
         assert s_min == adjoint_resolvent_smin(model, 2.0 + 0j, 64)
         dense = oracles.adjoint_resolvent_svals(model, 2.0, 64)[-1]
         assert s_min == pytest.approx(dense, rel=REL_TOL)
+
+
+class TestConstantBandSeed:
+    """On a constant band c < |w| the closed-form seed replaces Laguerre's
+    sweeps, and Sturm counts still return bisection's bits."""
+
+    @given(
+        st.floats(0.05, 3.0),
+        st.floats(1.0, 4.0, exclude_min=True),
+        st.integers(2, 300),
+        st.floats(-np.pi, np.pi),
+    )
+    @example(1.0, 1.0 + 1e-4, 300, 0.0)
+    @example(0.05, 1.0 + 1e-4, 2, np.pi / 3)
+    @example(1.0, 1.0 + 1e-14, 150, 0.0)  # the guard's threshold path gives lo
+    @example(3.0, 4.0, 300, -np.pi)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_bisection_bit_for_bit(self, c, ratio, n, phase):
+        model = tabulated([c], limit=c)
+        w = c * ratio * np.exp(1j * phase)
+        want = bisection_smin(model, w, n)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = TestLaguerreSmin.count_sweeps(mp)
+            got = adjoint_resolvent_smin(model, w, n)
+        assert got == want
+        if abs(w) > c:  # a ratio within an ulp or two of 1 can round |w| down to c
+            assert calls["_laguerre_sweep"] == 0
+
+    # a NaN seed would never bracket in the certification's widening loop,
+    # and one at |w| leaves the bracket (lo, |w|): both must go to Laguerre
+    @pytest.mark.parametrize("seed", ["nan", "modulus"])
+    @pytest.mark.parametrize(
+        "c, w, n", [(1.0, 1.55, 1024), (1.0, 3.9, 64), (0.3, 0.3 * (1 + 1e-4) * 1j, 200)]
+    )
+    def test_unusable_seed_falls_back_to_laguerre(self, monkeypatch, seed, c, w, n):
+        model = tabulated([c], limit=c)
+        want = bisection_smin(model, w, n)
+        value = math.nan if seed == "nan" else abs(w)
+        monkeypatch.setattr(shifts, "_constant_band_smin", lambda *args: value)
+        calls = TestLaguerreSmin.count_sweeps(monkeypatch)
+        assert adjoint_resolvent_smin(model, w, n) == want
+        assert calls["_laguerre_sweep"] >= 1
+
+    def test_seed_is_the_dense_smallest_singular_value(self):
+        for c, a, n in [(1.0, 1.55, 40), (0.4, 0.4 * (1 + 1e-4), 25), (2.5, 9.0, 3)]:
+            dense = oracles.adjoint_resolvent_svals(tabulated([c], limit=c), a, n)[-1]
+            assert shifts._constant_band_smin(a, c, n) == pytest.approx(dense, rel=REL_TOL)
+
+    @pytest.mark.parametrize("c", [0.37, 1.0, 2.9])
+    @pytest.mark.parametrize("ratio", [1.0 + 1e-7, 1.0 + 1e-4, 1.01, 1.55, 3.9])
+    @pytest.mark.parametrize("n", [2, 300, 10000])
+    def test_seed_within_four_ulps_of_the_root(self, c, ratio, n):
+        # the direct form of the closed form at 40 digits, phi bisected 140 times
+        a = c * ratio
+        with mpmath.workdps(40):
+            big_a, big_c = mpmath.mpf(a), mpmath.mpf(c)
+            lo, hi = mpmath.mpf(0), mpmath.pi / (n + 1)
+            for _ in range(140):
+                mid = (lo + hi) / 2
+                if big_a * mpmath.sin((n + 1) * mid) > big_c * mpmath.sin(n * mid):
+                    lo = mid
+                else:
+                    hi = mid
+            gap, half = big_a - big_c, mpmath.sin(lo / 2)
+            exact = float(mpmath.sqrt(gap * gap + 4 * big_a * big_c * half * half))
+        assert abs(shifts._constant_band_smin(a, c, n) - exact) <= 4 * math.ulp(exact)
+
+
+class TestSupportLimitedSolve:
+    """The solve starts its recurrence at the last nonzero entry of x."""
+
+    @given(smin_models(), st.integers(2, 200), st.data(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_full_recurrence(self, model, n, data, seed):
+        w = data.draw(outside_points(model.sup))
+        support = data.draw(st.integers(0, n))
+        x = random_vector(seed, n)
+        x[support:] = 0.0
+        got = adjoint_resolvent_solve(model, w, x)
+        assert np.array_equal(got, oracles.adjoint_resolvent_recurrence(model, w, x))
+        assert not np.any(got[support:])
+
+    def test_guard_reads_the_whole_band(self):
+        # x = e_0 needs one row, but T_80* - 2 with weights 3 is singular
+        model = tabulated([3.0], limit=3.0)
+        with pytest.raises(SingularResolvent):
+            adjoint_resolvent_solve(model, 2.0, np.eye(80)[0])
+
+    modulus = st.floats(1.1, 4.0)
+    phase = st.floats(-np.pi, np.pi)
+
+    @given(positive_weight, st.integers(8, 300), modulus, phase, modulus, phase)
+    @example(1.0, 1024, 2.0, 0.5, 1.55, 0.0)
+    @example(1.0, 1024, 3.9, np.pi / 2, 2.0, np.pi)
+    @settings(max_examples=100, deadline=None)
+    def test_rank_one_values_unchanged(self, c, n, rz, tz, rw, tw):
+        # the full-length recurrence and bisection give the values from before the fast paths
+        model = tabulated([c], limit=c)
+        z, w = c * rz * np.exp(1j * tz), c * rw * np.exp(1j * tw)
+        x = np.zeros(n, dtype=np.complex128)
+        x[0] = c
+        det = determining_det(model, x, z, w, n)
+        probe = homogeneity.resolvent_norm_probe(model, w, n)
+        full = oracles.adjoint_resolvent_recurrence
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(determinants, "adjoint_resolvent_solve", full)
+            mp.setattr(homogeneity, "adjoint_resolvent_solve", full)
+            mp.setattr(homogeneity, "adjoint_resolvent_smin", bisection_smin)
+            want = determining_det(model, x, z, w, n)
+            reference = homogeneity.resolvent_norm_probe(model, w, n)
+        assert (det.real.hex(), det.imag.hex()) == (want.real.hex(), want.imag.hex())
+        assert probe.operator_norm.hex() == reference.operator_norm.hex()
+        assert probe.vector_norm.hex() == reference.vector_norm.hex()
 
 
 def full_guard_smin(model, w, n):

@@ -441,6 +441,18 @@ class TestMain:
                 '"experiment": "pincus-check", "model": {"kind": "rational", "lambda": 2.0}',
                 "model", id="pincus_not_rank_one",
             ),
+            # the table is not constant past the truncation: [T*, T] is not rank one
+            pytest.param(
+                '"experiment": "pincus-check", "truncation": 16, "points": [[3, 0]],'
+                ' "model": {"kind": "tabulated", "weights": [' + "1, " * 80 + '2], "limit": 2}',
+                "model", id="pincus_not_rank_one_past_truncation",
+            ),
+            # g is 1 on the disc of radius model.limit; this table has none
+            pytest.param(
+                '"experiment": "pincus-check", "truncation": 8,'
+                ' "model": {"kind": "tabulated", "weights": [1, 1, 1, 1, 1, 1, 1, 1, 1, 1]}',
+                "model.limit", id="pincus_no_limit",
+            ),
             pytest.param(
                 '"experiment": "pincus-check", "points": [[1.2, 0]],'
                 ' "model": {"kind": "tabulated", "weights": [1.5], "limit": 1.5}',

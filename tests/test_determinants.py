@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyposhift.determinants import determining_det
+from hyposhift.determinants import check_rank_one, determining_det
 from hyposhift.errors import NotRankOne, SingularResolvent, SpectrumHit
-from hyposhift.shifts import rational_family, unilateral
+from hyposhift.shifts import rational_family, tabulated, unilateral
 
 from conftest import basis_vector, random_complex_matrix
 from oracles import (
@@ -103,6 +103,43 @@ class TestDeterminingDet:
         model = rational_family(2.0)
         with pytest.raises(NotRankOne):
             determining_det(model, basis_vector(16, 0), 2.0, 3.0, 16)
+
+
+class TestCheckRankOne:
+    """Decided from the model's table, whatever the truncation."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            unilateral(),
+            tabulated([0.7] * 80, limit=0.7),
+            tabulated([2.0] * 3),  # no limit: the table alone decides
+        ],
+        ids=["shift", "long-table", "no-limit"],
+    )
+    def test_accepts_constant_weights(self, model):
+        check_rank_one(model)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            # the 2 sits past every truncation the config asks for
+            tabulated([1.0] * 80 + [2.0], limit=2.0),
+            # the one entry past the table: limit^2 - 1
+            tabulated([1.0] * 80, limit=2.0),
+            tabulated([1.0, 1.0 + 1e-14], limit=1.0 + 1e-14),
+            rational_family(2.0),
+            # w_1^2 - w_0^2 is about 3e-16 here: the family is refused by kind
+            rational_family(1e8),
+        ],
+        ids=["late-step", "limit-step", "tiny-step", "rational", "rational-flat"],
+    )
+    def test_refuses_other_models(self, model):
+        with pytest.raises(NotRankOne):
+            check_rank_one(model)
+
+    def test_threshold_is_kept(self):
+        check_rank_one(tabulated([1.0, 1.0 + 4e-15], limit=1.0 + 4e-15))
 
 
 class TestCartesianPair:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from hyposhift import shifts
 from hyposhift.errors import InvalidDimension, NoLimitDeclared
 from hyposhift.shifts import (
     exact_commutator_diagonal,
@@ -72,6 +73,18 @@ def test_exact_diagonal_bit_equal_to_scalar_weights(model):
         expected = np.concatenate((w2[:1], w2[1:] - w2[:-1]))
         assert np.array_equal(exact_commutator_diagonal(model, n), expected)
     assert np.array_equal(model.weights(3), [oracles.weight(model, k) for k in range(3)])
+
+
+@pytest.mark.parametrize(
+    "model",
+    [rational_family(3.7), tabulated(np.linspace(0.5, 2.0, shifts._DIAGONAL_BLOCK + 5), limit=0.9)],
+    ids=["rational", "tabulated"],
+)
+def test_blocked_diagonal_bit_equal_to_unblocked(model):
+    block = shifts._DIAGONAL_BLOCK
+    for n in (1, 2, block - 1, block, block + 1, 3 * block + 7, 10**6):
+        want = oracles.exact_commutator_diagonal(model, n)
+        assert np.array_equal(exact_commutator_diagonal(model, n), want)
 
 
 def test_exact_diagonal_telescopes():
