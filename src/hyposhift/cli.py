@@ -11,6 +11,7 @@ arguments, an output that cannot be written, or an input the library refuses.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import math
@@ -220,9 +221,12 @@ def parse_config(text: str) -> ExperimentConfig:
             given[key] = _parse_field(key, value)
         except (ValueError, OverflowError) as exc:
             raise ConfigError(f"{key}: {exc}") from exc
-    # experiment-specific requirements
-    if name == "helton-howe" and not ("p" in given and "q" in given):
-        raise ConfigError("p/q: helton-howe requires both polynomials")
+    missing = [
+        key for key, param in signature.parameters.items()
+        if param.default is param.empty and key not in given
+    ]
+    if missing:
+        raise ConfigError(f"{'/'.join(missing)}: {name} requires {' and '.join(missing)}")
     bound = signature.bind(**given)
     bound.apply_defaults()
     args = bound.arguments
@@ -236,6 +240,12 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"truncation: helton-howe {exc}") from exc
     if name in ("helton-howe", "berger-shaw-putnam", "pincus-check") and model.limit is None:
         raise ConfigError(f"model.limit: {name} requires a declared limit")
+    if name == "berger-shaw-putnam" and not model.hyponormal:
+        # Putnam's bound ||[T*, T]|| <= area/pi holds for hyponormal T only
+        raise ConfigError(
+            "model: berger-shaw-putnam requires a hyponormal model: nondecreasing "
+            "weights, with the limit at least the last one"
+        )
     if name in ("change-of-variable", "constancy") and model.limit is not None:
         # phi must be analytic on the spectrum, the closed disc of radius model.limit
         where = "mobius" if "mobius" in given else "default maps"
@@ -320,7 +330,7 @@ def _bool_check(name: str, ok: bool, value: float) -> Check:
     return Check(name=name, lhs=complex(value), rhs=complex(value), tolerance=0.0, passed=ok)
 
 
-def _run_t_lambda(model=unilateral(), truncation=DEFAULT_TRUNCATION) -> list:
+def _run_t_lambda(model, truncation=DEFAULT_TRUNCATION) -> list:
     """rational weight family: commutator trace telescopes to 1"""
     return [t_lambda_trace_check(model.lam, truncation)]
 
@@ -471,8 +481,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built on first use and kept: parsing is far cheaper than building."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -6,10 +6,12 @@ evaluation point, i.e. minus the Fredholm index of T - lambda.  Windings are
 computed for a batch of points on one shared sampled curve: the curve's
 adjacent gaps, and with them the margin of CURVE_MARGIN_FACTOR x the largest
 gap, are computed once.  The curve is cut into blocks of COARSE_STRIDE edges;
-a block far from a point turns about it exactly as the chord between its end
-knots does, so each point sums whole edges only in the few blocks near it
-(see winding_numbers).  Points run in chunks so that no points x samples
-matrix is ever formed.
+a block far from a point winds about it exactly as the chord between its end
+knots does, so a point's winding is the signed count of ray crossings by the
+far blocks' chords and the few near blocks' edges: an exact integer, with no
+angle summed and nothing rounded.  The chords are sorted by height, so a
+binary search gives each point only the chords level with it, and no points x
+blocks or points x samples matrix is ever formed (see winding_numbers).
 
 The disc integral exp(-(1/pi) int g(zeta) / ((zeta - z)(conj(zeta) - conj(w))) dA)
 is computed by midpoint polar quadrature for a g constant on each ring, whose
@@ -20,6 +22,7 @@ through an independent scalar series.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +36,6 @@ DEFAULT_CURVE_SAMPLES = 4096
 CURVE_MARGIN_FACTOR = 10.0
 WINDING_CHUNK = 4  # every winding temporary holds at most 4 x samples elements
 COARSE_STRIDE = 64  # edges per block of the block-chord winding
-_TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
@@ -79,44 +81,52 @@ def constant_grid(value: float, n_r: int, n_theta: int) -> GridFunction:
 
 
 def winding_numbers(curve: np.ndarray, points) -> np.ndarray:
-    """Windings of a closed sampled curve about each point, by argument increments.
+    """Windings of a closed sampled curve about each point, by signed ray crossings.
 
     Every point must keep a distance of more than CURVE_MARGIN_FACTOR x the
     maximal adjacent-point spacing (gap) from the curve's vertices, which makes
-    the rounded argument sum refinement-stable; otherwise TooCloseToCurve names
-    the first offending point in input order.  Curve and points must be finite
-    and the curve non-empty (ValueError).  Returns an int array shaped like
-    points.
+    the winding refinement-stable; otherwise TooCloseToCurve names the first
+    offending point in input order.  Curve and points must be finite and the
+    curve non-empty (ValueError).  Returns an int array shaped like points.
 
     Blocks.  The closed polygon is cut into blocks of COARSE_STRIDE edges (the
     last may be shorter; a curve of at most COARSE_STRIDE samples is one
     block).  Block j runs from the knot a_j = curve[j COARSE_STRIDE] to the
     next knot (the last block ends at curve[0]), and l_j is its path length.
-    A point p and block j are far when |p - a_j| > l_j + margin (up to a
-    relative rounding guard of 1e-12, which only moves pairs to near), and the
-    block's turn about a far p is exact from its two knots alone:
-
-    * the block's path and its closing chord lie in the disc of radius l_j
-      about a_j, which p is outside of, so the loop they form winds 0 about
-      p, and the block turns about p exactly as its chord does;
-    * the chord is no longer than l_j < |p - a_j|, so it subtends less than
-      pi/2 at p, and its turn is the wrapped difference of the knots'
-      arguments about p;
-    * every vertex of the block is within l_j of a_j, so it clears the
-      margin.
-
-    A near pair sums the exact edge increments of its block's vertices and
-    takes their exact distances.  By the third point, a vertex within the
+    A point p and block j are far when |p - a_j| > reach_j = l_j + margin (up
+    to a relative rounding guard of 1e-12, which only moves pairs to near), and
+    near otherwise.  The block's path and its chord, the segment between its
+    knots, lie in the disc of radius l_j about a_j, which a far p is outside
+    of: the loop they form winds 0 about p, so swapping the block for its
+    chord leaves the winding unchanged, and every vertex of the block clears
+    the margin.  The winding about p is therefore that of the polygon made of
+    the far blocks' chords and the near blocks' edges.  A vertex within the
     margin always lies in a near block, so TooCloseToCurve fires on exactly
     the points that are too close, with the full curve's minimum distance.
-    A point far from every block sums chord angles only and forms no product
-    of differences, so no point is too far to wind.  Points run in chunks, and
-    near pairs in batches, sized so that no temporary holds more than
-    WINDING_CHUNK x samples elements.
+
+    Crossings.  The polygon's winding is the signed count of its segments that
+    cross the ray {p + t : t > 0}: a segment crosses when exactly one end lies
+    above p (Im > Im p, the half-open rule), counting +1 upward with p on its
+    left and -1 downward with p on its right, as the sign of the cross product
+    of its ends relative to p decides.  Each segment stays at least
+    margin - gap/2 from p, more than a tenth of its length, so rounding cannot
+    flip that sign.  The count is that of the knot polygon's chords
+    plus, for each near block, its edges' crossings less its chord's:
+    integers, with no angle and nothing to round.
+
+    Windows.  The chords are sorted by the lower Im of their ends.  A chord is
+    no taller than R = max reach_j, and a near knot has |Im(p - a_j)| <= R, so
+    the lower end of every chord that crosses, and of every near block's chord,
+    lies in [Im p - 2R, Im p + R] (widened to cover the rounding of its
+    bounds).  Two binary searches per point find those few candidates, and
+    the exact reach test on them finds the near blocks: the same set as a test
+    of every pair would.  Points run in chunks of at most WINDING_CHUNK x
+    samples candidates, and near pairs in batches of at most that many
+    vertices.
     """
     curve = np.asarray(curve, dtype=np.complex128)
     points = np.asarray(points, dtype=np.complex128)
-    if not (np.all(np.isfinite(curve)) and np.all(np.isfinite(points))):
+    if not np.isfinite(points).all():
         raise ValueError("winding needs a finite curve and finite points")
     if curve.size == 0:
         raise ValueError("winding needs a non-empty curve")
@@ -126,60 +136,84 @@ def winding_numbers(curve: np.ndarray, points) -> np.ndarray:
     starts = np.arange(0, samples, block)
     # the curve closed by its first sample and padded with it up to whole
     # blocks: block j's vertices are closed[j block : (j + 1) block + 1], and
-    # a short last block repeats its end vertex, which turns by exactly 0
+    # a short last block repeats its end vertex, an edge that never crosses
     closed = np.concatenate([curve, np.full(starts.size * block + 1 - samples, curve[0])])
-    edges = np.abs(closed[1 : samples + 1] - curve)
-    gap = float(np.max(edges))
+    with np.errstate(invalid="ignore"):  # inf - inf: a curve refused just below
+        edges = np.abs(closed[1 : samples + 1] - curve)
+    gap = float(edges.max())
+    # a non-finite vertex makes its edges, and so the gap, non-finite
+    if not (math.isfinite(gap) or np.isfinite(curve).all()):
+        raise ValueError("winding needs a finite curve and finite points")
     margin = CURVE_MARGIN_FACTOR * gap
     reach = (np.add.reduceat(edges, starts) + margin) * (1.0 + 1e-12)
-    knots = closed[starts]
-    vertices = np.lib.stride_tricks.sliding_window_view(closed, block + 1)[::block]
-    per_chunk = WINDING_CHUNK * samples // starts.size
+    # chord j runs from knots[j] to knots[j + 1]; rank them by their lower end
+    knots = closed[::block]
+    order = np.minimum(knots[:-1].imag, knots[1:].imag).argsort()
+    tail, head, reach = knots[order], knots[order + 1], reach[order]
+    lower = np.minimum(tail.imag, head.imag)
+    widest = float(reach.max())
+    # a power of two near 1/R for _crossings, capped where 1/R would overflow
+    scale = math.ldexp(1.0, min(1000, -math.frexp(widest)[1]))
+    # a window that can hold a candidate has |Im p| <= max |Im a_j| + 2R, and
+    # its bounds round by far less than 1e-12 of that
+    pad = 1e-12 * (float(np.abs(knots.imag).max()) + 2.0 * widest)
+    first = lower.searchsorted(flat.imag - (2.0 * widest + pad))
+    sizes = lower.searchsorted(flat.imag + (widest + pad), "right") - first
+    ends = sizes.cumsum()
+    # the rank of candidate k, counted across all points, is shift[its point] + k
+    shift = first - (ends - sizes)
     per_batch = WINDING_CHUNK * samples // (block + 1)
+    vertex = np.arange(block + 1)
     out = np.empty(flat.shape, dtype=np.int64)
-    for start in range(0, flat.size, per_chunk):
-        chunk = flat[start : start + per_chunk]
-        far, total = _chord_turns(knots, reach, chunk)
-        min_dist = np.full(chunk.size, np.inf)
-        owner, which = np.nonzero(~far)
-        for lo in range(0, owner.size, per_batch):
-            own = owner[lo : lo + per_batch]
-            dist, turn = _edge_turns(vertices, which[lo : lo + per_batch], chunk[own])
-            np.minimum.at(min_dist, own, dist)
-            total += np.bincount(own, turn, chunk.size)
-        close = np.flatnonzero(min_dist <= margin)
-        if close.size:
-            i = close[0]
-            raise TooCloseToCurve(
-                f"point {complex(chunk[i])} is {min_dist[i]:.3e} from the curve; "
-                f"need > {margin:.3e}"
-            )
-        out[start : start + per_chunk] = np.rint(total / _TWO_PI)
+    start = 0
+    while start < flat.size:
+        done = int(ends[start] - sizes[start])
+        stop = int(ends.searchsorted(done + WINDING_CHUNK * samples, "right"))
+        size = sizes[start:stop]
+        owner = np.repeat(np.arange(stop - start), size)
+        rank = np.repeat(shift[start:stop], size)
+        rank += np.arange(done, int(ends[stop - 1]))
+        p = flat[start:stop][owner]
+        rel = tail[rank]
+        rel -= p
+        turn = _crossings(rel, head[rank] - p, scale)
+        near = np.flatnonzero(np.abs(rel) <= reach[rank])
+        del rel
+        for lo in range(0, near.size, per_batch):
+            pair = near[lo : lo + per_batch]
+            rel = closed[order[rank[pair], None] * block + vertex]
+            rel -= p[pair, None]
+            close = pair[np.min(np.abs(rel), axis=1) <= margin]
+            if close.size:
+                i = owner[close[0]]
+                mine = order[rank[near[owner[near] == i]], None] * block + vertex
+                dist = float(np.min(np.abs(closed[mine] - flat[start + i])))
+                raise TooCloseToCurve(
+                    f"point {complex(flat[start + i])} is {dist:.3e} from the curve; "
+                    f"need > {margin:.3e}"
+                )
+            turn[pair] = np.sum(_crossings(rel[:, :-1], rel[:, 1:], scale), axis=1)
+        out[start:stop] = np.bincount(owner, turn, stop - start)
+        start = stop
     return out.reshape(points.shape)
 
 
-def _chord_turns(knots: np.ndarray, reach: np.ndarray, points: np.ndarray):
-    """Which blocks are far from each point, and the summed turns of the far blocks' chords."""
-    rel = knots - points[:, None]
-    far = np.abs(rel) > reach
-    theta = np.angle(rel)
-    del rel  # the complex buffer is the largest; free it before the real temporaries
-    turn = np.roll(theta, -1, axis=1)
-    turn -= theta
-    # wrap to [-pi, pi], with theta as the scratch buffer
-    turn -= _TWO_PI * np.rint(np.divide(turn, _TWO_PI, out=theta), out=theta)
-    return far, np.sum(turn, axis=1, where=far)
+def _crossings(a: np.ndarray, b: np.ndarray, scale: float) -> np.ndarray:
+    """Signed crossings (+1, -1 or 0) of the ray {t > 0} by the segments from a
+    to b, their ends taken relative to the ray's origin.
 
-
-def _edge_turns(vertices: np.ndarray, blocks: np.ndarray, points: np.ndarray):
-    """Minimum vertex distance and summed edge turns of each block about its point."""
-    rel = vertices[blocks]
-    rel -= points[:, None]
-    dist = np.min(np.abs(rel), axis=1)
-    # arg((next - p) / (vertex - p)) without the division
-    step = np.conjugate(rel[:, :-1])
-    step *= rel[:, 1:]
-    return dist, np.sum(np.angle(step), axis=1)
+    The side comes from the cross product with both imaginary parts times
+    scale, a power of two near 1/R, which changes no sign.  Every segment
+    passed here has |Im| of at most about 2R at both ends, so those parts are
+    O(1): a product cannot underflow on a tiny curve, nor overflow on a far
+    point unless its real part is itself within a factor of 4 of overflow.
+    """
+    turn = np.subtract(b.imag > 0, a.imag > 0, dtype=np.int64)
+    side = a.real * (b.imag * scale)
+    side -= (a.imag * scale) * b.real
+    side *= turn
+    turn *= side > 0
+    return turn
 
 
 def principal_value_at(model: WeightSequence, point: complex) -> int:

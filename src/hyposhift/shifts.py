@@ -106,6 +106,20 @@ class WeightSequence:
         return out
 
     @property
+    def hyponormal(self) -> bool:
+        """Whether [T*, T] >= 0, that is, whether the weights never decrease.
+
+        Decided exactly from the weights the model defines: the rational family
+        increases; a table must be nondecreasing, and a declared limit, which
+        every later weight equals, at least its last entry.
+        """
+        if self.kind == KIND_RATIONAL:
+            return True
+        table = self.table
+        tail_ok = self.limit is None or self.limit >= table[-1]
+        return tail_ok and all(a <= b for a, b in zip(table, table[1:]))
+
+    @property
     def sup(self) -> float:
         if self.kind == KIND_RATIONAL:
             return 1.0

@@ -77,6 +77,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="p/q"):
             parse_config('{"experiment": "helton-howe"}')
 
+    def test_helton_howe_accepts_a_non_hyponormal_model(self):
+        cfg = parse_config(
+            '{"experiment": "helton-howe", "p": [[0, 1, 1, 0]], "q": [[1, 0, 1, 0]],'
+            ' "model": {"kind": "tabulated", "weights": [2, 1], "limit": 1}}'
+        )
+        assert not cfg.args["model"].hyponormal
+
     def test_rejects_c_out_of_range(self):
         with pytest.raises(ConfigError, match="c_values"):
             parse_config('{"experiment": "theorem-inequality", "c_values": [1.5]}')
@@ -515,6 +522,22 @@ class TestMain:
             pytest.param('"truncation": "512"', "truncation", id="truncation_digits"),
             pytest.param('"truncation": true', "truncation", id="truncation_bool"),
             pytest.param('"grid": {"n_r": true}', "grid.n_r", id="grid_bool"),
+            # a runner parameter without a default must be given
+            pytest.param('"experiment": "t-lambda-trace"', "model", id="t_lambda_no_model"),
+            pytest.param(
+                '"experiment": "helton-howe", "p": [[0, 1, 1, 0]]', "q", id="hh_no_q"
+            ),
+            # Putnam's norm bound holds for hyponormal models: nondecreasing weights
+            pytest.param(
+                '"experiment": "berger-shaw-putnam",'
+                ' "model": {"kind": "tabulated", "weights": [2, 1], "limit": 1}',
+                "model", id="putnam_decreasing_table",
+            ),
+            pytest.param(
+                '"experiment": "berger-shaw-putnam",'
+                ' "model": {"kind": "tabulated", "weights": [1, 2], "limit": 1.5}',
+                "model", id="putnam_limit_below_table",
+            ),
             # an empty list would check nothing and pass
             pytest.param('"experiment": "pincus-check", "points": []', "points", id="points_empty"),
             pytest.param(

@@ -269,6 +269,81 @@ class TestStrideWinding:
         assert peak < 8 * WINDING_CHUNK * curve.size * 16
 
 
+def oracle_outcome(curve, points):
+    """The oracle's windings of the points clear of the curve, and the message
+    that names the first point too close to it (None if there is none)."""
+    clear, refusals = [], []
+    for p in points:
+        try:
+            clear.append((p, oracles.winding_number(curve, p)))
+        except TooCloseToCurve as exc:
+            refusals.append(str(exc))
+    return clear, refusals[0] if refusals else None
+
+
+class TestRayCrossings:
+    """Ray-crossing windings against the division-form oracle where the
+    half-open rule decides: points level with a vertex or a knot, and points on
+    the real axis, which holds the symbol circle's vertex at (c, 0)."""
+
+    @given(
+        st.sampled_from([3, 63, 64, 65, 4097]),
+        st.sampled_from([(1, False), (1, True), (2, False), (2, True)]),
+        st.sampled_from([0.5, 1.0, 2.5]),
+        # None keeps the circle of radius c; otherwise a Moebius image up to |a| = 0.95
+        st.one_of(
+            st.none(),
+            st.tuples(st.floats(0.0, 2 * np.pi), st.floats(0.0, 0.95), st.floats(0.0, 2 * np.pi)),
+        ),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["vertex", "knot", "axis"]),
+                st.integers(0, 10**6),
+                st.floats(-3.0, 3.0),
+            ),
+            min_size=1,
+            max_size=16,
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_level_points_match_oracle(self, samples, variant, radius, phi, picks):
+        loops, reverse = variant
+        circle = unit_circle(samples, loops)
+        if phi is not None:
+            beta_arg, modulus, a_arg = phi
+            circle = mobius_eval(
+                MobiusMap(beta=np.exp(1j * beta_arg), a=modulus * np.exp(1j * a_arg)), circle
+            )
+        curve = radius * circle
+        if reverse:
+            curve = curve[::-1]
+        knots = curve[::COARSE_STRIDE]
+        levels = {"vertex": curve.imag, "knot": knots.imag, "axis": np.zeros(1)}
+        points = [
+            complex(radius * x, levels[kind][k % levels[kind].size]) for kind, k, x in picks
+        ]
+        clear, refusal = oracle_outcome(curve, points)
+        if refusal is not None:
+            with pytest.raises(TooCloseToCurve) as info:
+                winding_numbers(curve, points)
+            assert str(info.value) == refusal
+        got = winding_numbers(curve, [p for p, _ in clear])
+        assert got.tolist() == [expected for _, expected in clear]
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-100, 1e100, 1e200])
+    def test_any_curve_scale(self, scale):
+        # the cross products scale imaginary parts to O(1), so none under- or
+        # overflows; 0.96 lies in near blocks, the others only meet chords
+        curve = scale * unit_circle(4096)
+        points = scale * np.array([0.0, 0.5j, -0.7, 0.96, 1.5, 2.0 + 2.0j])
+        assert winding_numbers(curve, points).tolist() == [1, 1, 1, 1, 0, 0]
+
+    def test_subnormal_spacing(self):
+        # 1/R for a curve spaced 1e-310 apart is past the largest float
+        curve = np.array([0.0, 1e-310j, 2e-310j])
+        assert winding_numbers(curve, [1.0, 1e-300]).tolist() == [0, 0]
+
+
 class TestPrincipalValue:
     def test_interior_is_one(self):
         model = unilateral()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from hyposhift import shifts
@@ -106,6 +107,31 @@ def test_exact_diagonal_positive_for_increasing_weights():
     for lam in (1.1, 2.0, 10.0):
         diag = exact_commutator_diagonal(rational_family(lam), 200)
         assert np.all(diag > 0)
+
+
+# weights from a coarse grid: no two distinct ones share a rounded square
+_GRID_WEIGHTS = st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0])
+
+
+@given(
+    st.lists(_GRID_WEIGHTS, min_size=1, max_size=6),
+    st.one_of(st.none(), _GRID_WEIGHTS),
+)
+@settings(max_examples=100, deadline=None)
+def test_hyponormal_matches_commutator_diagonal(table, limit):
+    # [T*, T] is diagonal, so T is hyponormal exactly when every entry is >= 0;
+    # the entry past the table is limit^2 - last^2, and every later one is 0
+    model = tabulated(table, limit)
+    n = len(table) + (2 if limit is not None else 0)
+    assert model.hyponormal == bool(np.all(exact_commutator_diagonal(model, n) >= 0))
+
+
+def test_hyponormal_families():
+    assert unilateral().hyponormal
+    assert rational_family(1.5).hyponormal
+    assert not tabulated([2.0, 1.0], limit=1.0).hyponormal
+    # a nondecreasing table whose limit drops below its last entry
+    assert not tabulated([1.0, 2.0], limit=1.5).hyponormal
 
 
 def test_leading_corner_consistency(rng):
