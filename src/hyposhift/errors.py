@@ -27,7 +27,8 @@ class NotAContraction(HyposhiftError):
     pass
 
 
-# determinants
+# determinants and disc integrals: an evaluation point not outside the disc
+# where the formula holds
 class SpectrumHit(HyposhiftError):
     pass
 
@@ -41,19 +42,7 @@ class TooCloseToCurve(HyposhiftError):
     pass
 
 
-class OnEssentialSpectrum(HyposhiftError):
-    pass
-
-
-class EvaluationInsideDisc(HyposhiftError):
-    pass
-
-
-# trace formulas
-class DimensionTooSmall(HyposhiftError):
-    pass
-
-
+# checks: an input outside a claim's domain, or a value that is not finite
 class DomainError(HyposhiftError):
     pass
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DomainError, SpectrumHit
 from .mobius import MobiusMap, mobius_eval, mobius_invert
-from .principal import DEFAULT_CURVE_SAMPLES, _principal_values_on, winding_numbers
+from .principal import DEFAULT_CURVE_SAMPLES, winding_numbers
 from .reporting import Check, make_check
 from .shifts import WeightSequence, adjoint_resolvent_smin, adjoint_resolvent_solve, symbol_curve
 
@@ -94,7 +94,7 @@ def change_of_variable_check(model: WeightSequence, phi: MobiusMap, points) -> l
     curve = symbol_curve(model, DEFAULT_CURVE_SAMPLES)
     lhs = winding_numbers(mobius_eval(phi, curve), points)
     pulled_back = mobius_eval(mobius_invert(phi), np.asarray(points, dtype=np.complex128))
-    rhs = _principal_values_on(curve, model, pulled_back)
+    rhs = winding_numbers(curve, pulled_back)
     return [
         make_check(f"index transport at zeta={zeta}", int(left), int(right), 0.0)
         for zeta, left, right in zip(points, lhs, rhs)
@@ -108,7 +108,7 @@ def constancy_check(model: WeightSequence, maps=DEFAULT_MAP_GRID, interior_point
         interior_points = default_interior_points()
     exterior_points = default_exterior_points()
     curve = symbol_curve(model, DEFAULT_CURVE_SAMPLES)
-    base = int(_principal_values_on(curve, model, interior_points[0]))
+    base = int(winding_numbers(curve, interior_points[0]))
     # one winding call per map: the curve's gap, margin and bounds are shared
     points = np.asarray(list(interior_points) + list(exterior_points), dtype=np.complex128)
     checks = []

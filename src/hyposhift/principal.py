@@ -28,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .determinants import determining_det
-from .errors import EvaluationInsideDisc, NoLimitDeclared, OnEssentialSpectrum, TooCloseToCurve
+from .errors import NoLimitDeclared, SpectrumHit, TooCloseToCurve
 from .reporting import make_check
-from .shifts import WeightSequence, symbol_curve
+from .shifts import WeightSequence
 
 DEFAULT_CURVE_SAMPLES = 4096
 CURVE_MARGIN_FACTOR = 10.0
@@ -216,22 +216,6 @@ def _crossings(a: np.ndarray, b: np.ndarray, scale: float) -> np.ndarray:
     return turn
 
 
-def principal_value_at(model: WeightSequence, point: complex) -> int:
-    """g(point) = minus the Fredholm index = winding of the symbol curve about the point."""
-    return int(_principal_values_on(symbol_curve(model, DEFAULT_CURVE_SAMPLES), model, point))
-
-
-def _principal_values_on(curve: np.ndarray, model: WeightSequence, points) -> np.ndarray:
-    """principal_value_at for a batch of points on an already sampled symbol
-    curve of model; OnEssentialSpectrum names the first point too close to it."""
-    try:
-        return winding_numbers(curve, points)
-    except TooCloseToCurve as exc:
-        raise OnEssentialSpectrum(
-            f"{exc}: too close to the essential circle of radius {model.limit}"
-        ) from exc
-
-
 def disc_cauchy_exponential(g: GridFunction, z: complex, w: complex) -> complex:
     """exp(-(1/pi) int_D g(zeta) / ((zeta - z)(conj(zeta) - conj(w))) dA(zeta)).
 
@@ -261,12 +245,12 @@ def disc_cauchy_exponential(g: GridFunction, z: complex, w: complex) -> complex:
 
 def _outside_unit_disc(z: complex, w: complex) -> tuple[complex, complex]:
     """z and w as complex numbers; ValueError unless both are finite, and
-    EvaluationInsideDisc unless both lie strictly outside the closed unit disc."""
+    SpectrumHit unless both lie strictly outside the closed unit disc."""
     z, w = complex(z), complex(w)
     if not (cmath.isfinite(z) and cmath.isfinite(w)):
         raise ValueError(f"z and w must be finite, got {z}, {w}")
     if abs(z) <= 1.0 or abs(w) <= 1.0:
-        raise EvaluationInsideDisc("z and w must satisfy |z|, |w| > 1")
+        raise SpectrumHit("z and w must satisfy |z|, |w| > 1")
     return z, w
 
 
@@ -294,7 +278,7 @@ def closed_form_oracle(z: complex, w: complex) -> complex:
     """
     u = 1.0 / (z * np.conj(w))
     if abs(u) >= 1.0:
-        raise EvaluationInsideDisc("requires |z| |w| > 1")
+        raise SpectrumHit("requires |z| |w| > 1")
     log_val = 0.0 + 0.0j
     term = u
     m = 1

@@ -1,6 +1,7 @@
 """Verification records and report serialization (JSON + CSV)."""
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 import json
@@ -10,7 +11,7 @@ import stat
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
-from .errors import IoError
+from .errors import DomainError, IoError
 
 
 @dataclass(frozen=True)
@@ -27,6 +28,7 @@ class Check:
 def make_check(name: str, lhs: complex, rhs: complex, tolerance: float) -> Check:
     lhs = complex(lhs)
     rhs = complex(rhs)
+    _require_finite(name, lhs, rhs)
     if tolerance == 0.0:
         ok = lhs == rhs
     else:
@@ -36,13 +38,22 @@ def make_check(name: str, lhs: complex, rhs: complex, tolerance: float) -> Check
 
 def make_bound_check(name: str, value: float, bound: float, tolerance: float) -> Check:
     """value <= bound + tolerance, recorded with lhs=value, rhs=bound."""
+    lhs, rhs = complex(value), complex(bound)
+    _require_finite(name, lhs, rhs)
     return Check(
         name=name,
-        lhs=complex(value),
-        rhs=complex(bound),
+        lhs=lhs,
+        rhs=rhs,
         tolerance=float(tolerance),
         passed=bool(value <= bound + tolerance),
     )
+
+
+def _require_finite(name: str, lhs: complex, rhs: complex) -> None:
+    """DomainError unless both parts of both sides are finite: a NaN or an
+    overflow is a value the claim cannot be checked on, not a failed check."""
+    if not (cmath.isfinite(lhs) and cmath.isfinite(rhs)):
+        raise DomainError(f"{name}: lhs {lhs} and rhs {rhs} must be finite")
 
 
 @dataclass

@@ -14,9 +14,10 @@ Laguerre's iteration on the Sturm pivots closes in on it in a few sweeps.
 
 The exact infinite-model self-commutator data comes from closed forms, never
 from truncations: the finite self-commutator is always traceless, so
-truncating before commuting destroys every trace identity.  All trace and rank
-claims therefore go through exact_commutator_diagonal, which works through
-the weights in cache-sized blocks.
+truncating before commuting destroys every trace identity.  All trace claims
+therefore go through exact_commutator_diagonal, which works through the
+weights in cache-sized blocks; the hypotheses hyponormal and rank one are
+decided from the weights themselves.
 """
 from __future__ import annotations
 
@@ -118,6 +119,21 @@ class WeightSequence:
         table = self.table
         tail_ok = self.limit is None or self.limit >= table[-1]
         return tail_ok and all(a <= b for a, b in zip(table, table[1:]))
+
+    @property
+    def rank_one(self) -> bool:
+        """Whether [T*, T] is the rank-one w_0^2 e_0 (x) e_0, that is, whether
+        every weight equals w_0.
+
+        Decided exactly from the weights the model defines: the rational family
+        strictly increases; every table entry, and a declared limit, must equal
+        the first entry.  Without a limit the table alone decides.
+        """
+        if self.kind == KIND_RATIONAL:
+            return False
+        first = self.table[0]
+        head_ok = self.limit is None or self.limit == first
+        return head_ok and all(w == first for w in self.table)
 
     @property
     def sup(self) -> float:

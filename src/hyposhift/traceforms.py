@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionTooSmall, NoLimitDeclared
+from .errors import InvalidDimension, NoLimitDeclared
 from .reporting import Check, make_bound_check, make_check
 from .shifts import WeightSequence, band, exact_commutator_diagonal
 
@@ -98,10 +98,10 @@ def window_margin(p: BivariatePolynomial, q: BivariatePolynomial) -> int:
 
 
 def check_window(p: BivariatePolynomial, q: BivariatePolynomial, n: int) -> int:
-    """The window margin of p and q; DimensionTooSmall unless n > 4 x margin."""
+    """The window margin of p and q; InvalidDimension unless n > 4 x margin."""
     margin = window_margin(p, q)
     if n <= 4 * margin:
-        raise DimensionTooSmall(f"need n > {4 * margin}, got {n}")
+        raise InvalidDimension(f"need n > {4 * margin}, got {n}")
     return margin
 
 
@@ -115,7 +115,8 @@ def tracial_form(
     cancellation); the windowed trace estimates the infinite-model value.
     """
     margin = check_window(p, q, n)
-    return complex(np.sum(_commutator_diagonal(p, q, model, n)[: n - margin]))
+    with np.errstate(over="ignore", invalid="ignore"):  # make_check refuses what overflows
+        return complex(np.sum(_commutator_diagonal(p, q, model, n)[: n - margin]))
 
 
 def full_finite_trace(
@@ -167,18 +168,21 @@ def helton_howe_check(
     return make_check("trace formula", lhs, complex(rhs), tol)
 
 
-def berger_shaw_putnam_check(model: WeightSequence, area: float, diag_samples: int = 4096) -> list[Check]:
+def berger_shaw_putnam_check(model: WeightSequence, area: float) -> list[Check]:
     """Trace and norm bounds for the exact infinite-model self-commutator, to 1e-12.
 
     tr [T*, T] (telescoped closed form w_inf^2) against (m/pi) * area with
     multiplicity m = 1, and ||[T*, T]|| (largest exact diagonal entry) against
     area/pi.  The area of the spectrum is supplied analytically by the caller.
+    A table's diagonal is 0 from two past its end on, so the norm reads it
+    whole; the rational family's peaks near k = lam/2 - 1, so its first 4096
+    entries hold the norm for lam <= 8192.
     """
     w_inf = model.limit
     if w_inf is None:
         raise NoLimitDeclared("tabulated sequence has no declared limit")
     trace_val = w_inf * w_inf
-    diag = exact_commutator_diagonal(model, diag_samples)
+    diag = exact_commutator_diagonal(model, max(4096, len(model.table) + 1))
     norm_val = float(np.max(diag))
     return [
         make_bound_check("commutator trace <= (m/pi) area", trace_val, 1 / math.pi * area, 1e-12),

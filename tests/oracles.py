@@ -8,8 +8,10 @@ multiplicative-determinant tripwire and the closed-form Moebius commutators
 back the acceptance criteria.  All are O(n^3), for small n only.  Inner
 products are <u, v> = sum u_k conj(v_k).  winding_number is the one-point,
 division-form winding that the batched principal.winding_numbers is compared
-against, disc_cauchy_exponential the node-by-node disc quadrature behind the
-ring sums of principal.disc_cauchy_exponential, helton_howe_area the
+against, principal_value_at the principal function at one point (the
+winding of the model's symbol curve) that criterion 7 reads,
+disc_cauchy_exponential the node-by-node disc quadrature behind the ring sums
+of principal.disc_cauchy_exponential, helton_howe_area the
 node-by-node Jacobian quadrature behind the ring moments of
 traceforms.helton_howe_check (with Polynomial, the symbolic algebra it needs),
 weight the scalar rule behind WeightSequence.weights, write_grid_csv and
@@ -31,11 +33,11 @@ import numpy as np
 
 from hyposhift import shifts
 from hyposhift.errors import (
-    EvaluationInsideDisc, HyposhiftError, NoLimitDeclared, NotAContraction, SingularResolvent,
-    SpectrumHit, TooCloseToCurve,
+    HyposhiftError, NoLimitDeclared, NotAContraction, SingularResolvent, SpectrumHit,
+    TooCloseToCurve,
 )
 from hyposhift.mobius import CONTRACTION_TOL, MobiusMap
-from hyposhift.principal import CURVE_MARGIN_FACTOR
+from hyposhift.principal import CURVE_MARGIN_FACTOR, DEFAULT_CURVE_SAMPLES, winding_numbers
 from hyposhift.shifts import KIND_RATIONAL, SINGULAR_CUTOFF, band
 from hyposhift.traceforms import BivariatePolynomial
 
@@ -417,10 +419,15 @@ def winding_number(curve: np.ndarray, point: complex) -> int:
     return int(np.rint(total))
 
 
+def principal_value_at(model, point: complex) -> int:
+    """g(point) = minus the Fredholm index = winding of the symbol curve about the point."""
+    return int(winding_numbers(shifts.symbol_curve(model, DEFAULT_CURVE_SAMPLES), point))
+
+
 def disc_cauchy_exponential(g, z: complex, w: complex) -> complex:
     """exp(-(1/pi) int_D g / ((zeta - z)(conj(zeta) - conj(w))) dA) summed over every grid node."""
     if abs(z) <= 1.0 or abs(w) <= 1.0:
-        raise EvaluationInsideDisc("z and w must satisfy |z|, |w| > 1")
+        raise SpectrumHit("z and w must satisfy |z|, |w| > 1")
     zeta = g.nodes()
     kernel = 1.0 / ((zeta - z) * (np.conj(zeta) - np.conj(w)))
     integral = np.sum(g.values * cell_measure(g) * kernel)

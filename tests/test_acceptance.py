@@ -29,15 +29,14 @@ from hyposhift.principal import (
     closed_form_oracle,
     constant_grid,
     disc_cauchy_exponential,
-    principal_value_at,
 )
 from hyposhift.shifts import exact_commutator_diagonal, rational_family, unilateral
 from hyposhift.traceforms import berger_shaw_putnam_check, helton_howe_check, tracial_form
 
 from oracles import (
     closed_form_selfcommutator, det_eigenproduct, det_logseries, helton_howe_area, materialize,
-    monomial, multiplicative_commutator_pitfall, rank_one, self_commutator, singular_spectrum,
-    trace, trace_norm,
+    monomial, multiplicative_commutator_pitfall, principal_value_at, rank_one, self_commutator,
+    singular_spectrum, trace, trace_norm,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"

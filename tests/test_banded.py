@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from hyposhift import determinants, homogeneity, shifts
 from hyposhift.determinants import determining_det
-from hyposhift.errors import DimensionTooSmall, NoLimitDeclared, SingularResolvent
+from hyposhift.errors import InvalidDimension, NoLimitDeclared, SingularResolvent
 from hyposhift.shifts import (
     adjoint_resolvent_smin,
     adjoint_resolvent_solve,
@@ -108,7 +108,7 @@ def test_traces_match_dense_oracle(model, n, p, q):
     assert abs(full) <= TRACE_TOL * scale
     margin = window_margin(p, q)
     if n <= 4 * margin:
-        with pytest.raises(DimensionTooSmall):
+        with pytest.raises(InvalidDimension):
             tracial_form(p, q, model, n)
     else:
         windowed = tracial_form(p, q, model, n)

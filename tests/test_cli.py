@@ -454,6 +454,12 @@ class TestMain:
                 ' "model": {"kind": "tabulated", "weights": [' + "1, " * 80 + '2], "limit": 2}',
                 "model", id="pincus_not_rank_one_past_truncation",
             ),
+            # [T*, T] has the second entry (1 + 4e-15)^2 - 1, about 8e-15: rank one is exact
+            pytest.param(
+                '"experiment": "pincus-check", "model": {"kind": "tabulated",'
+                ' "weights": [1.0, 1.000000000000004], "limit": 1.000000000000004}',
+                "model", id="pincus_near_constant",
+            ),
             # g is 1 on the disc of radius model.limit; this table has none
             pytest.param(
                 '"experiment": "pincus-check", "truncation": 8,'
@@ -658,8 +664,10 @@ class TestMain:
             # the default map grid moves a default point within the winding margin
             {"experiment": "constancy",
              "model": {"kind": "tabulated", "weights": [1.2], "limit": 1.2}},
+            # both sides of the trace formula overflow to NaN: no check can be made
+            {"experiment": "helton-howe", "p": [[0, 1, 1e308, 0]], "q": [[1, 0, 1e308, 0]]},
         ],
-        ids=["constancy_too_close"],
+        ids=["constancy_too_close", "helton_howe_not_finite"],
     )
     def test_run_library_refusal_exits_two(self, tmp_path, capsys, payload):
         code, out = self.run_config(tmp_path, payload)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyposhift.determinants import check_rank_one, determining_det
+from hyposhift.determinants import determining_det
 from hyposhift.errors import NotRankOne, SingularResolvent, SpectrumHit
 from hyposhift.shifts import rational_family, tabulated, unilateral
 
@@ -106,7 +106,7 @@ class TestDeterminingDet:
 
 
 class TestCheckRankOne:
-    """Decided from the model's table, whatever the truncation."""
+    """WeightSequence.rank_one, decided from the model's table, whatever the truncation."""
 
     @pytest.mark.parametrize(
         "model",
@@ -118,7 +118,7 @@ class TestCheckRankOne:
         ids=["shift", "long-table", "no-limit"],
     )
     def test_accepts_constant_weights(self, model):
-        check_rank_one(model)
+        assert model.rank_one
 
     @pytest.mark.parametrize(
         "model",
@@ -135,11 +135,15 @@ class TestCheckRankOne:
         ids=["late-step", "limit-step", "tiny-step", "rational", "rational-flat"],
     )
     def test_refuses_other_models(self, model):
-        with pytest.raises(NotRankOne):
-            check_rank_one(model)
+        assert not model.rank_one
 
-    def test_threshold_is_kept(self):
-        check_rank_one(tabulated([1.0, 1.0 + 4e-15], limit=1.0 + 4e-15))
+    def test_threshold_is_gone(self):
+        # [T*, T] has the second nonzero entry (1 + 4e-15)^2 - 1, about 8e-15:
+        # no tolerance lets it pass as rank one
+        model = tabulated([1.0, 1.0 + 4e-15], limit=1.0 + 4e-15)
+        assert not model.rank_one
+        with pytest.raises(NotRankOne):
+            determining_det(model, basis_vector(16, 0), 2.0, 3.0, 16)
 
 
 class TestCartesianPair:

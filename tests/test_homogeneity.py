@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from hyposhift import homogeneity, principal
 from hyposhift.cli import parse_config, run_experiment
-from hyposhift.errors import DomainError, SpectrumHit
+from hyposhift.errors import DomainError, SpectrumHit, TooCloseToCurve
 from hyposhift.homogeneity import (
     DEFAULT_MAP_GRID,
     DEFAULT_WITNESS_GRID,
@@ -21,7 +21,7 @@ from hyposhift.homogeneity import (
     theorem_inequality_eval,
     witness_search,
 )
-from hyposhift.mobius import MobiusMap, mobius_eval
+from hyposhift.mobius import MobiusMap, mobius_eval, mobius_invert
 from hyposhift.shifts import rational_family, symbol_curve, tabulated, unilateral
 
 
@@ -115,6 +115,18 @@ class TestSymbolCurveTransport:
         assert all(c.passed for c in checks)
         assert all(c.lhs == 0 for c in checks)
 
+    @pytest.mark.parametrize("zeta, close", [(0.72, 0), (1.31, 1)], ids=["mapped", "pulled-back"])
+    def test_change_of_variable_too_close_on_either_side(self, zeta, close):
+        # a = 0.9 spaces the mapped curve unevenly, so a point can be within the
+        # winding margin of one side only; either side refuses it as TooCloseToCurve
+        model, phi = unilateral(), MobiusMap(a=0.9)
+        curve = symbol_curve(model, principal.DEFAULT_CURVE_SAMPLES)
+        pulled_back = mobius_eval(mobius_invert(phi), np.array([zeta]))
+        sides = [(mobius_eval(phi, curve), [zeta]), (curve, pulled_back)]
+        principal.winding_numbers(*sides[1 - close])  # the other side clears its margin
+        with pytest.raises(TooCloseToCurve):
+            change_of_variable_check(model, phi, [zeta])
+
     def test_constancy_unilateral(self):
         checks = constancy_check(unilateral())
         assert len(checks) == len(DEFAULT_MAP_GRID) * 25
@@ -129,7 +141,8 @@ class TestSymbolCurveTransport:
 
     @pytest.mark.parametrize("config", ["constancy.json", "change_of_variable.json"])
     def test_one_symbol_curve_per_run(self, monkeypatch, config):
-        # every map transports the same sampled curve
+        # every map transports the same sampled curve; homogeneity is the one
+        # module that samples symbol curves for these experiments
         calls = []
 
         def spy(*args):
@@ -137,7 +150,6 @@ class TestSymbolCurveTransport:
             return symbol_curve(*args)
 
         monkeypatch.setattr(homogeneity, "symbol_curve", spy)
-        monkeypatch.setattr(principal, "symbol_curve", spy)
         text = (Path(__file__).resolve().parents[1] / "configs" / config).read_text()
         report = run_experiment(parse_config(text))
         assert report.checks and all(c.passed for c in report.checks)

@@ -126,6 +126,23 @@ def test_hyponormal_matches_commutator_diagonal(table, limit):
     assert model.hyponormal == bool(np.all(exact_commutator_diagonal(model, n) >= 0))
 
 
+@given(
+    st.one_of(
+        st.lists(_GRID_WEIGHTS, min_size=1, max_size=6),
+        # equal entries, which the draw above seldom makes
+        st.tuples(_GRID_WEIGHTS, st.integers(1, 6)).map(lambda wk: [wk[0]] * wk[1]),
+    ),
+    st.one_of(st.none(), _GRID_WEIGHTS),
+)
+@settings(max_examples=100, deadline=None)
+def test_rank_one_matches_commutator_diagonal(table, limit):
+    # [T*, T] is diagonal with first entry w_0^2 > 0, so it is rank one exactly
+    # when every later entry is 0; those past the table are 0 from two on
+    model = tabulated(table, limit)
+    n = len(table) + (2 if limit is not None else 0)
+    assert model.rank_one == bool(np.all(exact_commutator_diagonal(model, n)[1:] == 0))
+
+
 def test_hyponormal_families():
     assert unilateral().hyponormal
     assert rational_family(1.5).hyponormal

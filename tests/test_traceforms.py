@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hyposhift.errors import DimensionTooSmall, NoLimitDeclared
+from hyposhift.errors import InvalidDimension, NoLimitDeclared
 from hyposhift.principal import constant_grid
 from hyposhift.shifts import rational_family, tabulated, unilateral
 from hyposhift.traceforms import (
@@ -127,7 +127,7 @@ class TestTracialForm:
         assert window_margin(monomial(0, 2), monomial(2, 0)) == 4
 
     def test_dimension_guard(self):
-        with pytest.raises(DimensionTooSmall):
+        with pytest.raises(InvalidDimension):
             tracial_form(monomial(0, 2), monomial(2, 0), unilateral(), 16)
 
     def test_full_trace_identically_zero(self):
@@ -240,7 +240,6 @@ class TestBergerShawPutnam:
         assert checks[0].lhs == pytest.approx(0.25, abs=1e-12)
 
     def test_tabulated_without_limit_raises(self):
-        # the trace is w_inf^2, so a table without a declared limit has none,
-        # even when the table covers every sampled diagonal entry
+        # the trace is w_inf^2, so a table without a declared limit has none
         with pytest.raises(NoLimitDeclared):
-            berger_shaw_putnam_check(tabulated([1.0, 2.0]), np.pi, diag_samples=2)
+            berger_shaw_putnam_check(tabulated([1.0, 2.0]), np.pi)
