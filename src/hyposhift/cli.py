@@ -359,7 +359,12 @@ def _run_resolvent_probe(
 
 def _run_berger_shaw_putnam(model=unilateral(), area=None) -> list:
     """commutator trace and norm against the area bounds (Berger-Shaw, Putnam)"""
-    return berger_shaw_putnam_check(model, area if area is not None else math.pi * model.limit**2)
+    if area is None:
+        try:
+            area = math.pi * model.limit**2
+        except OverflowError:  # make_bound_check refuses the infinite bound
+            area = math.inf
+    return berger_shaw_putnam_check(model, area)
 
 
 # Each runner's keyword parameters are the config keys its experiment reads,

@@ -6,10 +6,6 @@ class HyposhiftError(Exception):
 
 
 # shift models
-class SingularResolvent(HyposhiftError):
-    pass
-
-
 class InvalidDimension(HyposhiftError):
     pass
 
@@ -27,8 +23,8 @@ class NotAContraction(HyposhiftError):
     pass
 
 
-# determinants and disc integrals: an evaluation point not outside the disc
-# where the formula holds
+# resolvents, determinants and disc integrals: an evaluation point not outside
+# the disc where the formula holds
 class SpectrumHit(HyposhiftError):
     pass
 

@@ -3,12 +3,14 @@
 The model is a WeightSequence: closed-form or tabulated weights together with
 their limit value.  The n-truncation T_n is stored as its band: entry
 (k+1, k) = w_k, zero elsewhere.  The adjoint resolvent (T_n* - conj(w))^{-1},
-its singularity guard and its norm are computed from that band in O(n) per
+its invertibility guard and its norm are computed from that band in O(n) per
 sweep; no function here builds the dense matrix, which only the test oracles
-need.  The solve back-substitutes from the last nonzero entry of its right-hand
-side: every row below it is an exact zero.  The norm is 1/s_min, and Sturm
-counts on the Golub-Kahan tridiagonal certify s_min to the ulp from an
-estimate.  On a constant band (every weight c < |w|, as for the shift) the
+need.  The guard is a proved bound, not a cutoff: it admits exactly the points
+|w| >= max w_k of the band, where n terms of the Neumann series give
+s_min >= |w|/n.  The solve back-substitutes from the last nonzero entry of its
+right-hand side: every row below it is an exact zero.  The norm is 1/s_min,
+and Sturm counts on the Golub-Kahan tridiagonal certify s_min to the ulp from
+an estimate.  On a constant band (every weight c < |w|, as for the shift) the
 estimate is the closed form of the constant bidiagonal's s_min; otherwise
 Laguerre's iteration on the Sturm pivots closes in on it in a few sweeps.
 
@@ -27,13 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidDimension, NoLimitDeclared, SingularResolvent
+from .errors import InvalidDimension, NoLimitDeclared, SpectrumHit
 
 KIND_RATIONAL = "rational"
 KIND_TABULATED = "tabulated"
-
-# Singularity cutoff of the resolvent guard: s_min <= SINGULAR_CUTOFF * s_max.
-SINGULAR_CUTOFF = 1e-13
 
 # Stand-in for an exactly zero Sturm pivot.
 _PIVOT_FLOOR = sys.float_info.min
@@ -173,8 +172,8 @@ def adjoint_resolvent_solve(model: WeightSequence, w: complex, x) -> np.ndarray:
     so u_{n-1} = -x_{n-1}/conj(w) and u_k = (x_k - w_k u_{k+1}) / (-conj(w)).
     Below the last nonzero x_m every u_k is exactly zero, so the recurrence
     starts at row m.  It runs in sequence: its cumulative products would
-    overflow.  Raises SingularResolvent like the dense oracle
-    (s_min <= 1e-13 s_max), on the full n x n band whatever the support of x.
+    overflow.  Raises SpectrumHit unless |w| >= max w_k over the full n x n
+    band, whatever the support of x.
     """
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 1:
@@ -201,8 +200,8 @@ def adjoint_resolvent_solve(model: WeightSequence, w: complex, x) -> np.ndarray:
 def adjoint_resolvent_smin(model: WeightSequence, w: complex, n: int) -> float:
     """Smallest singular value of T_n* - conj(w), i.e. 1 / ||(T_n* - conj(w))^{-1}||.
 
-    Raises SingularResolvent when it is at most 1e-13 s_max.  Otherwise
-    Sturm counts on the Golub-Kahan tridiagonal certify s_min, to relative
+    Raises SpectrumHit unless |w| >= max w_k (see _resolvent_guard).  Sturm
+    counts on the Golub-Kahan tridiagonal certify s_min, to relative
     accuracy, from an estimate (see _certify_singular_value).  On a constant
     band c < |w| the estimate is _constant_band_smin; elsewhere, or when that
     estimate is not finite or not strictly inside the guard's bracket
@@ -252,39 +251,20 @@ def _constant_band_smin(a: float, c: float, n: int) -> float:
 
 
 def _resolvent_guard(sub: np.ndarray, w: complex) -> float:
-    """Positive lower bound on s_min of T_n* - conj(w); raises SingularResolvent
-    when s_min <= SINGULAR_CUTOFF * s_max.
+    """Positive lower bound on s_min of T_n* - conj(w); raises SpectrumHit
+    unless |w| >= top = max w_k of the band.
 
-    Weyl's inequality gives |w| - max w_k <= s_min and s_max <= |w| + max w_k,
-    which decides the guard without matrix work once |w| clears the weights.
-    Otherwise s_max is bisected in that bracket [lo, hi] only until a Sturm
-    count at the cutoff of each end agrees: none below 1e-13 hi passes (and
-    1e-13 hi is the bound returned), some below 1e-13 lo raises.  The count is
-    monotone, so that is the decision at the fully bisected s_max.
+    On |w| >= top, T_n* - conj(w) = -conj(w) (I - T_n*/conj(w)) is inverted by
+    n terms of its Neumann series, since T_n* is nilpotent with
+    ||(T_n*)^k|| <= top^k <= |w|^k: so s_min >= |w|/n.  Weyl's inequality adds
+    s_min >= |w| - top.  No count is made: the bound is proved, not measured.
     """
     a, top = abs(w), float(np.max(sub))
     if not math.isfinite(a):
         raise ValueError(f"resolvent point {w} is not finite")
-    if a - top > SINGULAR_CUTOFF * (a + top):
-        return a - top
-    e2 = _golub_kahan_squares(sub, w)
-    lo, hi = max(a, top), a + top
-    singular_hi = _count_below(e2, SINGULAR_CUTOFF * hi) > 0
-    singular_lo = singular_hi and _count_below(e2, SINGULAR_CUTOFF * lo) > 0
-    while singular_lo != singular_hi:
-        mid = 0.5 * (lo + hi)  # hi <= 2 lo: _bisect_singular_value's arithmetic step
-        if not lo < mid < hi:
-            lo = hi = mid
-            singular_lo = singular_hi = _count_below(e2, SINGULAR_CUTOFF * mid) > 0
-        elif _count_below(e2, mid) >= sub.size + 1:
-            hi = mid
-            singular_hi = _count_below(e2, SINGULAR_CUTOFF * hi) > 0
-        else:
-            lo = mid
-            singular_lo = _count_below(e2, SINGULAR_CUTOFF * lo) > 0
-    if singular_hi:
-        raise SingularResolvent(f"T* - ({np.conj(w)})I is numerically singular")
-    return SINGULAR_CUTOFF * hi
+    if a < top:
+        raise SpectrumHit(f"|w| = {a} is below the largest weight {top} of the band")
+    return max(a - top, a / (sub.size + 1))
 
 
 def _golub_kahan_squares(sub: np.ndarray, w: complex) -> list:
@@ -364,8 +344,8 @@ def _laguerre_singular_value(e2: list, lo: float, hi: float) -> float:
     ratio.  It stops once that predicted next step is below an ulp.
 
     Rounding can still overshoot (G cancels badly at a lam far below every
-    s_j, such as the guard's threshold bound), and Laguerre creeps when many
-    eigenvalues crowd just beyond s_min, so each sweep keeps its Sturm count.
+    s_j), and Laguerre creeps when many eigenvalues crowd just beyond s_min,
+    so each sweep keeps its Sturm count.
     A sweep that counts a singular value below lam, or whose step is not
     finite, leaves [lo, hi] or is not _LAGUERRE_SHRINK times shorter than the
     one before, hands the bracket to plain bisection.
@@ -431,24 +411,25 @@ def _bisect_singular_value(e2: list, k: int, lo: float, hi: float) -> float:
             lo = mid
 
 
-def exact_commutator_diagonal(model: WeightSequence, n: int) -> np.ndarray:
-    """First n diagonal entries of the INFINITE operator's [T*, T].
+def exact_commutator_diagonal(model: WeightSequence, n: int, start: int = 0) -> np.ndarray:
+    """Diagonal entries start, ..., n-1 of the INFINITE operator's [T*, T].
 
     (w_0^2, w_1^2 - w_0^2, ..., w_{n-1}^2 - w_{n-2}^2); partial sums telescope
     to w_{n-1}^2 exactly.  This is the quantity every trace identity uses; the
-    finite truncation's commutator is traceless and must not be summed.
+    finite truncation's commutator is traceless and must not be summed.  Each
+    entry is the same float whatever start is.
     """
-    if n < 1:
-        raise InvalidDimension(f"need n >= 1, got {n}")
-    diag = np.empty(n)
-    for start in range(0, n, _DIAGONAL_BLOCK):
-        # squares w_{lo}^2 .. w_{stop-1}^2, lo = start - 1 past the first block:
-        # each block recomputes the one square it differences against
-        lo = max(start - 1, 0)
-        w2 = model._weights(lo, min(start + _DIAGONAL_BLOCK, n))
+    if not 0 <= start < n:
+        raise InvalidDimension(f"need 0 <= start < n, got start {start} and n {n}")
+    diag = np.empty(n - start)
+    for first in range(start, n, _DIAGONAL_BLOCK):
+        # squares w_{lo}^2 .. w_{stop-1}^2, lo = first - 1 past entry 0: each
+        # block recomputes the one square it differences against
+        lo = max(first - 1, 0)
+        w2 = model._weights(lo, min(first + _DIAGONAL_BLOCK, n))
         w2 *= w2
-        np.subtract(w2[1:], w2[:-1], out=diag[lo + 1 : lo + w2.size])
-        if start == 0:
+        np.subtract(w2[1:], w2[:-1], out=diag[lo + 1 - start : lo + w2.size - start])
+        if first == 0:
             diag[0] = w2[0]
     return diag
 

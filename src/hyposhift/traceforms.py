@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InvalidDimension, NoLimitDeclared
 from .reporting import Check, make_bound_check, make_check
-from .shifts import WeightSequence, band, exact_commutator_diagonal
+from .shifts import KIND_RATIONAL, WeightSequence, band, exact_commutator_diagonal
 
 
 @dataclass(frozen=True)
@@ -93,13 +93,10 @@ def _commutator_diagonal(
     return diag
 
 
-def window_margin(p: BivariatePolynomial, q: BivariatePolynomial) -> int:
-    return p.deg_z + p.deg_zbar + q.deg_z + q.deg_zbar
-
-
 def check_window(p: BivariatePolynomial, q: BivariatePolynomial, n: int) -> int:
-    """The window margin of p and q; InvalidDimension unless n > 4 x margin."""
-    margin = window_margin(p, q)
+    """The window margin of p and q, their combined degree; InvalidDimension
+    unless n > 4 x margin."""
+    margin = p.deg_z + p.deg_zbar + q.deg_z + q.deg_zbar
     if n <= 4 * margin:
         raise InvalidDimension(f"need n > {4 * margin}, got {n}")
     return margin
@@ -164,7 +161,11 @@ def helton_howe_check(
             if j * k == i * l or rest:  # no Jacobian term, or a vanishing angular sum
                 continue
             moment = 2.0 * np.sum(radii ** (s + t + 1)) / n_r
-            rhs += a * b * (j * k - i * l) * (-1) ** turns * c ** (s + t + 2) * moment
+            try:
+                scale = c ** (s + t + 2)
+            except OverflowError:  # make_check refuses the side that overflows
+                scale = math.inf
+            rhs += a * b * (j * k - i * l) * (-1) ** turns * scale * moment
     return make_check("trace formula", lhs, complex(rhs), tol)
 
 
@@ -175,15 +176,22 @@ def berger_shaw_putnam_check(model: WeightSequence, area: float) -> list[Check]:
     multiplicity m = 1, and ||[T*, T]|| (largest exact diagonal entry) against
     area/pi.  The area of the spectrum is supplied analytically by the caller.
     A table's diagonal is 0 from two past its end on, so the norm reads it
-    whole; the rational family's peaks near k = lam/2 - 1, so its first 4096
-    entries hold the norm for lam <= 8192.
+    whole.  The rational family's entry w_k^2 - w_{k-1}^2 (w_{-1} = 0) is
+    smooth in real k >= 0 with one critical point, a maximum at k* in
+    (lam/2 - 1, lam/2 - 1/2], so the norm reads the integers next to k*,
+    with one to spare on each side: O(1) entries for any lam.
     """
     w_inf = model.limit
     if w_inf is None:
         raise NoLimitDeclared("tabulated sequence has no declared limit")
     trace_val = w_inf * w_inf
-    diag = exact_commutator_diagonal(model, max(4096, len(model.table) + 1))
-    norm_val = float(np.max(diag))
+    if model.kind == KIND_RATIONAL:
+        peak = int(model.lam / 2.0)
+        start, stop = max(peak - 2, 0), peak + 3
+    else:
+        start, stop = 0, len(model.table) + 1
+    with np.errstate(over="ignore", invalid="ignore"):  # make_bound_check refuses overflow
+        norm_val = float(np.max(exact_commutator_diagonal(model, stop, start)))
     return [
         make_bound_check("commutator trace <= (m/pi) area", trace_val, 1 / math.pi * area, 1e-12),
         make_bound_check("commutator norm <= area/pi", norm_val, area / math.pi, 1e-12),

@@ -16,9 +16,8 @@ node-by-node Jacobian quadrature behind the ring moments of
 traceforms.helton_howe_check (with Polynomial, the symbolic algebra it needs),
 weight the scalar rule behind WeightSequence.weights, write_grid_csv and
 write_checks_csv the row-by-row csv.writer dumps that reporting's writers match
-byte for byte, report_json the indented json.dumps that
-VerificationReport.to_json matches byte for byte, and resolvent_guard the
-guard that bisects s_max to the ulp before its one cutoff count.
+byte for byte, and report_json the indented json.dumps that
+VerificationReport.to_json matches byte for byte.
 adjoint_resolvent_recurrence is the back-substitution over every row that
 shifts.adjoint_resolvent_solve starts at the support of its right-hand side,
 and exact_commutator_diagonal the whole-length expression that
@@ -33,12 +32,11 @@ import numpy as np
 
 from hyposhift import shifts
 from hyposhift.errors import (
-    HyposhiftError, NoLimitDeclared, NotAContraction, SingularResolvent, SpectrumHit,
-    TooCloseToCurve,
+    HyposhiftError, NoLimitDeclared, NotAContraction, SpectrumHit, TooCloseToCurve,
 )
 from hyposhift.mobius import CONTRACTION_TOL, MobiusMap
 from hyposhift.principal import CURVE_MARGIN_FACTOR, DEFAULT_CURVE_SAMPLES, winding_numbers
-from hyposhift.shifts import KIND_RATIONAL, SINGULAR_CUTOFF, band
+from hyposhift.shifts import KIND_RATIONAL, band
 from hyposhift.traceforms import BivariatePolynomial
 
 
@@ -58,10 +56,16 @@ class SingularInput(HyposhiftError):
     pass
 
 
+class SingularResolvent(HyposhiftError):
+    """A dense solve whose matrix is numerically singular (see SINGULAR_CUTOFF)."""
+
+
 class ZeroCenter(HyposhiftError):
     pass
 
 
+# Singularity cutoff of the dense solves: s_min <= SINGULAR_CUTOFF * s_max.
+SINGULAR_CUTOFF = 1e-13
 HERMITIAN_TOL = 1e-12
 RANK_TOL = 1e-8
 LOGSERIES_TERM_TOL = 1e-16
@@ -555,20 +559,6 @@ def report_json(report) -> str:
         "runtime_ms": report.runtime_ms,
     }
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
-
-
-def resolvent_guard(sub, w) -> float:
-    """shifts._resolvent_guard with s_max bisected to the ulp before the one
-    cutoff count, as the reference for its early-stopping bracket."""
-    a, top = abs(w), float(np.max(sub))
-    if a - top > SINGULAR_CUTOFF * (a + top):
-        return a - top
-    e2 = shifts._golub_kahan_squares(sub, w)
-    s_max = shifts._bisect_singular_value(e2, sub.size + 1, max(a, top), a + top)
-    threshold = SINGULAR_CUTOFF * s_max
-    if shifts._count_below(e2, threshold) > 0:
-        raise SingularResolvent(f"T* - ({np.conj(w)})I is numerically singular")
-    return threshold
 
 
 def adjoint_resolvent_recurrence(model, w, x) -> np.ndarray:

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from hyposhift import determinants, homogeneity, shifts
 from hyposhift.determinants import determining_det
-from hyposhift.errors import InvalidDimension, NoLimitDeclared, SingularResolvent
+from hyposhift.errors import InvalidDimension, NoLimitDeclared, SpectrumHit
 from hyposhift.shifts import (
     adjoint_resolvent_smin,
     adjoint_resolvent_solve,
@@ -24,15 +24,11 @@ from hyposhift.shifts import (
     tabulated,
     unilateral,
 )
-from hyposhift.traceforms import (
-    BivariatePolynomial,
-    full_finite_trace,
-    tracial_form,
-    window_margin,
-)
+from hyposhift.traceforms import BivariatePolynomial, full_finite_trace, tracial_form
 
 TRACE_TOL = 1e-10
 REL_TOL = 1e-12
+EPS = np.finfo(float).eps
 
 positive_weight = st.floats(0.05, 3.0, allow_nan=False, allow_infinity=False)
 coefficient = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
@@ -106,7 +102,7 @@ def test_traces_match_dense_oracle(model, n, p, q):
     full = full_finite_trace(p, q, model, n)
     assert abs(full - np.sum(oracle_diag)) <= TRACE_TOL * scale
     assert abs(full) <= TRACE_TOL * scale
-    margin = window_margin(p, q)
+    margin = p.deg_z + p.deg_zbar + q.deg_z + q.deg_zbar  # the window: their combined degree
     if n <= 4 * margin:
         with pytest.raises(InvalidDimension):
             tracial_form(p, q, model, n)
@@ -142,42 +138,118 @@ def test_determining_det_matches_dense_oracle(data, weight, n, seed):
 
 
 class TestGuardEquivalence:
-    """T_n* - 2 with all weights 3: s_min ~ (2/3)^n crosses 1e-13 s_max between n = 60 and 80."""
+    """T_n* - conj(w) with all weights 3.  At w = 2, inside the weights, the dense
+    solve's verdict turns on its 1e-13 cutoff (s_min ~ (2/3)^n crosses it between
+    n = 60 and 80); the banded guard refuses every |w| < 3 whatever n is."""
 
     MODEL = tabulated([3.0], limit=3.0)
 
-    # expected: the dense-SVD norms before the banded kernels replaced them
-    @pytest.mark.parametrize("n, expected", [(40, 6634399.392562833), (60, 22061081230.15984)])
+    # expected: the dense-SVD norms at |w| = max w_k = 3
+    @pytest.mark.parametrize("n, expected", [(40, 8.594905632465817), (60, 12.83885935505373)])
     def test_norm_matches_dense_svd(self, n, expected):
-        norm = 1.0 / adjoint_resolvent_smin(self.MODEL, 2.0, n)
-        dense = 1.0 / oracles.adjoint_resolvent_svals(self.MODEL, 2.0, n)[-1]
-        assert norm == pytest.approx(dense, rel=1e-8)
-        assert norm == pytest.approx(expected, rel=1e-8)
+        norm = 1.0 / adjoint_resolvent_smin(self.MODEL, 3.0, n)
+        dense = 1.0 / oracles.adjoint_resolvent_svals(self.MODEL, 3.0, n)[-1]
+        assert norm == pytest.approx(dense, rel=1e-12)
+        assert norm == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("n", [80, 100])
     def test_raises_like_dense_guard(self, n):
-        with pytest.raises(SingularResolvent):
+        with pytest.raises(oracles.SingularResolvent):
             oracles.adjoint_resolvent_solve(self.MODEL, 2.0, np.eye(n)[0])
-        with pytest.raises(SingularResolvent):
+        with pytest.raises(SpectrumHit, match="below the largest weight"):
+            adjoint_resolvent_smin(self.MODEL, 2.0, n)
+        with pytest.raises(SpectrumHit, match="below the largest weight"):
+            adjoint_resolvent_solve(self.MODEL, 2.0, np.eye(n)[0])
+
+    # the dense norms at w = 2 are finite, yet w = 2 lies inside the weights
+    @pytest.mark.parametrize("n, dense_norm", [(40, 6634399.392562833), (60, 22061081230.15984)])
+    def test_refused_where_dense_norm_is_finite(self, n, dense_norm):
+        dense = 1.0 / oracles.adjoint_resolvent_svals(self.MODEL, 2.0, n)[-1]
+        assert dense == pytest.approx(dense_norm, rel=1e-8)
+        with pytest.raises(SpectrumHit, match="2.0 is below the largest weight 3.0"):
             adjoint_resolvent_smin(self.MODEL, 2.0, n)
 
     def test_zero_point_is_singular(self):
-        with pytest.raises(SingularResolvent):
-            adjoint_resolvent_smin(unilateral(), 0.0, 8)
+        for model in (unilateral(), rational_family(2.0), tabulated([0.5, 2.0, 0.7], limit=1.1)):
+            with pytest.raises(SpectrumHit):
+                adjoint_resolvent_smin(model, 0.0, 8)
+            with pytest.raises(SpectrumHit):
+                adjoint_resolvent_solve(model, 0j, np.eye(8)[0])
 
     def test_inside_point_above_threshold(self):
-        # |w| below sup w_k: the guard runs a Sturm count instead of the Weyl bound
+        # |w| below max w_k is refused, though the dense s_min there is far above 1e-13 s_max
         model = tabulated([0.5, 2.0, 0.7], limit=1.1)
-        s_min = adjoint_resolvent_smin(model, 1.05j, 50)
-        dense = oracles.adjoint_resolvent_svals(model, 1.05j, 50)[-1]
-        assert s_min == pytest.approx(dense, rel=REL_TOL)
+        dense = oracles.adjoint_resolvent_svals(model, 1.05j, 50)
+        assert dense[-1] > 1e-3 * dense[0]
+        with pytest.raises(SpectrumHit, match="1.05 is below the largest weight 2.0"):
+            adjoint_resolvent_smin(model, 1.05j, 50)
+
+
+GUARD_MODELS = [
+    unilateral(), rational_family(2.0), rational_family(1.0 + 1e-9),
+    tabulated([0.5, 2.0, 0.7], limit=1.1), tabulated([0.2, 5.0, 0.3], limit=0.4),
+]
+GUARD_MODEL_IDS = ["shift", "rational-2", "rational-near-1", "tabulated", "isolated"]
+# |w| / max w_k: the edge of the guard's domain, a few ulps past it, then well outside
+GUARD_FACTORS = (1.0, 1.0 + 1e-15, 1.0001, 2.0)
+
+
+def assert_guard_bounds_smin(model, n, factor, phase=0.0):
+    """The guard's bound is at most s_min: no Sturm count below it, and the
+    dense SVD agrees up to its own backward error."""
+    sub = band(model, n)
+    top = float(np.max(sub))
+    w = top * factor * np.exp(1j * phase)
+    if abs(w) < top:  # a phase can round the modulus below max w_k
+        with pytest.raises(SpectrumHit):
+            shifts._resolvent_guard(sub, w)
+        return
+    bound = shifts._resolvent_guard(sub, w)
+    assert bound == max(abs(w) - top, abs(w) / n)
+    assert shifts._count_below(shifts._golub_kahan_squares(sub, w), bound) == 0
+    dense = oracles.adjoint_resolvent_svals(model, w, n)
+    assert dense[-1] + 8 * EPS * dense[0] >= bound
+
+
+class TestGuardBound:
+    """On |w| >= top = max w_k, s_min >= max(|w| - top, |w|/n): Weyl's bound and
+    the n-term Neumann series of the nilpotent T_n*."""
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 64, 256])
+    @pytest.mark.parametrize("model", GUARD_MODELS, ids=GUARD_MODEL_IDS)
+    def test_bound_is_below_dense_smin(self, model, n):
+        for factor in GUARD_FACTORS:
+            assert_guard_bounds_smin(model, n, factor)
+
+    @given(
+        tabulated_models(), st.sampled_from([2, 3, 10, 64, 256]),
+        st.sampled_from(GUARD_FACTORS), st.floats(-np.pi, np.pi),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bound_is_below_dense_smin_for_tables(self, model, n, factor, phase):
+        assert_guard_bounds_smin(model, n, factor, phase)
+
+    def test_guard_makes_no_sturm_count(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the guard made a Sturm count")
+
+        monkeypatch.setattr(shifts, "_count_below", refuse)
+        monkeypatch.setattr(shifts, "_golub_kahan_squares", refuse)
+        for model in GUARD_MODELS:
+            for n in (2, 1024):
+                sub = band(model, n)
+                top = float(np.max(sub))
+                for w in (top, top * 1.0001j, -2.0 * top):
+                    assert shifts._resolvent_guard(sub, w) == max(abs(w) - top, abs(w) / n)
+                for w in (0.0, 0.5 * top, math.nextafter(top, 0.0)):
+                    with pytest.raises(SpectrumHit):
+                        shifts._resolvent_guard(sub, w)
 
 
 def bisection_smin(model, w, n):
-    """s_min by Sturm bisection over the guard's whole bracket [lo, |w|]."""
-    sub = band(model, n)
-    lo = shifts._resolvent_guard(sub, w)
-    return shifts._bisect_singular_value(shifts._golub_kahan_squares(sub, w), 1, lo, abs(w))
+    """s_min by Sturm bisection over [0, |w|], with no bound from the guard."""
+    e2 = shifts._golub_kahan_squares(band(model, n), w)
+    return shifts._bisect_singular_value(e2, 1, 0.0, abs(w))
 
 
 @st.composite
@@ -196,26 +268,23 @@ def smin_models(draw):
 
 
 class TestLaguerreSmin:
-    """The Laguerre kernel returns bisection's s_min and raises where the guard does."""
+    """The Laguerre kernel returns bisection's s_min on the guard's whole domain."""
 
-    # moduli below sup w take the guard's threshold path
-    @given(smin_models(), st.integers(2, 300), st.floats(0.3, 4.0), st.floats(-np.pi, np.pi))
-    @example(tabulated([0.5, 2.0, 0.7], limit=1.1), 50, 0.525, np.pi / 2)  # w = 1.05j
-    # a Laguerre step from the guard's threshold bound overshoots s_min at w = 0.9 on
-    # the shift; at w = 2.7 it did so only from the fully bisected guard's bound
-    @example(tabulated([3.0], limit=3.0), 100, 0.9, 0.0)
-    @example(unilateral(), 100, 0.9, 0.0)
+    # moduli from top = max w_k of the band on: the guard admits no other
+    @given(smin_models(), st.integers(2, 300), st.floats(1.0, 4.0), st.floats(-np.pi, np.pi))
+    @example(tabulated([0.5, 2.0, 0.7], limit=1.1), 50, 1.0, 0.0)  # |w| = top
+    @example(tabulated([3.0], limit=3.0), 100, 1.0, 0.0)
+    @example(unilateral(), 100, 1.0 + 1e-15, 0.0)
+    @example(rational_family(2.0), 300, 1.0, np.pi)
     @settings(max_examples=150, deadline=None)
     def test_matches_full_bisection(self, model, n, scale, phase):
-        w = model.sup * scale * np.exp(1j * phase)
-        try:
-            want = bisection_smin(model, w, n)
-        except SingularResolvent:
-            with pytest.raises(SingularResolvent):
+        top = float(np.max(band(model, n)))
+        w = top * scale * np.exp(1j * phase)
+        if abs(w) < top:  # a phase can round the modulus below top
+            with pytest.raises(SpectrumHit):
                 adjoint_resolvent_smin(model, w, n)
             return
-        got = adjoint_resolvent_smin(model, w, n)
-        assert abs(got - want) <= 2 * math.ulp(want)
+        assert adjoint_resolvent_smin(model, w, n) == bisection_smin(model, w, n)
 
     @staticmethod
     def count_sweeps(monkeypatch):
@@ -278,12 +347,16 @@ class TestConstantBandSeed:
     )
     @example(1.0, 1.0 + 1e-4, 300, 0.0)
     @example(0.05, 1.0 + 1e-4, 2, np.pi / 3)
-    @example(1.0, 1.0 + 1e-14, 150, 0.0)  # the guard's threshold path gives lo
+    @example(1.0, 1.0 + 1e-14, 150, 0.0)  # lo is the Neumann bound |w|/n, not |w| - c
     @example(3.0, 4.0, 300, -np.pi)
     @settings(max_examples=200, deadline=None)
     def test_matches_full_bisection_bit_for_bit(self, c, ratio, n, phase):
         model = tabulated([c], limit=c)
         w = c * ratio * np.exp(1j * phase)
+        if abs(w) < c:  # a phase can round the modulus below c
+            with pytest.raises(SpectrumHit):
+                adjoint_resolvent_smin(model, w, n)
+            return
         want = bisection_smin(model, w, n)
         with pytest.MonkeyPatch.context() as mp:
             calls = TestLaguerreSmin.count_sweeps(mp)
@@ -347,9 +420,9 @@ class TestSupportLimitedSolve:
         assert not np.any(got[support:])
 
     def test_guard_reads_the_whole_band(self):
-        # x = e_0 needs one row, but T_80* - 2 with weights 3 is singular
-        model = tabulated([3.0], limit=3.0)
-        with pytest.raises(SingularResolvent):
+        # x = e_0 needs one row and no weight, but w_1 = 3 > |w| = 2 is refused
+        model = tabulated([0.5], limit=3.0)
+        with pytest.raises(SpectrumHit, match="largest weight 3.0"):
             adjoint_resolvent_solve(model, 2.0, np.eye(80)[0])
 
     modulus = st.floats(1.1, 4.0)
@@ -379,23 +452,9 @@ class TestSupportLimitedSolve:
         assert probe.vector_norm.hex() == reference.vector_norm.hex()
 
 
-def full_guard_smin(model, w, n):
-    """adjoint_resolvent_smin behind the guard that bisects s_max to the ulp."""
-    sub = band(model, n)
-    lo = oracles.resolvent_guard(sub, w)
-    return shifts._laguerre_singular_value(shifts._golub_kahan_squares(sub, w), lo, abs(w))
-
-
-def outcome(fn, *args):
-    try:
-        return fn(*args)
-    except SingularResolvent:
-        return "singular"
-
-
 class TestGuardCutoff:
-    """The guard stops bisecting s_max once the cutoff count is settled at both
-    ends of its bracket; decisions and s_min bits stay those of the full bisection."""
+    """The guard's cutoff is |w| = top = max w_k of the band: every modulus below
+    it is refused, and from it on s_min has the bits of full bisection."""
 
     CASES = [
         (unilateral(), 64, 0.3),
@@ -404,29 +463,13 @@ class TestGuardCutoff:
         (tabulated([0.2, 5.0, 0.3], limit=0.4), 40, np.pi / 2),
     ]
 
-    @staticmethod
-    def cutoff_modulus(model, n, phase):
-        """Smallest float modulus on the ray at which the full guard stops raising."""
-        sub = band(model, n)
-        lo, hi = 0.01 * model.sup, model.sup
-        assert outcome(oracles.resolvent_guard, sub, lo * np.exp(1j * phase)) == "singular"
-        assert outcome(oracles.resolvent_guard, sub, hi * np.exp(1j * phase)) != "singular"
-        while True:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                return hi
-            if outcome(oracles.resolvent_guard, sub, mid * np.exp(1j * phase)) == "singular":
-                lo = mid
-            else:
-                hi = mid
-
     @pytest.mark.parametrize(
         "model, n, phase", CASES, ids=["shift", "weights-3", "rational", "isolated"]
     )
     def test_matches_full_bisection_near_cutoff(self, model, n, phase):
-        r_cut = self.cutoff_modulus(model, n, phase)
-        moduli = [r_cut * f for f in (0.5, 0.9, 0.99, 0.999, 1.001, 1.01, 1.1)]
-        r = r_cut
+        top = float(np.max(band(model, n)))
+        moduli = [top * f for f in (0.5, 0.9, 0.99, 0.999, 1.001, 1.01, 1.1)]
+        r = top
         for _ in range(4):
             r = math.nextafter(r, 0.0)
         for _ in range(8):
@@ -435,38 +478,11 @@ class TestGuardCutoff:
         decisions = set()
         for modulus in moduli:
             w = modulus * np.exp(1j * phase)
-            want = outcome(full_guard_smin, model, w, n)
-            assert outcome(adjoint_resolvent_smin, model, w, n) == want
-            decisions.add(want == "singular")
+            refused = abs(w) < top
+            if refused:
+                with pytest.raises(SpectrumHit):
+                    adjoint_resolvent_smin(model, w, n)
+            else:
+                assert adjoint_resolvent_smin(model, w, n) == bisection_smin(model, w, n)
+            decisions.add(refused)
         assert decisions == {True, False}
-
-    @given(st.floats(1.0, 1.5, exclude_min=True, exclude_max=True), st.integers(-3, 3))
-    @settings(max_examples=100, deadline=None)
-    def test_cutoff_within_ulps_of_s_max(self, s_max, k):
-        # a stand-in count for singular values {s_min, s_max} with s_min a few ulps
-        # from 1e-13 s_max: the bracket [1, 1.5] of s_max must shrink to adjacent floats
-        s_min = shifts.SINGULAR_CUTOFF * s_max
-        for _ in range(abs(k)):
-            s_min = math.nextafter(s_min, math.copysign(math.inf, k))
-
-        def count(_e2, lam):
-            return (s_min < lam) + (s_max < lam)
-
-        sub = np.array([1.0])
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(shifts, "_count_below", count)
-            want = outcome(oracles.resolvent_guard, sub, 0.5)
-            got = outcome(shifts._resolvent_guard, sub, 0.5)
-        assert (got == "singular") == (want == "singular")
-        if got != "singular":
-            assert count(None, got) == 0
-
-    def test_threshold_path_settles_at_first_bracket(self, monkeypatch):
-        # the full guard spends ~52 counts on s_max; one count at 1e-13 (|w| + max w_k) decides here
-        model = tabulated([0.2, 5.0, 0.3], limit=0.4)
-        want = full_guard_smin(model, 1.05j, 1024)
-        calls = TestLaguerreSmin.count_sweeps(monkeypatch)
-        shifts._resolvent_guard(band(model, 1024), 1.05j)
-        assert calls["_count_below"] == 1
-        assert adjoint_resolvent_smin(model, 1.05j, 1024) == want
-        assert calls["_count_below"] <= 61

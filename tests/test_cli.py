@@ -666,8 +666,19 @@ class TestMain:
              "model": {"kind": "tabulated", "weights": [1.2], "limit": 1.2}},
             # both sides of the trace formula overflow to NaN: no check can be made
             {"experiment": "helton-howe", "p": [[0, 1, 1e308, 0]], "q": [[1, 0, 1e308, 0]]},
+            # the area side's c ** 2 overflows a float at c = 1e200
+            {"experiment": "helton-howe",
+             "model": {"kind": "tabulated", "weights": [1e200], "limit": 1e200},
+             "p": [[0, 1, 1, 0]], "q": [[1, 0, 1, 0]]},
+            # the default area pi * limit ** 2 and the trace limit ** 2 overflow
+            {"experiment": "berger-shaw-putnam",
+             "model": {"kind": "tabulated", "weights": [1e200], "limit": 1e200}},
+            # the trace and the squared weights overflow, with no numpy warning
+            {"experiment": "berger-shaw-putnam",
+             "model": {"kind": "tabulated", "weights": [1e200], "limit": 1e200}, "area": 1.0},
         ],
-        ids=["constancy_too_close", "helton_howe_not_finite"],
+        ids=["constancy_too_close", "helton_howe_not_finite", "helton_howe_area_overflow",
+             "berger_shaw_putnam_default_area_overflow", "berger_shaw_putnam_overflow"],
     )
     def test_run_library_refusal_exits_two(self, tmp_path, capsys, payload):
         code, out = self.run_config(tmp_path, payload)

@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyposhift.determinants import determining_det
-from hyposhift.errors import NotRankOne, SingularResolvent, SpectrumHit
+from hyposhift.errors import NotRankOne, SpectrumHit
 from hyposhift.shifts import rational_family, tabulated, unilateral
 
 from conftest import basis_vector, random_complex_matrix
 from oracles import (
-    CartesianPair, NotPSD, SeriesDivergent, adjoint, cartesian_parts, det_eigenproduct,
-    det_logseries, determining_function_E, determining_function_det, materialize,
-    multiplicative_commutator_pitfall, rank_one, trace, trace_norm,
+    CartesianPair, NotPSD, SeriesDivergent, SingularResolvent, adjoint, cartesian_parts,
+    det_eigenproduct, det_logseries, determining_function_E, determining_function_det,
+    materialize, multiplicative_commutator_pitfall, rank_one, trace, trace_norm,
 )
 
 

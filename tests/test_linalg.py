@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyposhift.errors import SingularResolvent
 from hyposhift.shifts import unilateral
 
 from conftest import basis_vector, householder_unitary, random_complex_matrix
 from oracles import (
-    NonHermitianInput, adjoint, hermitian_deviation, hermitian_min_eig, materialize,
-    numerical_rank, operator_norm, rank_one, resolvent_solve, self_commutator, singular_spectrum,
-    trace, trace_norm,
+    NonHermitianInput, SingularResolvent, adjoint, hermitian_deviation, hermitian_min_eig,
+    materialize, numerical_rank, operator_norm, rank_one, resolvent_solve, self_commutator,
+    singular_spectrum, trace, trace_norm,
 )
 
 

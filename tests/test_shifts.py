@@ -88,6 +88,25 @@ def test_blocked_diagonal_bit_equal_to_unblocked(model):
         assert np.array_equal(exact_commutator_diagonal(model, n), want)
 
 
+@pytest.mark.parametrize(
+    "model",
+    [rational_family(3.7), tabulated(np.linspace(0.5, 2.0, shifts._DIAGONAL_BLOCK + 5), limit=0.9)],
+    ids=["rational", "tabulated"],
+)
+def test_diagonal_from_start_bit_equal_to_slice(model):
+    block = shifts._DIAGONAL_BLOCK
+    n = 3 * block + 7
+    whole = exact_commutator_diagonal(model, n)
+    for start in (0, 1, 2, block - 1, block, block + 1, 2 * block + 3, n - 1):
+        assert np.array_equal(exact_commutator_diagonal(model, n, start), whole[start:])
+
+
+@pytest.mark.parametrize("n, start", [(0, 0), (5, 5), (5, -1)])
+def test_diagonal_refuses_an_empty_or_negative_range(n, start):
+    with pytest.raises(InvalidDimension):
+        exact_commutator_diagonal(unilateral(), n, start)
+
+
 def test_exact_diagonal_telescopes():
     for lam in (1.5, 2.0, 5.0):
         model = rational_family(lam)

@@ -2,16 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hyposhift.errors import InvalidDimension, NoLimitDeclared
+import warnings
+
+from hyposhift import traceforms
+from hyposhift.errors import DomainError, InvalidDimension, NoLimitDeclared
 from hyposhift.principal import constant_grid
-from hyposhift.shifts import rational_family, tabulated, unilateral
+from hyposhift.shifts import exact_commutator_diagonal, rational_family, tabulated, unilateral
 from hyposhift.traceforms import (
     BivariatePolynomial,
     berger_shaw_putnam_check,
+    check_window,
     full_finite_trace,
     helton_howe_check,
     tracial_form,
-    window_margin,
 )
 
 from oracles import (
@@ -123,8 +126,8 @@ class TestEvalAtOperator:
 
 class TestTracialForm:
     def test_margin(self):
-        assert window_margin(monomial(0, 1), monomial(1, 0)) == 2
-        assert window_margin(monomial(0, 2), monomial(2, 0)) == 4
+        assert check_window(monomial(0, 1), monomial(1, 0), 64) == 2
+        assert check_window(monomial(0, 2), monomial(2, 0), 64) == 4
 
     def test_dimension_guard(self):
         with pytest.raises(InvalidDimension):
@@ -211,6 +214,12 @@ class TestHeltonHoweCheck:
         with pytest.raises(NoLimitDeclared):
             helton_howe_check(monomial(0, 1), monomial(1, 0), tabulated([1.0, 2.0]), 64, 1e-3)
 
+    def test_area_side_overflow_is_refused(self):
+        # c ** 2 overflows a float at c = 1e200: a refusal, not an OverflowError
+        model = tabulated([1e200], limit=1e200)
+        with pytest.raises(DomainError, match="trace formula"):
+            helton_howe_check(monomial(0, 1), monomial(1, 0), model, 64, 1e-3)
+
 
 class TestBergerShawPutnam:
     def test_shift_with_disc_area(self):
@@ -238,6 +247,28 @@ class TestBergerShawPutnam:
         checks = berger_shaw_putnam_check(model, np.pi / 4.0)
         assert all(c.passed for c in checks)
         assert checks[0].lhs == pytest.approx(0.25, abs=1e-12)
+
+    @pytest.mark.parametrize("lam", [1.5, 5.0, 100.0, 8191.0, 20000.0])
+    def test_rational_norm_is_the_diagonal_maximum(self, monkeypatch, lam):
+        # the entries rise to one peak near k = lam/2 - 1 and fall after it
+        model = rational_family(lam)
+        want = float(np.max(exact_commutator_diagonal(model, 4 * int(lam) + 64)))
+        read = []
+
+        def spy(model, n, start=0):
+            read.append(n - start)
+            return exact_commutator_diagonal(model, n, start)
+
+        monkeypatch.setattr(traceforms, "exact_commutator_diagonal", spy)
+        assert berger_shaw_putnam_check(model, np.pi)[1].lhs.real == want
+        assert sum(read) <= 5
+
+    def test_overflow_is_refused_without_warnings(self):
+        model = tabulated([1e200], limit=1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="must be finite"):
+                berger_shaw_putnam_check(model, 1.0)
 
     def test_tabulated_without_limit_raises(self):
         # the trace is w_inf^2, so a table without a declared limit has none
