@@ -114,12 +114,11 @@ def _parse_model(spec, path: str) -> WeightSequence:
         return rational_family(_number(spec["lambda"], f"{path}.lambda"))
     if kind == "tabulated":
         _refuse_unread(spec, ("kind", "weights", "limit"), f"{path}.", "a tabulated model")
-        if "weights" not in spec:
-            raise ConfigError(f"{path}.weights: required for tabulated weights")
-        limit = spec.get("limit")
-        if limit is not None:
-            limit = _number(limit, f"{path}.limit")
-        return tabulated(_items(spec["weights"], f"{path}.weights", _number, "numbers"), limit)
+        for key in ("weights", "limit"):
+            if key not in spec:
+                raise ConfigError(f"{path}.{key}: required for tabulated weights")
+        weights = _items(spec["weights"], f"{path}.weights", _number, "numbers")
+        return tabulated(weights, _number(spec["limit"], f"{path}.limit"))
     raise ConfigError(f"{path}.kind: unknown kind {kind!r}")
 
 
@@ -237,15 +236,13 @@ def parse_config(text: str) -> ExperimentConfig:
             check_window(args["p"], args["q"], args["truncation"])
         except HyposhiftError as exc:
             raise ConfigError(f"truncation: helton-howe {exc}") from exc
-    if name in ("helton-howe", "berger-shaw-putnam", "pincus-check") and model.limit is None:
-        raise ConfigError(f"model.limit: {name} requires a declared limit")
     if name == "berger-shaw-putnam" and not model.hyponormal:
         # Putnam's bound ||[T*, T]|| <= area/pi holds for hyponormal T only
         raise ConfigError(
             "model: berger-shaw-putnam requires a hyponormal model: nondecreasing "
             "weights, with the limit at least the last one"
         )
-    if name in ("change-of-variable", "constancy") and model.limit is not None:
+    if name in ("change-of-variable", "constancy"):
         # phi must be analytic on the spectrum, the closed disc of radius model.limit
         where = "mobius" if "mobius" in given else "default maps"
         maps = (args["mobius"],) if args["mobius"] is not None else DEFAULT_MAP_GRID
@@ -328,7 +325,7 @@ def _bool_check(name: str, ok: bool, value: float) -> Check:
 
 def _run_t_lambda(model, truncation=DEFAULT_TRUNCATION) -> list:
     """rational weight family: commutator trace telescopes to 1"""
-    return [t_lambda_trace_check(model.lam, truncation)]
+    return [t_lambda_trace_check(model, truncation)]
 
 
 def _run_resolvent_probe(

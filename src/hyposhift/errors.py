@@ -10,10 +10,6 @@ class InvalidDimension(HyposhiftError):
     pass
 
 
-class NoLimitDeclared(HyposhiftError):
-    pass
-
-
 # Mobius maps
 class PoleHit(HyposhiftError):
     pass

@@ -175,16 +175,13 @@ def resolvent_norm_probe(model: WeightSequence, w: complex, n: int) -> Resolvent
     )
 
 
-def t_lambda_trace_check(lam: float, n: int) -> Check:
-    """Partial trace w_{n-1}(lam)^2 of the rational family against 1, within 2 lam / n.
+def t_lambda_trace_check(model: WeightSequence, n: int) -> Check:
+    """Partial trace w_{n-1}^2 of a rational-family model against 1, within 2 lam / n.
 
     All members of the family share principal value 1 on the disc while being
     mutually inequivalent; the trace of the exact self-commutator is the shared
     invariant probed here.
     """
-    if lam <= 1.0:
-        raise DomainError(f"family parameter must exceed 1, got {lam}")
-    w_last = n / (n - 1 + lam)
-    return make_check(
-        f"partial commutator trace (lam={lam}, n={n})", w_last**2, 1.0, 2.0 * lam / n
-    )
+    w_last = float(model._weights(n - 1, n)[0])
+    lam = model.lam
+    return make_check(f"partial commutator trace (lam={lam}, n={n})", w_last**2, 1.0, 2.0 * lam / n)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .determinants import determining_det
-from .errors import NoLimitDeclared, SpectrumHit, TooCloseToCurve
+from .errors import SpectrumHit, TooCloseToCurve
 from .reporting import make_check
 from .shifts import WeightSequence
 
@@ -309,8 +309,6 @@ def pincus_consistency(
     tolerance 5e-3.
     """
     c = model.limit
-    if c is None:
-        raise NoLimitDeclared("pincus_consistency needs a declared limit: g is 1 on its disc")
     x = np.zeros(n, dtype=np.complex128)
     x[0] = model.weights(1)[0]
     det_val = determining_det(model, x, z, w, n)

@@ -1,7 +1,8 @@
 """Weighted unilateral shift models and their banded truncations.
 
 The model is a WeightSequence: closed-form or tabulated weights together with
-their limit value.  The n-truncation T_n is stored as its band: entry
+their limit value, which a table must declare, so that every model defines the
+infinite operator on l^2.  The n-truncation T_n is stored as its band: entry
 (k+1, k) = w_k, zero elsewhere.  The adjoint resolvent (T_n* - conj(w))^{-1},
 its invertibility guard and its norm are computed from that band in O(n) per
 sweep; no function here builds the dense matrix, which only the test oracles
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidDimension, NoLimitDeclared, SpectrumHit
+from .errors import InvalidDimension, SpectrumHit
 
 KIND_RATIONAL = "rational"
 KIND_TABULATED = "tabulated"
@@ -51,30 +52,35 @@ _DIAGONAL_BLOCK = 16384
 
 @dataclass(frozen=True)
 class WeightSequence:
-    """Weighted shift model: weights w_0, w_1, ... with a declared limit w_inf.
+    """Weighted shift model: weights w_0, w_1, ... with their limit w_inf.
 
     kinds:
       rational    w_n = (n+1)/(n+lam), lam > 1 (strictly increasing, sup 1)
       tabulated   finite list, constant equal to the declared limit beyond it
+
+    Every parameter must be finite, every weight and the limit positive: a
+    model that builds defines the infinite operator.  A table must declare
+    its limit; the NaN default is refused.
     """
 
     kind: str
     lam: float | None = None
     table: tuple[float, ...] = field(default=())
-    limit: float | None = None
+    limit: float = math.nan
 
     def __post_init__(self):
+        # each test is written so that NaN fails it
         if self.kind == KIND_RATIONAL:
-            if self.lam is None or self.lam <= 1.0:
-                raise ValueError("rational weight family requires lam > 1")
+            if self.lam is None or not 1.0 < self.lam < math.inf:
+                raise ValueError("rational weight family requires a finite lam > 1")
             object.__setattr__(self, "limit", 1.0)
         elif self.kind == KIND_TABULATED:
             if not self.table:
                 raise ValueError("tabulated weights need a non-empty table")
-            if any(w <= 0 for w in self.table):
-                raise ValueError("weights must be positive")
-            if self.limit is not None and self.limit <= 0:
-                raise ValueError("declared limit must be positive")
+            if not all(0.0 < w < math.inf for w in self.table):
+                raise ValueError("weights must be positive and finite")
+            if not 0.0 < self.limit < math.inf:
+                raise ValueError(f"limit must be positive and finite, got {self.limit}")
         else:
             raise ValueError(f"unknown weight kind {self.kind!r}")
 
@@ -95,11 +101,6 @@ class WeightSequence:
         stored = len(self.table)
         if stop <= stored:
             return np.array(self.table[start:stop], dtype=np.float64)
-        if self.limit is None:
-            raise NoLimitDeclared(
-                f"tabulated sequence of length {stored} has no declared "
-                f"limit; cannot extend to index {stored}"
-            )
         out = np.full(stop - start, float(self.limit))
         if start < stored:
             out[: stored - start] = self.table[start:]
@@ -110,14 +111,13 @@ class WeightSequence:
         """Whether [T*, T] >= 0, that is, whether the weights never decrease.
 
         Decided exactly from the weights the model defines: the rational family
-        increases; a table must be nondecreasing, and a declared limit, which
-        every later weight equals, at least its last entry.
+        increases; a table must be nondecreasing, and its limit, which every
+        later weight equals, at least its last entry.
         """
         if self.kind == KIND_RATIONAL:
             return True
         table = self.table
-        tail_ok = self.limit is None or self.limit >= table[-1]
-        return tail_ok and all(a <= b for a, b in zip(table, table[1:]))
+        return self.limit >= table[-1] and all(a <= b for a, b in zip(table, table[1:]))
 
     @property
     def rank_one(self) -> bool:
@@ -125,23 +125,19 @@ class WeightSequence:
         every weight equals w_0.
 
         Decided exactly from the weights the model defines: the rational family
-        strictly increases; every table entry, and a declared limit, must equal
-        the first entry.  Without a limit the table alone decides.
+        strictly increases; every table entry, and the limit, must equal the
+        first entry.
         """
         if self.kind == KIND_RATIONAL:
             return False
         first = self.table[0]
-        head_ok = self.limit is None or self.limit == first
-        return head_ok and all(w == first for w in self.table)
+        return self.limit == first and all(w == first for w in self.table)
 
     @property
     def sup(self) -> float:
         if self.kind == KIND_RATIONAL:
             return 1.0
-        vals = list(self.table)
-        if self.limit is not None:
-            vals.append(self.limit)
-        return max(vals)
+        return max(*self.table, self.limit)
 
 
 def unilateral() -> WeightSequence:
@@ -154,7 +150,7 @@ def rational_family(lam: float) -> WeightSequence:
     return WeightSequence(KIND_RATIONAL, lam=lam)
 
 
-def tabulated(weights, limit: float | None = None) -> WeightSequence:
+def tabulated(weights, limit: float) -> WeightSequence:
     return WeightSequence(KIND_TABULATED, table=tuple(float(w) for w in weights), limit=limit)
 
 
@@ -438,8 +434,5 @@ def symbol_curve(model: WeightSequence, samples: int) -> np.ndarray:
     """Essential-spectrum circle w_inf * exp(2 pi i k / samples), k = 0..samples-1."""
     if samples < 3:
         raise ValueError(f"need at least 3 samples, got {samples}")
-    w_inf = model.limit
-    if w_inf is None:
-        raise NoLimitDeclared("tabulated sequence has no declared limit")
     k = np.arange(samples)
-    return w_inf * np.exp(2j * np.pi * k / samples)
+    return model.limit * np.exp(2j * np.pi * k / samples)

@@ -10,7 +10,7 @@ No n x n matrix is formed.  Each monomial T^j T*^k of the truncation lives on
 the single diagonal at offset j - k, so p(T_n, T_n*) is a map from offset to
 diagonal vector, built from the weight band with the truncation's corner
 entries reproduced exactly, and only the main diagonal of [P, Q] is computed:
-O(n |p| |q|) work for the windowed and the full trace alike.
+O(n |p| |q|) work.
 
 The area side of the Helton-Howe formula is the midpoint polar rule summed by
 ring moments of the Jacobian's monomials, taken from coefficient pairs: no
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidDimension, NoLimitDeclared
+from .errors import InvalidDimension
 from .reporting import Check, make_bound_check, make_check
 from .shifts import KIND_RATIONAL, WeightSequence, band, exact_commutator_diagonal
 
@@ -116,23 +116,16 @@ def tracial_form(
         return complex(np.sum(_commutator_diagonal(p, q, model, n)[: n - margin]))
 
 
-def full_finite_trace(
-    p: BivariatePolynomial, q: BivariatePolynomial, model: WeightSequence, n: int
-) -> complex:
-    """Unwindowed trace of the finite commutator; identically 0 by construction."""
-    return complex(np.sum(_commutator_diagonal(p, q, model, n)))
-
-
 def helton_howe_check(
     p: BivariatePolynomial, q: BivariatePolynomial, model: WeightSequence, n: int, tol: float,
     n_r: int = 400, n_theta: int = 400,
 ) -> Check:
     """Windowed commutator trace vs (1/pi) int J(p, q) g dA, g = 1 on the disc of radius c.
 
-    The model's principal function is 1 on the disc of radius c = model.limit
-    (NoLimitDeclared when none is declared).  The area side is the midpoint
-    polar rule: node c r_i u_j, r_i = (i + 1/2)/n_r, u_j = exp(2 pi i (j + 1/2)/M),
-    M = n_theta, cell measure c^2 r_i dr dtheta, dr = 1/n_r, dtheta = 2 pi/M.
+    The model's principal function is 1 on the disc of radius c = model.limit.
+    The area side is the midpoint polar rule: node c r_i u_j, r_i = (i + 1/2)/n_r,
+    u_j = exp(2 pi i (j + 1/2)/M), M = n_theta, cell measure c^2 r_i dr dtheta,
+    dr = 1/n_r, dtheta = 2 pi/M.
 
     Jacobian.  J(p, q) = (dp/dzbar)(dq/dz) - (dp/dz)(dq/dzbar).  Monomials
     a z^i zbar^j of p and b z^k zbar^l of q contribute a b (j k - i l) z^s zbar^t
@@ -149,8 +142,6 @@ def helton_howe_check(
     value is the node rule's own, not the exact integral.  O(n_r) per monomial pair.
     """
     c = model.limit
-    if c is None:
-        raise NoLimitDeclared("helton-howe needs g = 1 on the disc of radius model.limit")
     lhs = tracial_form(p, q, model, n)
     radii = (np.arange(n_r) + 0.5) / n_r
     rhs = 0j
@@ -181,10 +172,7 @@ def berger_shaw_putnam_check(model: WeightSequence, area: float) -> list[Check]:
     (lam/2 - 1, lam/2 - 1/2], so the norm reads the integers next to k*,
     with one to spare on each side: O(1) entries for any lam.
     """
-    w_inf = model.limit
-    if w_inf is None:
-        raise NoLimitDeclared("tabulated sequence has no declared limit")
-    trace_val = w_inf * w_inf
+    trace_val = model.limit * model.limit
     if model.kind == KIND_RATIONAL:
         peak = int(model.lam / 2.0)
         start, stop = max(peak - 2, 0), peak + 3

@@ -20,8 +20,10 @@ byte for byte, and report_json the indented json.dumps that
 VerificationReport.to_json matches byte for byte.
 adjoint_resolvent_recurrence is the back-substitution over every row that
 shifts.adjoint_resolvent_solve starts at the support of its right-hand side,
-and exact_commutator_diagonal the whole-length expression that
-shifts.exact_commutator_diagonal evaluates block by block.
+exact_commutator_diagonal the whole-length expression that
+shifts.exact_commutator_diagonal evaluates block by block, and
+full_finite_trace the unwindowed sum of traceforms' banded commutator
+diagonal, which must vanish.
 """
 import csv
 import json
@@ -30,10 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hyposhift import shifts
-from hyposhift.errors import (
-    HyposhiftError, NoLimitDeclared, NotAContraction, SpectrumHit, TooCloseToCurve,
-)
+from hyposhift import shifts, traceforms
+from hyposhift.errors import HyposhiftError, NotAContraction, SpectrumHit, TooCloseToCurve
 from hyposhift.mobius import CONTRACTION_TOL, MobiusMap
 from hyposhift.principal import CURVE_MARGIN_FACTOR, DEFAULT_CURVE_SAMPLES, winding_numbers
 from hyposhift.shifts import KIND_RATIONAL, band
@@ -175,11 +175,6 @@ def weight(model, n: int) -> float:
         return (n + 1) / (n + model.lam)
     if n < len(model.table):
         return model.table[n]
-    if model.limit is None:
-        raise NoLimitDeclared(
-            f"tabulated sequence of length {len(model.table)} has no declared "
-            f"limit; cannot extend to index {n}"
-        )
     return model.limit
 
 
@@ -223,6 +218,12 @@ def commutator_diagonal(p, q, model, n: int) -> np.ndarray:
     pm = eval_poly_at_operator(p, t)
     qm = eval_poly_at_operator(q, t)
     return np.diagonal(pm @ qm - qm @ pm)
+
+
+def full_finite_trace(p, q, model, n: int) -> complex:
+    """Unwindowed trace of the banded kernel's finite commutator diagonal:
+    identically 0, since the finite commutator is traceless."""
+    return complex(np.sum(traceforms._commutator_diagonal(p, q, model, n)))
 
 
 def adjoint_resolvent_solve(model, w: complex, x: np.ndarray) -> np.ndarray:

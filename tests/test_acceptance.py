@@ -169,9 +169,9 @@ def test_criterion_08_inequality_forces_exponent_one():
 def test_criterion_09_rational_family_trace():
     ok = True
     for lam in (1.5, 2.0, 5.0):
-        check = t_lambda_trace_check(lam, 10**5)
+        check = t_lambda_trace_check(rational_family(lam), 10**5)
         ok &= check.passed
-    ok &= abs(t_lambda_trace_check(2.0, 1000).lhs - 0.998003) <= 1e-6
+    ok &= abs(t_lambda_trace_check(rational_family(2.0), 1000).lhs - 0.998003) <= 1e-6
     report("criterion 9: rational-family commutator trace telescopes to 1", ok)
 
 

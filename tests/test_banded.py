@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from hyposhift import determinants, homogeneity, shifts
 from hyposhift.determinants import determining_det
-from hyposhift.errors import InvalidDimension, NoLimitDeclared, SpectrumHit
+from hyposhift.errors import InvalidDimension, SpectrumHit
 from hyposhift.shifts import (
     adjoint_resolvent_smin,
     adjoint_resolvent_solve,
@@ -24,7 +24,7 @@ from hyposhift.shifts import (
     tabulated,
     unilateral,
 )
-from hyposhift.traceforms import BivariatePolynomial, full_finite_trace, tracial_form
+from hyposhift.traceforms import BivariatePolynomial, tracial_form
 
 TRACE_TOL = 1e-10
 REL_TOL = 1e-12
@@ -75,15 +75,12 @@ class TestWeightVector:
             assert vec.dtype == np.float64
             assert np.array_equal(vec, scalar)
 
-    def test_tabulated_without_limit_raises_where_scalar_does(self):
-        weights = tabulated([0.5, 0.6])
-        for n in (0, 1, 2):
-            scalar = [oracles.weight(weights, k) for k in range(n)]
-            assert np.array_equal(weights.weights(n), scalar)
-        with pytest.raises(NoLimitDeclared):
-            oracles.weight(weights, 2)
-        with pytest.raises(NoLimitDeclared, match="index 2"):
-            weights.weights(3)
+    def test_tabulated_without_limit_is_refused(self):
+        # no table is left that the vector or the scalar rule could not extend
+        with pytest.raises(TypeError):
+            tabulated([0.5, 0.6])
+        with pytest.raises(ValueError, match="limit"):
+            shifts.WeightSequence(shifts.KIND_TABULATED, table=(0.5, 0.6))
 
     def test_materialize_places_band_on_subdiagonal(self):
         model = tabulated([0.5, 2.0], limit=1.5)
@@ -99,7 +96,7 @@ def test_traces_match_dense_oracle(model, n, p, q):
     pm = oracles.eval_poly_at_operator(p, t)
     qm = oracles.eval_poly_at_operator(q, t)
     scale = max(1.0, float(np.sum(np.abs(np.diagonal(pm @ qm)) + np.abs(np.diagonal(qm @ pm)))))
-    full = full_finite_trace(p, q, model, n)
+    full = oracles.full_finite_trace(p, q, model, n)
     assert abs(full - np.sum(oracle_diag)) <= TRACE_TOL * scale
     assert abs(full) <= TRACE_TOL * scale
     margin = p.deg_z + p.deg_zbar + q.deg_z + q.deg_zbar  # the window: their combined degree

@@ -250,6 +250,19 @@ class TestReporting:
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
+# every experiment that reads a model, with the keys it requires besides; the
+# probe's table is as long as its band, so it read no limit before one was required
+MODEL_READERS = {
+    "pincus-check": {},
+    "helton-howe": {"p": [[0, 1, 1, 0]], "q": [[1, 0, 1, 0]]},
+    "change-of-variable": {},
+    "constancy": {},
+    "t-lambda-trace": {},
+    "resolvent-probe": {"truncation": 8},
+    "berger-shaw-putnam": {},
+}
+
+
 class TestMain:
     def run_config(self, tmp_path, payload, csv_out=False):
         cfg_path = tmp_path / "cfg.json"
@@ -329,6 +342,34 @@ class TestMain:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_grid_non_finite_lambda_exits_two(self, tmp_path, capsys, lam):
+        out = tmp_path / "g.csv"
+        argv = ["grid", "--experiment", "pincus-check", "--out", str(out), "--model-lambda", lam]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment, required", MODEL_READERS.items())
+    def test_run_table_without_limit_exits_two(self, tmp_path, capsys, experiment, required):
+        model = {"kind": "tabulated", "weights": [0.5] * 7}
+        code, out = self.run_config(tmp_path, {"experiment": experiment, "model": model, **required})
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: model.limit: required for tabulated weights\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_model_readers_are_every_experiment_with_a_model(self):
+        readers = {
+            name for name, run in EXPERIMENTS.items()
+            if "model" in inspect.signature(run).parameters
+        }
+        assert readers == set(MODEL_READERS)
 
     @pytest.mark.parametrize(
         "extra, model",

@@ -113,9 +113,9 @@ class TestCheckRankOne:
         [
             unilateral(),
             tabulated([0.7] * 80, limit=0.7),
-            tabulated([2.0] * 3),  # no limit: the table alone decides
+            tabulated([2.0] * 3, limit=2.0),
         ],
-        ids=["shift", "long-table", "no-limit"],
+        ids=["shift", "long-table", "short-table"],
     )
     def test_accepts_constant_weights(self, model):
         assert model.rank_one

@@ -201,16 +201,22 @@ class TestResolventProbe:
 
 class TestTLambdaTrace:
     def test_worked_example(self):
-        check = t_lambda_trace_check(2.0, 1000)
+        check = t_lambda_trace_check(rational_family(2.0), 1000)
         assert check.lhs == pytest.approx(0.998003, abs=1e-6)
         assert check.passed
 
     def test_family_large_n(self):
         for lam in (1.5, 2.0, 5.0):
-            check = t_lambda_trace_check(lam, 10**5)
+            check = t_lambda_trace_check(rational_family(lam), 10**5)
             assert check.passed
             assert abs(check.lhs - 1.0) <= 2.0 * lam / 10**5
 
     def test_rejects_lambda_at_one(self):
-        with pytest.raises(DomainError):
-            t_lambda_trace_check(1.0, 100)
+        # the family's lam > 1 is the model's to enforce
+        with pytest.raises(ValueError, match="lam > 1"):
+            rational_family(1.0)
+
+    @pytest.mark.parametrize("lam", [1.5, 2.0, 7.3, 1e3])
+    def test_reads_the_model_weight(self, lam):
+        n = 1000
+        assert t_lambda_trace_check(rational_family(lam), n).lhs == (n / (n - 1 + lam)) ** 2

@@ -168,7 +168,7 @@ def shift_with(at, value):
 weight_models = st.one_of(
     st.just(unilateral()),
     st.floats(1.01, 20.0).map(rational_family),
-    st.lists(st.floats(1e-3, 1.0), min_size=63, max_size=63).map(tabulated),
+    st.lists(st.floats(1e-3, 1.0), min_size=63, max_size=63).map(lambda t: tabulated(t, t[-1])),
 )
 
 

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from hyposhift import shifts
-from hyposhift.errors import InvalidDimension, NoLimitDeclared
+from hyposhift.errors import InvalidDimension
 from hyposhift.shifts import (
     exact_commutator_diagonal,
     rational_family,
@@ -132,16 +134,13 @@ def test_exact_diagonal_positive_for_increasing_weights():
 _GRID_WEIGHTS = st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0])
 
 
-@given(
-    st.lists(_GRID_WEIGHTS, min_size=1, max_size=6),
-    st.one_of(st.none(), _GRID_WEIGHTS),
-)
+@given(st.lists(_GRID_WEIGHTS, min_size=1, max_size=6), _GRID_WEIGHTS)
 @settings(max_examples=100, deadline=None)
 def test_hyponormal_matches_commutator_diagonal(table, limit):
     # [T*, T] is diagonal, so T is hyponormal exactly when every entry is >= 0;
     # the entry past the table is limit^2 - last^2, and every later one is 0
     model = tabulated(table, limit)
-    n = len(table) + (2 if limit is not None else 0)
+    n = len(table) + 2
     assert model.hyponormal == bool(np.all(exact_commutator_diagonal(model, n) >= 0))
 
 
@@ -151,14 +150,14 @@ def test_hyponormal_matches_commutator_diagonal(table, limit):
         # equal entries, which the draw above seldom makes
         st.tuples(_GRID_WEIGHTS, st.integers(1, 6)).map(lambda wk: [wk[0]] * wk[1]),
     ),
-    st.one_of(st.none(), _GRID_WEIGHTS),
+    _GRID_WEIGHTS,
 )
 @settings(max_examples=100, deadline=None)
 def test_rank_one_matches_commutator_diagonal(table, limit):
     # [T*, T] is diagonal with first entry w_0^2 > 0, so it is rank one exactly
     # when every later entry is 0; those past the table are 0 from two on
     model = tabulated(table, limit)
-    n = len(table) + (2 if limit is not None else 0)
+    n = len(table) + 2
     assert model.rank_one == bool(np.all(exact_commutator_diagonal(model, n)[1:] == 0))
 
 
@@ -209,11 +208,64 @@ def test_symbol_curve_tabulated_radius():
 
 
 def test_symbol_curve_needs_limit():
-    with pytest.raises(NoLimitDeclared):
-        symbol_curve(tabulated([0.5, 0.6]), 32)
+    # the curve's radius is the limit, not a table entry, and every table declares one
+    with pytest.raises(TypeError):
+        tabulated([0.5, 0.6])
+    pts = symbol_curve(tabulated([0.5, 0.6], limit=0.7), 32)
+    np.testing.assert_allclose(np.abs(pts), 0.7, atol=1e-14)
 
 
 def test_tabulated_extension_needs_limit():
-    model = tabulated([0.5, 0.6])
-    with pytest.raises(NoLimitDeclared):
-        materialize(model, 8)
+    # the table extends by its limit, so a model without one is refused when built
+    with pytest.raises(ValueError, match="limit"):
+        shifts.WeightSequence(shifts.KIND_TABULATED, table=(0.5, 0.6))
+    m = materialize(tabulated([0.5, 0.6], limit=0.8), 5)
+    np.testing.assert_array_equal(np.diagonal(m, -1), [0.5, 0.6, 0.8, 0.8])
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (shifts.WeightSequence, (shifts.KIND_TABULATED, None, (1.0,))),
+        (tabulated, ([1.0], 0.0)),
+        (tabulated, ([1.0], -1.0)),
+        (tabulated, ([1.0], math.nan)),
+        (tabulated, ([1.0], math.inf)),
+        (tabulated, ([math.nan], 1.0)),
+        (tabulated, ([math.inf], 1.0)),
+        (tabulated, ([1.0, 0.0], 1.0)),
+        (rational_family, (math.nan,)),
+        (rational_family, (math.inf,)),
+        (rational_family, (1.0,)),
+    ],
+    ids=["limit-missing", "limit-zero", "limit-negative", "limit-nan", "limit-inf", "weight-nan", "weight-inf",
+         "weight-zero", "lambda-nan", "lambda-inf", "lambda-one"],
+)
+def test_refuses_a_model_that_is_not_finite_and_positive(build, args):
+    with pytest.raises(ValueError):
+        build(*args)
+
+
+# any float, with positive finite ones drawn often enough to pair with a bad one
+_ANY_FLOAT = st.floats(0.01, 10.0) | st.floats()
+
+
+@given(st.lists(_ANY_FLOAT, min_size=1, max_size=4), _ANY_FLOAT, _ANY_FLOAT)
+@example([1.0], math.inf, math.inf)
+@example([1.0, math.nan], math.nan, math.nan)
+@settings(max_examples=200, deadline=None)
+def test_every_model_that_builds_defines_the_infinite_operator(table, limit, lam):
+    # a model builds exactly when its weights and limit are positive and finite
+    admissible = all(0.0 < w < math.inf for w in table) and 0.0 < limit < math.inf
+    try:
+        model = tabulated(table, limit)
+    except ValueError:
+        assert not admissible
+    else:
+        assert admissible and model.limit == limit and model.sup < math.inf
+    try:
+        model = rational_family(lam)
+    except ValueError:
+        assert not 1.0 < lam < math.inf
+    else:
+        assert 1.0 < lam < math.inf and model.limit == 1.0

@@ -20,7 +20,7 @@ PUBLIC_NAMES = {
     "determinants": ["determining_det"],
     "errors": [
         "ConfigError", "DomainError", "HyposhiftError", "InvalidDimension", "IoError",
-        "NoLimitDeclared", "NotAContraction", "NotRankOne", "PoleHit", "SpectrumHit",
+        "NotAContraction", "NotRankOne", "PoleHit", "SpectrumHit",
         "TooCloseToCurve",
     ],
     "homogeneity": [
@@ -50,8 +50,8 @@ PUBLIC_NAMES = {
         "unilateral",
     ],
     "traceforms": [
-        "BivariatePolynomial", "berger_shaw_putnam_check", "check_window", "full_finite_trace",
-        "helton_howe_check", "tracial_form",
+        "BivariatePolynomial", "berger_shaw_putnam_check", "check_window", "helton_howe_check",
+        "tracial_form",
     ],
 }
 
@@ -75,4 +75,4 @@ def test_public_names_are_listed():
 
 def test_public_name_count():
     # the number of public names that the ROADMAP's quality pillar tracks
-    assert sum(len(names) for names in PUBLIC_NAMES.values()) == 77
+    assert sum(len(names) for names in PUBLIC_NAMES.values()) == 75

@@ -5,21 +5,20 @@ from hypothesis import example, given, settings, strategies as st
 import warnings
 
 from hyposhift import traceforms
-from hyposhift.errors import DomainError, InvalidDimension, NoLimitDeclared
+from hyposhift.errors import DomainError, InvalidDimension
 from hyposhift.principal import constant_grid
 from hyposhift.shifts import exact_commutator_diagonal, rational_family, tabulated, unilateral
 from hyposhift.traceforms import (
     BivariatePolynomial,
     berger_shaw_putnam_check,
     check_window,
-    full_finite_trace,
     helton_howe_check,
     tracial_form,
 )
 
 from oracles import (
-    Polynomial, adjoint, eval_poly_at_operator, helton_howe_area, materialize, monomial,
-    wirtinger_jacobian,
+    Polynomial, adjoint, eval_poly_at_operator, full_finite_trace, helton_howe_area, materialize,
+    monomial, wirtinger_jacobian,
 )
 
 
@@ -211,8 +210,13 @@ class TestHeltonHoweCheck:
             assert check.rhs == pytest.approx(want, rel=1e-4)
 
     def test_needs_a_declared_limit(self):
-        with pytest.raises(NoLimitDeclared):
-            helton_howe_check(monomial(0, 1), monomial(1, 0), tabulated([1.0, 2.0]), 64, 1e-3)
+        # g is 1 on the disc of radius model.limit: every table declares it, and the
+        # area side reads it, not the table
+        with pytest.raises(TypeError):
+            tabulated([1.0, 2.0])
+        model = tabulated([1.0, 2.0], limit=3.0)
+        rhs = helton_howe_check(monomial(0, 1), monomial(1, 0), model, 64, 1e-3).rhs
+        assert rhs == pytest.approx(9.0, rel=1e-4)
 
     def test_area_side_overflow_is_refused(self):
         # c ** 2 overflows a float at c = 1e200: a refusal, not an OverflowError
@@ -271,6 +275,8 @@ class TestBergerShawPutnam:
                 berger_shaw_putnam_check(model, 1.0)
 
     def test_tabulated_without_limit_raises(self):
-        # the trace is w_inf^2, so a table without a declared limit has none
-        with pytest.raises(NoLimitDeclared):
-            berger_shaw_putnam_check(tabulated([1.0, 2.0]), np.pi)
+        # the trace is w_inf^2: a table without a limit is refused when built, and
+        # with one the trace reads the limit
+        with pytest.raises(TypeError):
+            tabulated([1.0, 2.0])
+        assert berger_shaw_putnam_check(tabulated([1.0, 2.0], 3.0), 9 * np.pi)[0].lhs == 9.0
