@@ -25,8 +25,9 @@ def determining_det(model: WeightSequence, x: np.ndarray, z: complex, w: complex
     constant weights, [T*, T] = w_0^2 e_0 (x) e_0) are admitted; z, w must lie
     outside the closed disc of radius ||T||.
     """
-    if abs(z) <= model.sup or abs(w) <= model.sup:
-        raise SpectrumHit(f"|z| and |w| must exceed {model.sup}")
+    for name, point in (("z", z), ("w", w)):
+        if abs(point) <= model.sup:
+            raise SpectrumHit(f"|{name}| must exceed sup w_k = {model.sup}, got {abs(point)}")
     if not model.rank_one:
         raise NotRankOne("infinite-model self-commutator is not rank one")
     x = np.asarray(x, dtype=np.complex128)

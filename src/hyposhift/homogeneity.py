@@ -11,11 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SpectrumHit
+from .errors import DomainError, PoleHit, SpectrumHit
 from .mobius import MobiusMap, mobius_eval, mobius_invert
 from .principal import DEFAULT_CURVE_SAMPLES, winding_numbers
 from .reporting import Check, make_check
-from .shifts import WeightSequence, adjoint_resolvent_smin, adjoint_resolvent_solve, symbol_curve
+from .shifts import (
+    KIND_RATIONAL, WeightSequence, adjoint_resolvent_smin, adjoint_resolvent_solve, symbol_curve,
+)
 
 # Default automorphism grid: center, two moduli, two phases.
 DEFAULT_MAP_GRID = tuple(
@@ -84,13 +86,26 @@ def witness_search(c: float) -> float | None:
     return None
 
 
+def _refuse_poles_on_spectrum(model: WeightSequence, maps) -> None:
+    """PoleHit unless every map is analytic on the spectrum, the closed disc of
+    radius model.limit: its pole 1/conj(a) must lie outside, |a| limit < 1."""
+    for phi in maps:
+        if abs(phi.a) * model.limit >= 1.0:
+            raise PoleHit(
+                f"the pole 1/conj(a) of a = {phi.a} lies in the spectrum, "
+                f"the disc of radius {model.limit}; need |a| * limit < 1"
+            )
+
+
 def change_of_variable_check(model: WeightSequence, phi: MobiusMap, points) -> list[Check]:
     """Index of phi(T) at zeta vs index of T at phi^{-1}(zeta), integer equality.
 
     phi(T) - mu is invertible exactly when T - phi^{-1}(mu) is, so the index
     of phi(T) - mu is the winding of the mapped symbol curve; no operator
-    needs to be materialized.
+    needs to be materialized.  Raises PoleHit unless phi is analytic on the
+    spectrum.
     """
+    _refuse_poles_on_spectrum(model, (phi,))
     curve = symbol_curve(model, DEFAULT_CURVE_SAMPLES)
     lhs = winding_numbers(mobius_eval(phi, curve), points)
     pulled_back = mobius_eval(mobius_invert(phi), np.asarray(points, dtype=np.complex128))
@@ -103,7 +118,9 @@ def change_of_variable_check(model: WeightSequence, phi: MobiusMap, points) -> l
 
 def constancy_check(model: WeightSequence, maps=DEFAULT_MAP_GRID, interior_points=None) -> list[Check]:
     """The index is the same integer at every interior point, across all maps,
-    and zero at every default exterior point."""
+    and zero at every default exterior point.  Raises PoleHit unless every map
+    in the sequence maps is analytic on the spectrum."""
+    _refuse_poles_on_spectrum(model, maps)
     if interior_points is None:
         interior_points = default_interior_points()
     exterior_points = default_exterior_points()
@@ -180,8 +197,10 @@ def t_lambda_trace_check(model: WeightSequence, n: int) -> Check:
 
     All members of the family share principal value 1 on the disc while being
     mutually inequivalent; the trace of the exact self-commutator is the shared
-    invariant probed here.
+    invariant probed here.  Raises DomainError unless the model is of that family.
     """
+    if model.kind != KIND_RATIONAL:
+        raise DomainError(f"t-lambda trace needs the rational family, got a {model.kind} model")
     w_last = float(model._weights(n - 1, n)[0])
     lam = model.lam
     return make_check(f"partial commutator trace (lam={lam}, n={n})", w_last**2, 1.0, 2.0 * lam / n)

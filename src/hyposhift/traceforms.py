@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidDimension
+from .errors import DomainError, InvalidDimension
 from .reporting import Check, make_bound_check, make_check
 from .shifts import KIND_RATIONAL, WeightSequence, band, exact_commutator_diagonal
 
@@ -93,15 +93,6 @@ def _commutator_diagonal(
     return diag
 
 
-def check_window(p: BivariatePolynomial, q: BivariatePolynomial, n: int) -> int:
-    """The window margin of p and q, their combined degree; InvalidDimension
-    unless n > 4 x margin."""
-    margin = p.deg_z + p.deg_zbar + q.deg_z + q.deg_zbar
-    if n <= 4 * margin:
-        raise InvalidDimension(f"need n > {4 * margin}, got {n}")
-    return margin
-
-
 def tracial_form(
     p: BivariatePolynomial, q: BivariatePolynomial, model: WeightSequence, n: int
 ) -> complex:
@@ -110,8 +101,11 @@ def tracial_form(
     Sums diagonal entries over indices 0 .. n-1-margin with margin the combined
     degree of p and q.  The full finite trace is identically zero (corner
     cancellation); the windowed trace estimates the infinite-model value.
+    Raises InvalidDimension unless n > 4 x margin.
     """
-    margin = check_window(p, q, n)
+    margin = p.deg_z + p.deg_zbar + q.deg_z + q.deg_zbar
+    if n <= 4 * margin:
+        raise InvalidDimension(f"truncation n must exceed 4 x window margin {margin}, got {n}")
     with np.errstate(over="ignore", invalid="ignore"):  # make_check refuses what overflows
         return complex(np.sum(_commutator_diagonal(p, q, model, n)[: n - margin]))
 
@@ -166,12 +160,18 @@ def berger_shaw_putnam_check(model: WeightSequence, area: float) -> list[Check]:
     tr [T*, T] (telescoped closed form w_inf^2) against (m/pi) * area with
     multiplicity m = 1, and ||[T*, T]|| (largest exact diagonal entry) against
     area/pi.  The area of the spectrum is supplied analytically by the caller.
-    A table's diagonal is 0 from two past its end on, so the norm reads it
-    whole.  The rational family's entry w_k^2 - w_{k-1}^2 (w_{-1} = 0) is
-    smooth in real k >= 0 with one critical point, a maximum at k* in
-    (lam/2 - 1, lam/2 - 1/2], so the norm reads the integers next to k*,
-    with one to spare on each side: O(1) entries for any lam.
+    Putnam's bound holds for hyponormal T only: any other model raises
+    DomainError.  A table's diagonal is 0 from two past its end on, so the
+    norm reads it whole.  The rational family's entry w_k^2 - w_{k-1}^2
+    (w_{-1} = 0) is smooth in real k >= 0 with one critical point, a maximum
+    at k* in (lam/2 - 1, lam/2 - 1/2], so the norm reads the integers next
+    to k*, with one to spare on each side: O(1) entries for any lam.
     """
+    if not model.hyponormal:
+        raise DomainError(
+            "Putnam's bound needs a hyponormal model: nondecreasing weights, "
+            "with the limit at least the last one"
+        )
     trace_val = model.limit * model.limit
     if model.kind == KIND_RATIONAL:
         peak = int(model.lam / 2.0)

@@ -93,11 +93,12 @@ class TestDeterminingDet:
                 assert val == pytest.approx(1.0 - 1.0 / (z * np.conj(w)), abs=1e-12)
 
     def test_rejects_points_in_disc(self):
+        # the message names the point that failed, its modulus and sup w_k
         model = unilateral()
-        with pytest.raises(SpectrumHit):
+        with pytest.raises(SpectrumHit, match=r"^\|z\| must exceed sup w_k = 1.0, got 0.5$"):
             determining_det(model, basis_vector(16, 0), 0.5, 2.0, 16)
-        with pytest.raises(SpectrumHit):
-            determining_det(model, basis_vector(16, 0), 2.0, 1.0, 16)
+        with pytest.raises(SpectrumHit, match=r"^\|w\| must exceed sup w_k = 1.0, got 1.0$"):
+            determining_det(model, basis_vector(16, 0), 2.0, 1j, 16)
 
     def test_rejects_higher_rank_model(self):
         model = rational_family(2.0)

@@ -3,11 +3,11 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hyposhift import homogeneity, principal
 from hyposhift.cli import parse_config, run_experiment
-from hyposhift.errors import DomainError, SpectrumHit, TooCloseToCurve
+from hyposhift.errors import DomainError, HyposhiftError, PoleHit, SpectrumHit, TooCloseToCurve
 from hyposhift.homogeneity import (
     DEFAULT_MAP_GRID,
     DEFAULT_WITNESS_GRID,
@@ -220,3 +220,63 @@ class TestTLambdaTrace:
     def test_reads_the_model_weight(self, lam):
         n = 1000
         assert t_lambda_trace_check(rational_family(lam), n).lhs == (n / (n - 1 + lam)) ** 2
+
+
+# pole 1/conj(a) at 2.19, inside the spectrum's disc of radius 2.8
+_POLE_INSIDE = (tabulated([3.2], 2.8), MobiusMap(beta=np.exp(1.07j), a=0.4565))
+# |a| limit = 1 exactly: the pole lies on the spectrum's boundary circle
+_POLE_ON_BOUNDARY = (tabulated([2.0], 2.0), MobiusMap(a=0.5))
+
+
+class TestLibraryRefusals:
+    """Each claim refuses an input outside its hypotheses with a HyposhiftError;
+    it never returns a Check that reads as a verdict on the claim."""
+
+    @pytest.mark.parametrize(
+        "claim, error",
+        [
+            pytest.param(lambda: t_lambda_trace_check(unilateral(), 256), DomainError,
+                         id="t_lambda_requires_rational-shift"),
+            pytest.param(lambda: t_lambda_trace_check(tabulated([0.5, 0.9], 1.0), 256),
+                         DomainError, id="t_lambda_requires_rational-table"),
+            pytest.param(lambda: change_of_variable_check(*_POLE_INSIDE, default_interior_points()),
+                         PoleHit, id="change_of_variable_pole_inside"),
+            pytest.param(
+                lambda: change_of_variable_check(*_POLE_ON_BOUNDARY, default_interior_points()),
+                PoleHit, id="change_of_variable_pole_on_boundary",
+            ),
+            pytest.param(lambda: constancy_check(_POLE_INSIDE[0], maps=(_POLE_INSIDE[1],)),
+                         PoleHit, id="constancy_pole_inside"),
+            pytest.param(
+                lambda: constancy_check(_POLE_ON_BOUNDARY[0], maps=(_POLE_ON_BOUNDARY[1],)),
+                PoleHit, id="constancy_pole_on_boundary",
+            ),
+            # the default map a = 0.7i has its pole at |z| = 1.43 < 1.5
+            pytest.param(lambda: constancy_check(tabulated([1.5], 1.5)), PoleHit,
+                         id="constancy_default_maps"),
+            pytest.param(lambda: witness_search(1.5), DomainError, id="c_out_of_range"),
+        ],
+    )
+    def test_refuses(self, claim, error):
+        assert issubclass(error, HyposhiftError)
+        with pytest.raises(error):
+            claim()
+
+    @given(
+        st.floats(0.05, 5.0),
+        st.floats(0.0, 0.999),
+        st.floats(0.0, 2.0 * np.pi),
+    )
+    @example(2.0, 0.5, 0.0)
+    @example(4.0, 0.25, 1.0)
+    @example(2.8, 0.4565, 1.07)
+    @settings(max_examples=100, deadline=None)
+    def test_pole_refused_exactly_when_in_spectrum(self, limit, modulus, arg):
+        phi = MobiusMap(a=modulus * np.exp(1j * arg))
+        try:
+            change_of_variable_check(tabulated([limit], limit), phi, [])
+        except PoleHit:
+            refused = True
+        else:
+            refused = False
+        assert refused == (abs(phi.a) * limit >= 1.0)

@@ -11,7 +11,6 @@ from hyposhift.shifts import exact_commutator_diagonal, rational_family, tabulat
 from hyposhift.traceforms import (
     BivariatePolynomial,
     berger_shaw_putnam_check,
-    check_window,
     helton_howe_check,
     tracial_form,
 )
@@ -125,8 +124,12 @@ class TestEvalAtOperator:
 
 class TestTracialForm:
     def test_margin(self):
-        assert check_window(monomial(0, 1), monomial(1, 0), 64) == 2
-        assert check_window(monomial(0, 2), monomial(2, 0), 64) == 4
+        # the margin is the combined degree of p and q; n must exceed 4 x margin
+        for degree in (1, 2):
+            p, q, margin = monomial(0, degree), monomial(degree, 0), 2 * degree
+            with pytest.raises(InvalidDimension, match=f"margin {margin}, got {4 * margin}$"):
+                tracial_form(p, q, unilateral(), 4 * margin)
+            assert tracial_form(p, q, unilateral(), 4 * margin + 1) == pytest.approx(degree)
 
     def test_dimension_guard(self):
         with pytest.raises(InvalidDimension):
@@ -226,6 +229,16 @@ class TestHeltonHoweCheck:
 
 
 class TestBergerShawPutnam:
+    @pytest.mark.parametrize(
+        "weights, limit",
+        [([2.0, 1.0], 1.0), ([1.0, 2.0], 1.5)],
+        ids=["decreasing_table", "limit_below_table"],
+    )
+    def test_refuses_a_model_that_is_not_hyponormal(self, weights, limit):
+        # Putnam's bound holds for hyponormal T only: a refusal, never a Check
+        with pytest.raises(DomainError, match="hyponormal"):
+            berger_shaw_putnam_check(tabulated(weights, limit), np.pi)
+
     def test_shift_with_disc_area(self):
         checks = berger_shaw_putnam_check(unilateral(), np.pi)
         assert len(checks) == 2
