@@ -26,22 +26,37 @@ def unit_circle(samples, loops=1):
     return np.exp(2j * np.pi * loops * k / samples)
 
 
+def zero_d(values):
+    """values[-1, -1] broadcast to values' shape: a (0, 0)-stride view."""
+    return np.broadcast_to(values[-1, -1], values.shape)
+
+
+def per_ring(values):
+    """values' last column broadcast to values' shape: an (n_r, 1) store."""
+    return np.broadcast_to(values[:, -1:], values.shape)
+
+
+STORES = (np.array, zero_d, per_ring)
+
+
 class TestGridFunction:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             GridFunction(2, 3, np.zeros((3, 2)))
 
+    # each bad value sits at [-1, -1], which every store keeps
     def test_range_validation(self):
-        with pytest.raises(ValueError):
-            GridFunction(2, 2, np.full((2, 2), 1.5))
-        with pytest.raises(ValueError):
-            GridFunction(2, 2, np.full((2, 2), -0.1))
+        for store in STORES:
+            for values in (np.full((2, 2), 1.5), np.full((2, 2), -0.1), [[0.5, 0.5], [0.5, -0.1]]):
+                with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                    GridFunction(2, 2, store(np.array(values)))
 
     def test_rejects_nan(self):
         values = np.full((2, 2), 0.5)
-        values[1, 0] = np.nan
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            GridFunction(2, 2, values)
+        values[1, 1] = np.nan
+        for store in STORES:
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                GridFunction(2, 2, store(values))
 
     def test_midpoint_nodes(self):
         g = constant_grid(1.0, 2, 4)
@@ -380,9 +395,49 @@ class TestDiscCauchyExponential:
     def test_ring_varying_values_match_node_sum(self):
         ring = np.random.default_rng(11).uniform(0.0, 1.0, 64)
         g = GridFunction(64, 37, np.repeat(ring[:, None], 37, axis=1))
+        view = GridFunction(64, 37, np.broadcast_to(ring[:, None], (64, 37)))
         for z, w in ((1.0 + 1e-4, 1.2 + 0.3j), (3.0 - 1j, -2.5), (1e8j, 1.05)):
             got = disc_cauchy_exponential(g, z, w)
             assert abs(got - oracles.disc_cauchy_exponential(g, z, w)) <= 1e-13
+            assert disc_cauchy_exponential(view, z, w) == got
+
+    @given(
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+        st.none() | st.sampled_from([-0.1, 1.5, np.nan]),
+        st.integers(0, 11),
+        st.integers(1, 40),
+        st.complex_numbers(min_magnitude=0.9, max_magnitude=100.0),
+        st.complex_numbers(min_magnitude=0.9, max_magnitude=100.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_a_zero_stride_grid_decides_as_its_dense_copy(self, ring, bad, at, n_theta, z, w):
+        # one value per ring, stored once per ring and as a dense copy: the
+        # same refusal of the values or of (z, w), or the same bits
+        if bad is not None:
+            ring[at % len(ring)] = bad
+        view = np.broadcast_to(np.array(ring)[:, None], (len(ring), n_theta))
+
+        def outcome(values):
+            try:
+                return disc_cauchy_exponential(GridFunction(len(ring), n_theta, values), z, w)
+            except (ValueError, SpectrumHit) as exc:
+                return type(exc), str(exc)
+
+        assert outcome(view) == outcome(view.copy())
+
+    def test_a_constant_grid_is_one_stored_value(self):
+        # a dense 1000 x 1000 store alone would take 8 MB
+        g = constant_grid(1.0, 1000, 1000)
+        assert g.values.strides == (0, 0)
+        with pytest.raises(ValueError, match="read-only"):
+            g.values[0, 0] = 0.5
+        tracemalloc.start()
+        try:
+            disc_cauchy_exponential(constant_grid(1.0, 1000, 1000), 2.0, 3.0 + 1j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_rejects_values_varying_on_a_ring(self):
         values = np.ones((4, 8))
