@@ -145,8 +145,6 @@ def transformed_commutator_window(phi: MobiusMap, t: np.ndarray, window: int) ->
     # u_j = phase of conj(a)^j w_0 ... w_(j-1), so R = U |R| U*
     turns = np.angle(np.conj(phi.a) * sub[: window - 1])
     u = np.exp(1j * np.concatenate(([0.0], np.cumsum(turns))))
-    # scaled in place: real * u[:, None] would cast through numpy's buffered loop
-    out = real.astype(np.complex128)
-    out *= u[:, None]
+    out = real * u[:, None]
     out *= u.conj()
     return out

@@ -44,8 +44,7 @@ class GridFunction:
 
     Node (i, j) sits at radius (i + 1/2)/n_r and angle 2 pi (j + 1/2)/n_theta,
     strictly interior to the unit disc.  Values must lie in [0, 1].  They may
-    be a zero-stride view, as constant_grid's are; validation reads each
-    stored element once (see _stored).
+    be a read-only zero-stride view, as constant_grid's are.
     """
 
     n_r: int
@@ -56,9 +55,8 @@ class GridFunction:
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.shape != (self.n_r, self.n_theta):
             raise ValueError(f"values shape {vals.shape} != ({self.n_r}, {self.n_theta})")
-        stored = _stored(vals)
         # written so that a NaN, which np.min and np.max propagate, fails too
-        if not (np.min(stored) >= 0.0 and np.max(stored) <= 1.0):
+        if not (np.min(vals) >= 0.0 and np.max(vals) <= 1.0):
             raise ValueError("grid values must lie in [0, 1]")
         object.__setattr__(self, "values", vals)
 
@@ -79,16 +77,9 @@ def _ring_radii(n_r: int) -> np.ndarray:
     return (np.arange(n_r) + 0.5) / n_r
 
 
-def _stored(values: np.ndarray) -> np.ndarray:
-    """values with every zero-stride axis cut to length 1.  It holds each
-    stored element once, so min, max and != over it decide what they decide
-    over values; a dense array passes through whole."""
-    return values[tuple(slice(None) if step else slice(1) for step in values.strides)]
-
-
 def constant_grid(value: float, n_r: int, n_theta: int) -> GridFunction:
-    """g == value on the n_r x n_theta grid.  Its values are a read-only
-    zero-stride view of one float, so building and checking it is O(1)."""
+    """g == value on the n_r x n_theta grid, stored as one float: its values
+    are a read-only view with strides (0, 0)."""
     return GridFunction(n_r, n_theta, np.broadcast_to(float(value), (n_r, n_theta)))
 
 
@@ -246,14 +237,14 @@ def disc_cauchy_exponential(g: GridFunction, z: complex, w: complex) -> complex:
 
     with A = (r/z)^M and B = (r/conj(w))^M.  Since |z|, |w| > 1 > r both
     |A|, |B| < 1: no power of a number of modulus above 1 is formed, and no
-    denominator comes near 0.  Time and memory are O(n_r), and O(n_r n_theta)
-    for the constancy check of a dense g only.
+    denominator comes near 0.  The sums take O(n_r) time and memory; the
+    ring check reads all n_r x n_theta values and holds a boolean for each.
     """
     z, w = _outside_unit_disc(z, w)
-    stored = _stored(g.values)
-    if np.any(stored != stored[:, :1]):
+    ring_values = g.values[:, 0]
+    if np.any(g.values != ring_values[:, None]):
         raise ValueError("disc_cauchy_exponential needs g constant on each ring")
-    return _ring_cauchy_exponential(g.values[:, 0], g.n_theta, z, w)
+    return _ring_cauchy_exponential(ring_values, g.n_theta, z, w)
 
 
 def _outside_unit_disc(z: complex, w: complex) -> tuple[complex, complex]:
