@@ -119,27 +119,27 @@ def change_of_variable_check(model: WeightSequence, phi: MobiusMap, points) -> l
 def constancy_check(model: WeightSequence, maps=DEFAULT_MAP_GRID, interior_points=None) -> list[Check]:
     """The index is the same integer at every interior point, across all maps,
     and zero at every default exterior point.  Raises PoleHit unless every map
-    in the sequence maps is analytic on the spectrum."""
+    in the sequence maps is analytic on the spectrum, and DomainError for an
+    empty list of interior points."""
     _refuse_poles_on_spectrum(model, maps)
     if interior_points is None:
         interior_points = default_interior_points()
+    if len(interior_points) == 0:
+        raise DomainError("constancy: an empty list of interior points checks nothing")
     exterior_points = default_exterior_points()
     curve = symbol_curve(model, DEFAULT_CURVE_SAMPLES)
     base = int(winding_numbers(curve, interior_points[0]))
     # one winding call per map: the curve's gap, margin and bounds are shared
     points = np.asarray(list(interior_points) + list(exterior_points), dtype=np.complex128)
+    # each point and each map is formatted once; a name is their concatenation
+    heads = [f"constant index at zeta={zeta}, a=" for zeta in interior_points]
+    heads += [f"zero index outside at zeta={zeta}, a=" for zeta in exterior_points]
+    wants = [base] * len(interior_points) + [0] * len(exterior_points)
     checks = []
     for phi in maps:
-        windings = winding_numbers(mobius_eval(phi, curve), points)
-        inside, outside = windings[: len(interior_points)], windings[len(interior_points) :]
-        checks.extend(
-            make_check(f"constant index at zeta={zeta}, a={phi.a}", int(w), base, 0.0)
-            for zeta, w in zip(interior_points, inside)
-        )
-        checks.extend(
-            make_check(f"zero index outside at zeta={zeta}, a={phi.a}", int(w), 0, 0.0)
-            for zeta, w in zip(exterior_points, outside)
-        )
+        a = f"{phi.a}"
+        windings = winding_numbers(mobius_eval(phi, curve), points).tolist()
+        checks.extend(make_check(h + a, w, want, 0.0) for h, w, want in zip(heads, windings, wants))
     return checks
 
 

@@ -2,8 +2,6 @@
 from __future__ import annotations
 
 import cmath
-import csv
-import io
 import json
 import math
 import os
@@ -121,14 +119,25 @@ def write_report(report: VerificationReport, path: str) -> None:
 
 
 def write_checks_csv(report: VerificationReport, path: str) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["name", "lhs_re", "lhs_im", "rhs_re", "rhs_im", "tol", "pass"])
-    writer.writerows(
-        [c.name, c.lhs.real, c.lhs.imag, c.rhs.real, c.rhs.imag, c.tolerance, c.passed]
+    """Dump the checks as rows name, lhs_re, lhs_im, rhs_re, rhs_im, tol, pass:
+    csv.writer's text for the same rows (QUOTE_MINIMAL names, repr of each float,
+    str of the bool, CRLF line ends), one f-string per row.  A NUL in a name is
+    written raw on every Python, as csv.writer does from 3.11 on."""
+    lines = ["name,lhs_re,lhs_im,rhs_re,rhs_im,tol,pass\r\n"]
+    lines.extend(
+        f"{_csv_field(c.name)},{c.lhs.real!r},{c.lhs.imag!r},{c.rhs.real!r},{c.rhs.imag!r},"
+        f"{c.tolerance!r},{c.passed}\r\n"
         for c in report.checks
     )
-    _write_text(path, buf.getvalue(), "", "CSV")
+    _write_text(path, "".join(lines), "", "CSV")
+
+
+def _csv_field(text: str) -> str:
+    """text as csv's QUOTE_MINIMAL writes it: quoted, its quotes doubled, when
+    it holds a comma, a quote, CR or LF."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_grid_csv(grid, path: str) -> None:

@@ -283,15 +283,24 @@ def _count_below(e2: list, lam: float) -> int:
     The LDL* pivots of a zero-diagonal tridiagonal are computed to high
     relative accuracy, so bisection on this count resolves small singular
     values relative to themselves, not to s_max (Demmel and Kahan 1990).
+    A zero pivot stands for -_PIVOT_FLOOR: the loop divides with no test, and a
+    ZeroDivisionError takes that one step with the floor, then resumes.
     """
-    lam = float(lam)
+    neg_lam = -float(lam)
     negative = 1
-    q = -lam
-    for sq in e2:
-        q = -lam - sq / (q if q != 0.0 else -_PIVOT_FLOOR)
-        if q < 0.0:
-            negative += 1
-    return negative - (len(e2) + 1) // 2
+    q = neg_lam
+    pivots = iter(e2)
+    while True:
+        try:
+            for sq in pivots:
+                q = neg_lam - sq / q
+                if q < 0.0:
+                    negative += 1
+            return negative - (len(e2) + 1) // 2
+        except ZeroDivisionError:
+            q = neg_lam - sq / -_PIVOT_FLOOR
+            if q < 0.0:
+                negative += 1
 
 
 def _laguerre_sweep(e2: list, lam: float) -> tuple[int, float, float]:

@@ -16,8 +16,11 @@ node-by-node Jacobian quadrature behind the ring moments of
 traceforms.helton_howe_check (with Polynomial, the symbolic algebra it needs),
 weight the scalar rule behind WeightSequence.weights, write_grid_csv and
 write_checks_csv the row-by-row csv.writer dumps that reporting's writers match
-byte for byte, and report_json the indented json.dumps that
-VerificationReport.to_json matches byte for byte.
+byte for byte, report_json the indented json.dumps that
+VerificationReport.to_json matches byte for byte, and constancy_names the
+per-check f-strings that homogeneity.constancy_check's names match.
+count_below is the Sturm count that tests every pivot for zero before it
+divides, which shifts._count_below matches count for count.
 adjoint_resolvent_recurrence is the back-substitution over every row that
 shifts.adjoint_resolvent_solve starts at the support of its right-hand side,
 exact_commutator_diagonal the whole-length expression that
@@ -539,6 +542,27 @@ def write_checks_csv(report, path: str) -> None:
             writer.writerow(
                 [c.name, c.lhs.real, c.lhs.imag, c.rhs.real, c.rhs.imag, c.tolerance, c.passed]
             )
+
+
+def constancy_names(maps, interior_points, exterior_points) -> list:
+    """homogeneity.constancy_check's check names, one f-string per check."""
+    names = []
+    for phi in maps:
+        names += [f"constant index at zeta={zeta}, a={phi.a}" for zeta in interior_points]
+        names += [f"zero index outside at zeta={zeta}, a={phi.a}" for zeta in exterior_points]
+    return names
+
+
+def count_below(e2: list, lam: float) -> int:
+    """shifts._count_below with a zero test at every pivot: a zero pivot is -_PIVOT_FLOOR."""
+    lam = float(lam)
+    negative = 1
+    q = -lam
+    for sq in e2:
+        q = -lam - sq / (q if q != 0.0 else -shifts._PIVOT_FLOOR)
+        if q < 0.0:
+            negative += 1
+    return negative - (len(e2) + 1) // 2
 
 
 def report_json(report) -> str:

@@ -332,6 +332,34 @@ class TestLaguerreSmin:
         assert s_min == pytest.approx(dense, rel=REL_TOL)
 
 
+# squares that zero a pivot for the sampled lam (lam^2 after -lam), plus the
+# extremes: zero, the smallest subnormal, huge and infinite entries
+sturm_lam = st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(5e-324, 1e300))
+sturm_square = st.one_of(
+    st.floats(min_value=0.0),
+    st.sampled_from([0.0, 5e-324, 0.25, 1.0, 4.0, 1e300, math.inf]),
+)
+
+
+class TestSturmCount:
+    """_count_below divides by each pivot with no zero test; a zero pivot still
+    stands for -_PIVOT_FLOOR, as in the oracle that tests every pivot."""
+
+    def test_zero_pivot_takes_the_floor(self):
+        # q_0 = -1, q_1 = -1 - 1/-1 = 0.0 exactly, so q_2 divides by the floor
+        assert shifts._count_below([1.0, 1.0, 1.0], 1.0) == 0
+        assert oracles.count_below([1.0, 1.0, 1.0], 1.0) == 0
+
+    @given(st.lists(sturm_square, max_size=12), sturm_lam)
+    @example([1.0, 1.0, 1.0], 1.0)
+    @example([0.0, 0.0, 0.0], 1.0)
+    @example([0.25, 0.25, 0.25, 0.25], 0.5)
+    @example([4.0, math.inf, 4.0, 4.0, 0.0], 2.0)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_zero_tested_loop(self, e2, lam):
+        assert shifts._count_below(e2, lam) == oracles.count_below(e2, lam)
+
+
 class TestConstantBandSeed:
     """On a constant band c < |w| the closed-form seed replaces Laguerre's
     sweeps, and Sturm counts still return bisection's bits."""

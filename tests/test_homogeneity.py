@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from hyposhift import homogeneity, principal
 from hyposhift.cli import parse_config, run_experiment
 from hyposhift.errors import DomainError, HyposhiftError, PoleHit, SpectrumHit, TooCloseToCurve
@@ -138,6 +139,31 @@ class TestSymbolCurveTransport:
             assert len(checks) == 25
             assert all(c.passed for c in checks)
 
+    # default points are np.complex128, config points Python complex; the
+    # centres include signed zeros, which the names must keep.  Drawn points and
+    # centres stay clear of the mapped curve's winding margin
+    @given(
+        st.one_of(
+            st.just(default_interior_points()),
+            st.lists(st.complex_numbers(max_magnitude=0.6), min_size=1, max_size=6),
+        ),
+        st.lists(
+            st.one_of(
+                st.sampled_from(
+                    [0j, -0j, complex(0.0, -0.0), complex(0.3, -0.0), complex(-0.0, 0.5)]
+                ),
+                st.complex_numbers(max_magnitude=0.5),
+            ).map(lambda a: MobiusMap(a=a)),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    @example(default_interior_points(), list(DEFAULT_MAP_GRID))
+    @settings(max_examples=40, deadline=None)
+    def test_constancy_names_match_per_check_fstrings(self, points, maps):
+        checks = constancy_check(unilateral(), maps=maps, interior_points=points)
+        want = oracles.constancy_names(maps, points, default_exterior_points())
+        assert [c.name for c in checks] == want
 
     @pytest.mark.parametrize("config", ["constancy.json", "change_of_variable.json"])
     def test_one_symbol_curve_per_run(self, monkeypatch, config):
@@ -255,6 +281,8 @@ class TestLibraryRefusals:
             pytest.param(lambda: constancy_check(tabulated([1.5], 1.5)), PoleHit,
                          id="constancy_default_maps"),
             pytest.param(lambda: witness_search(1.5), DomainError, id="c_out_of_range"),
+            pytest.param(lambda: constancy_check(unilateral(), interior_points=[]), DomainError,
+                         id="constancy_no_points"),
         ],
     )
     def test_refuses(self, claim, error):
