@@ -2,6 +2,13 @@
 under disc automorphisms, the rational weighted-shift family, resolvent norm
 probes, and the scalar inequality (1 - c/r^2) <= (1 - 1/r^2)^c that pins the
 constant c = 1.
+
+The two index experiments decide each index in closed form.  The essential
+spectrum of every model here is the circle |z| = c = model.limit, and a disc
+automorphism phi with |a| c < 1 maps its disc onto the disc with centre m and
+radius rho (_image_disc), so the index of phi(T) - zeta is 1 when
+|zeta - m| < rho and 0 when |zeta - m| > rho.  A point within a stated
+rounding band of that circle is refused (_disc_indices); no curve is sampled.
 """
 from __future__ import annotations
 
@@ -11,13 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PoleHit, SpectrumHit
+from .errors import DomainError, PoleHit, SpectrumHit, TooCloseToCurve
 from .mobius import MobiusMap, mobius_eval, mobius_invert
-from .principal import DEFAULT_CURVE_SAMPLES, winding_numbers
 from .reporting import Check, make_check
-from .shifts import (
-    KIND_RATIONAL, WeightSequence, adjoint_resolvent_smin, adjoint_resolvent_solve, symbol_curve,
-)
+from .shifts import KIND_RATIONAL, WeightSequence, adjoint_resolvent_smin, adjoint_resolvent_solve
 
 # Default automorphism grid: center, two moduli, two phases.
 DEFAULT_MAP_GRID = tuple(
@@ -97,40 +101,160 @@ def _refuse_poles_on_spectrum(model: WeightSequence, maps) -> None:
             )
 
 
+def _image_disc(phi: MobiusMap, c: float) -> tuple[complex, float]:
+    """Centre m and radius rho of the image under phi of the disc |z| < c, for |a| c < 1.
+
+    With t = |a| c, phi maps the circle |z| = c onto the circle |w - m| = rho,
+        m = beta a (c^2 - 1) / (1 - t^2),    rho = c (1 - |a|^2) / (1 - t^2),
+    and the disc inside onto the disc inside, as its pole 1/conj(a) lies
+    outside.  1 - t^2, 1 - |a|^2 and c^2 - 1 are each formed as a product
+    (1 - x)(1 + x), so no difference cancels as t -> 1: the rounding of t,
+    amplified by 1/(1 - t), is the one error that grows there (_disc_indices
+    bounds it).  The product for m is grouped so that no factor overflows
+    while m and rho are finite.  beta is taken as unimodular, as MobiusMap
+    defines it; a beta rounded from exp(i theta) is within a few eps of it.
+    """
+    s = abs(phi.a)
+    t = s * c
+    shrink = (1.0 - t) * (1.0 + t)
+    m = phi.beta * phi.a * (c - 1.0) * ((c + 1.0) / shrink)
+    return m, c * ((1.0 - s) * (1.0 + s) / shrink)
+
+
+def _disc_indices(points: np.ndarray, centre: complex, radius: float, condition=1.0) -> list[int]:
+    """1 for each point inside the circle |p - centre| = radius and 0 for each
+    outside, as Python ints.
+
+    The gap |p - centre| - radius decides.  A point whose computed gap is
+    within the rounding band
+        32 eps (|p| + |centre| + radius) condition
+    of zero raises TooCloseToCurve, and a non-finite point raises ValueError
+    (a NaN gap would otherwise read as outside).  condition is a scalar or
+    one factor per point.
+
+    The band bounds the rounding of the gap for a centre and radius from
+    _image_disc with condition = 1/(1 - t), t = |a| c.  Write u = eps/2 and
+    S = |p| + |m| + rho; S >= c, since the image circle reaches modulus
+    max |phi| >= c on |z| = c.  |a| and t carry 2 u and 3 u, so 1 - t is off
+    by 3 u/(1 - t) relative; 1 - |a| by 2 u |a| absolute, which in rho is
+    2 u |a| c (1 + |a|)/(1 - t^2) <= 4 u S/(1 - t); the other factors,
+    products and quotients add 12 u relative to m and to rho.  So rho is off
+    by at most 19 u S/(1 - t), and m by 16 u |m|/(1 - t).  |p - m| adds 3 u
+    (|p| + |m|) for the subtraction and the modulus, and the gap u S.  The
+    total is below 39 u S/(1 - t) = 19.5 eps S/(1 - t); 32 also covers the
+    band's own rounding while 1 - t is above a few hundred eps.  Once
+    1 - t <= 32 eps the band reaches S, which no gap exceeds, so every point
+    is refused.
+    The circle |z| = c itself (centre 0, radius c) has condition 1.  A
+    caller with other inputs passes the factor that bounds their rounding
+    relative to S, as _pulled_back_indices does.
+    """
+    if not np.isfinite(points).all():
+        raise ValueError("the index needs finite points")
+    gap = np.abs(points - centre) - radius
+    band = 32.0 * sys.float_info.epsilon * condition * (np.abs(points) + (abs(centre) + radius))
+    close = np.abs(gap) <= band
+    if close.any():
+        i = int(close.argmax())
+        raise TooCloseToCurve(
+            f"point {complex(points[i])} is {abs(gap[i]):.3e} from the circle "
+            f"|z - {complex(centre)}| = {radius}; need > {band[i]:.3e}"
+        )
+    return (gap < 0.0).astype(int).tolist()
+
+
+def _mapped_indices(phi: MobiusMap, c: float, points: np.ndarray) -> list[int]:
+    """Index of phi(T) - zeta at each point, T with essential spectrum |z| = c:
+    1 inside phi's image disc and 0 outside."""
+    m, rho = _image_disc(phi, c)
+    return _disc_indices(points, m, rho, 1.0 / (1.0 - abs(phi.a) * c))
+
+
+def _pulled_back_indices(phi: MobiusMap, c: float, zeta: np.ndarray) -> list[int]:
+    """Index of T - phi^{-1}(zeta) at each point, T with essential spectrum |z| = c:
+    1 when |phi^{-1}(zeta)| < c and 0 when it exceeds c.
+
+    q = phi^{-1}(zeta) = conj(beta) (zeta + a beta)/(1 + conj(a beta) zeta)
+    comes from mobius_eval and mobius_invert.  Its rounding is about 12 u |q|
+    from the operations, plus that of a beta and of conj(a beta) zeta,
+    6 u |a| (1 + |zeta| |q|), over the denominator, whose modulus is
+    (1 - |a|^2)/|1 - conj(a) q|.  So the band of _disc_indices about the
+    circle |q| = c takes the condition
+        1 + |a| (1 + |zeta| |q|) |1 - conj(a) q| / ((1 - |a|^2)(|q| + c)).
+    DomainError if q overflows, as it can for a finite zeta near the largest
+    float.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = mobius_eval(mobius_invert(phi), zeta)
+    if not np.isfinite(q).all():
+        raise DomainError("change-of-variable: a pulled-back point phi^{-1}(zeta) overflows")
+    s = abs(phi.a)
+    size = np.abs(q)
+    lift = s * (1.0 + np.abs(zeta) * size) * np.abs(1.0 - np.conj(phi.a) * q)
+    try:
+        return _disc_indices(q, 0.0, c, 1.0 + lift / ((1.0 - s) * (1.0 + s) * (size + c)))
+    except TooCloseToCurve as exc:
+        raise TooCloseToCurve(f"zeta pulled back by phi^-1: {exc}") from None
+
+
+def _complex_points(points, what: str) -> np.ndarray:
+    """points as a complex array; DomainError for an empty list, which would check nothing."""
+    if len(points) == 0:
+        raise DomainError(f"{what}: an empty list of points checks nothing")
+    return np.asarray(points, dtype=np.complex128)
+
+
 def change_of_variable_check(model: WeightSequence, phi: MobiusMap, points) -> list[Check]:
     """Index of phi(T) at zeta vs index of T at phi^{-1}(zeta), integer equality.
 
-    phi(T) - mu is invertible exactly when T - phi^{-1}(mu) is, so the index
-    of phi(T) - mu is the winding of the mapped symbol curve; no operator
-    needs to be materialized.  Raises PoleHit unless phi is analytic on the
-    spectrum.
+    The essential spectrum of T is the circle |z| = c = model.limit, so the
+    index of T - nu is 1 for |nu| < c and 0 for |nu| > c.  phi(T) - zeta is
+    invertible exactly when T - phi^{-1}(zeta) is.  The left side is
+    |zeta - m| < rho for phi's image disc (m, rho); the right side is
+    |phi^{-1}(zeta)| < c.  These are two formulas for one disc, so the check
+    tests phi, phi^{-1} and the image-disc formula against each other; it
+    touches no operator.  Each side refuses a point within its own rounding
+    band with TooCloseToCurve (_disc_indices, _pulled_back_indices).
+
+    Raises PoleHit unless phi is analytic on the spectrum, DomainError for an
+    empty list of points or a pulled-back point that overflows, and
+    ValueError for a non-finite point.
     """
     _refuse_poles_on_spectrum(model, (phi,))
-    curve = symbol_curve(model, DEFAULT_CURVE_SAMPLES)
-    lhs = winding_numbers(mobius_eval(phi, curve), points)
-    pulled_back = mobius_eval(mobius_invert(phi), np.asarray(points, dtype=np.complex128))
-    rhs = winding_numbers(curve, pulled_back)
+    zeta = _complex_points(points, "change-of-variable")
+    lhs = _mapped_indices(phi, model.limit, zeta)
+    rhs = _pulled_back_indices(phi, model.limit, zeta)
     return [
-        make_check(f"index transport at zeta={zeta}", int(left), int(right), 0.0)
-        for zeta, left, right in zip(points, lhs, rhs)
+        make_check(f"index transport at zeta={z}", left, right, 0.0)
+        for z, left, right in zip(points, lhs, rhs)
     ]
 
 
 def constancy_check(model: WeightSequence, maps=DEFAULT_MAP_GRID, interior_points=None) -> list[Check]:
     """The index is the same integer at every interior point, across all maps,
-    and zero at every default exterior point.  Raises PoleHit unless every map
-    in the sequence maps is analytic on the spectrum, and DomainError for an
-    empty list of interior points."""
+    and zero at every default exterior point.
+
+    Each index comes from the map's image disc (m, rho) of the spectrum's
+    disc |z| < c, c = model.limit: 1 when |zeta - m| < rho and 0 when
+    |zeta - m| > rho (see _disc_indices, which refuses a point within its
+    rounding band with TooCloseToCurve).  The constant is the first interior
+    point's index about |z| = c.  Raises PoleHit unless every map in the
+    sequence maps is analytic on the spectrum, DomainError for an empty
+    sequence of maps or an empty list of interior points, and ValueError for
+    a non-finite point.
+    """
+    maps = tuple(maps)
     _refuse_poles_on_spectrum(model, maps)
+    if not maps:
+        raise DomainError("constancy: an empty sequence of maps checks nothing")
     if interior_points is None:
         interior_points = default_interior_points()
-    if len(interior_points) == 0:
-        raise DomainError("constancy: an empty list of interior points checks nothing")
     exterior_points = default_exterior_points()
-    curve = symbol_curve(model, DEFAULT_CURVE_SAMPLES)
-    base = int(winding_numbers(curve, interior_points[0]))
-    # one winding call per map: the curve's gap, margin and bounds are shared
-    points = np.asarray(list(interior_points) + list(exterior_points), dtype=np.complex128)
+    interior = _complex_points(interior_points, "constancy: interior")
+    c = model.limit
+    base = _disc_indices(interior[:1], 0.0, c)[0]
+    # one decision per map: every point against the map's image disc
+    points = np.concatenate((interior, exterior_points))
     # each point and each map is formatted once; a name is their concatenation
     heads = [f"constant index at zeta={zeta}, a=" for zeta in interior_points]
     heads += [f"zero index outside at zeta={zeta}, a=" for zeta in exterior_points]
@@ -138,8 +262,8 @@ def constancy_check(model: WeightSequence, maps=DEFAULT_MAP_GRID, interior_point
     checks = []
     for phi in maps:
         a = f"{phi.a}"
-        windings = winding_numbers(mobius_eval(phi, curve), points).tolist()
-        checks.extend(make_check(h + a, w, want, 0.0) for h, w, want in zip(heads, windings, wants))
+        indices = _mapped_indices(phi, c, points)
+        checks.extend(make_check(h + a, i, want, 0.0) for h, i, want in zip(heads, indices, wants))
     return checks
 
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from hyposhift.cli import EXPERIMENTS, main, parse_config, run_experiment
 from hyposhift.errors import ConfigError
-from hyposhift.homogeneity import default_interior_points
+from hyposhift.homogeneity import DEFAULT_MAP_GRID, default_exterior_points, default_interior_points
 from hyposhift.mobius import MobiusMap
 from hyposhift.reporting import (
     VerificationReport,
@@ -654,9 +654,11 @@ class TestMain:
     @pytest.mark.parametrize(
         "payload",
         [
-            # the default map grid moves a default point within the winding margin
-            {"experiment": "constancy",
-             "model": {"kind": "tabulated", "weights": [1.2], "limit": 1.2}},
+            # the point lies on the image circle of the unit circle, within both sides' bands
+            {"experiment": "change-of-variable", "mobius": {"a": [0.5, 0]}, "points": [[1, 0]]},
+            # a finite point whose pull-back overflows a float: no index can be decided
+            {"experiment": "change-of-variable", "mobius": {"a": [0.5, 0]},
+             "points": [[1e308, 1e308]]},
             # both sides of the trace formula overflow to NaN: no check can be made
             {"experiment": "helton-howe", "p": [[0, 1, 1e308, 0]], "q": [[1, 0, 1e308, 0]]},
             # the area side's c ** 2 overflows a float at c = 1e200
@@ -691,7 +693,8 @@ class TestMain:
             {"experiment": "t-lambda-trace", "model": {"kind": "unilateral"}},
             {"experiment": "theorem-inequality", "c_values": [0.5, 1.5]},
         ],
-        ids=["constancy_too_close", "helton_howe_not_finite", "helton_howe_area_overflow",
+        ids=["change_of_variable_on_image_circle", "change_of_variable_pull_back_overflow",
+             "helton_howe_not_finite", "helton_howe_area_overflow",
              "berger_shaw_putnam_default_area_overflow", "berger_shaw_putnam_overflow",
              "window_margin", "pincus_not_rank_one", "pincus_not_rank_one_past_truncation",
              "pincus_near_constant", "pincus_point_inside_sup", "pincus_default_point_inside_sup",
@@ -757,8 +760,37 @@ class TestMain:
         assert [float(row[4]) for row in rows] == expected
         assert len(rows) == 24 * 48
 
+    def test_run_constancy_off_unit_limit_fails_outside(self, tmp_path, capsys):
+        # cS with c = 1.2 is not homogeneous: under the maps a = 0.3, 0.5 e^{i pi/4}
+        # and 0.7i (each beta) the image disc of |z| < 1.2 takes in the first 1, 2
+        # and 3 default exterior points, so exactly those 12 checks fail
+        code, out = self.run_config(
+            tmp_path,
+            {"experiment": "constancy",
+             "model": {"kind": "tabulated", "weights": [1.2], "limit": 1.2}},
+        )
+        assert code == 1
+        outside = default_exterior_points()
+        want = [
+            f"[FAIL] zero index outside at zeta={outside[k]}, a={phi.a}"
+            for i, phi in enumerate(DEFAULT_MAP_GRID) for k in range(i % 4)
+        ]
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("[FAIL]")] == want
+        assert len(want) == 12 and len(lines) == len(DEFAULT_MAP_GRID) * 25
+
+    def test_run_constancy_center_near_circle_passes(self, tmp_path):
+        # a = 0.9 stretches the mapped circle 19-fold, and the image disc still
+        # decides every default point: 25 checks, all pass
+        code, out = self.run_config(
+            tmp_path, {"experiment": "constancy", "mobius": {"a": [0.9, 0]}}
+        )
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["all_pass"] is True and len(report["checks"]) == 25
+
     def test_run_far_constancy_point_winds_zero(self, tmp_path):
-        # the argument products of a point at 1e300 overflow; it winds 0 about every image curve
+        # a point at 1e300 lies outside every image disc, and its index is 0 under every map
         code, out = self.run_config(
             tmp_path, {"experiment": "constancy", "points": [[1e300, 1e300]]}
         )

@@ -1,3 +1,5 @@
+import cmath
+import sys
 from pathlib import Path
 
 import mpmath
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from hyposhift import homogeneity, principal
+from hyposhift import homogeneity, principal, shifts
 from hyposhift.cli import parse_config, run_experiment
 from hyposhift.errors import DomainError, HyposhiftError, PoleHit, SpectrumHit, TooCloseToCurve
 from hyposhift.homogeneity import (
@@ -24,6 +26,8 @@ from hyposhift.homogeneity import (
 )
 from hyposhift.mobius import MobiusMap, mobius_eval, mobius_invert
 from hyposhift.shifts import rational_family, symbol_curve, tabulated, unilateral
+
+EPS = sys.float_info.epsilon
 
 
 class TestInequality:
@@ -116,15 +120,23 @@ class TestSymbolCurveTransport:
         assert all(c.passed for c in checks)
         assert all(c.lhs == 0 for c in checks)
 
-    @pytest.mark.parametrize("zeta, close", [(0.72, 0), (1.31, 1)], ids=["mapped", "pulled-back"])
-    def test_change_of_variable_too_close_on_either_side(self, zeta, close):
-        # a = 0.9 spaces the mapped curve unevenly, so a point can be within the
-        # winding margin of one side only; either side refuses it as TooCloseToCurve
+    @pytest.mark.parametrize(
+        "zeta, refusing",
+        [(-(1.0 + 200 * EPS), 0), (1.0 + 1000 * EPS, 1)],
+        ids=["mapped", "pulled-back"],
+    )
+    def test_change_of_variable_too_close_on_either_side(self, zeta, refusing):
+        # a = 0.9 maps the unit circle onto itself, and phi^{-1} stretches
+        # distances to it 19-fold near -1 and shrinks them 19-fold near 1.  So
+        # -1 - 200 eps lies inside the mapped side's band (640 eps) only, and
+        # 1 + 1000 eps inside the pulled-back side's band only; either side
+        # refuses its point as TooCloseToCurve
         model, phi = unilateral(), MobiusMap(a=0.9)
-        curve = symbol_curve(model, principal.DEFAULT_CURVE_SAMPLES)
-        pulled_back = mobius_eval(mobius_invert(phi), np.array([zeta]))
-        sides = [(mobius_eval(phi, curve), [zeta]), (curve, pulled_back)]
-        principal.winding_numbers(*sides[1 - close])  # the other side clears its margin
+        sides = [homogeneity._mapped_indices, homogeneity._pulled_back_indices]
+        points = np.array([zeta])
+        assert sides[1 - refusing](phi, 1.0, points) == [0]  # the other side decides
+        with pytest.raises(TooCloseToCurve):
+            sides[refusing](phi, 1.0, points)
         with pytest.raises(TooCloseToCurve):
             change_of_variable_check(model, phi, [zeta])
 
@@ -166,20 +178,120 @@ class TestSymbolCurveTransport:
         assert [c.name for c in checks] == want
 
     @pytest.mark.parametrize("config", ["constancy.json", "change_of_variable.json"])
-    def test_one_symbol_curve_per_run(self, monkeypatch, config):
-        # every map transports the same sampled curve; homogeneity is the one
-        # module that samples symbol curves for these experiments
-        calls = []
+    def test_no_curve_sampled(self, monkeypatch, config):
+        # both experiments decide each index from the image disc in closed
+        # form: sampling a symbol curve or winding about one fails the run
+        def refuse(*args):
+            raise AssertionError("an index experiment sampled or wound a curve")
 
-        def spy(*args):
-            calls.append(args)
-            return symbol_curve(*args)
-
-        monkeypatch.setattr(homogeneity, "symbol_curve", spy)
+        for module in (shifts, homogeneity):
+            monkeypatch.setattr(module, "symbol_curve", refuse, raising=False)
+        for module in (principal, homogeneity):
+            monkeypatch.setattr(module, "winding_numbers", refuse, raising=False)
         text = (Path(__file__).resolve().parents[1] / "configs" / config).read_text()
         report = run_experiment(parse_config(text))
         assert report.checks and all(c.passed for c in report.checks)
-        assert len(calls) == 1
+
+
+def _map(c, frac, a_arg, beta_arg):
+    """The map with |a| = frac min(1, 1/c) at angle a_arg: |a| c = frac for c >= 1."""
+    return MobiusMap(beta=cmath.exp(1j * beta_arg), a=cmath.rect(frac * min(1.0, 1.0 / c), a_arg))
+
+
+def _exact_disc(phi, c):
+    """Centre and radius of phi's image of |z| < c, from the float inputs as given;
+    call it under mpmath.workdps."""
+    beta, a, c = mpmath.mpc(phi.beta), mpmath.mpc(phi.a), mpmath.mpf(c)
+    shrink = 1 - abs(a) ** 2 * c**2
+    return beta * a * (c**2 - 1) / shrink, abs(beta) * c * (1 - abs(a) ** 2) / shrink
+
+
+def _exact_gaps(phi, c, zeta):
+    """|zeta - m| - rho and |phi^{-1}(zeta)| - c at 50 digits."""
+    with mpmath.workdps(50):
+        m, rho = _exact_disc(phi, c)
+        beta, a, z = mpmath.mpc(phi.beta), mpmath.mpc(phi.a), mpmath.mpc(zeta)
+        q = (z + a * beta) / (beta + mpmath.conj(a) * z)
+        return abs(z - m) - rho, abs(q) - c
+
+
+_LIMITS = st.sampled_from([0.5, 0.9, 1.0, 1.2])
+_ANGLES = st.floats(-np.pi, np.pi)
+
+
+def _near_circle(phi, c, theta, offset):
+    """m + rho (1 + offset) e^{i theta}, rounded once from 50 digits."""
+    with mpmath.workdps(50):
+        m, rho = _exact_disc(phi, c)
+        return complex(m + rho * (1 + mpmath.mpf(offset)) * mpmath.expj(mpmath.mpf(theta)))
+
+
+def _decide(side, phi, c, zeta):
+    """The side's index at zeta, or None where it refuses the point."""
+    try:
+        return side(phi, c, np.array([zeta]))[0]
+    except TooCloseToCurve:
+        return None
+
+
+class TestImageDisc:
+    """The closed-form index against the sampled polygon and against 50 digits."""
+
+    @given(
+        _LIMITS, st.floats(0.0, 0.95), _ANGLES, _ANGLES,
+        st.lists(st.tuples(st.floats(0.0, 2.0), _ANGLES), min_size=1, max_size=6),
+    )
+    @example(1.0, 0.9, 0.0, 0.0, [(0.72, 0.0), (1.31, 0.0)])
+    @settings(max_examples=60, deadline=None)
+    def test_polygon_agrees_where_it_decides(self, c, frac, a_arg, beta_arg, polar):
+        phi = _map(c, frac, a_arg, beta_arg)
+        curve = symbol_curve(tabulated([c], c), principal.DEFAULT_CURVE_SAMPLES)
+        mapped = mobius_eval(phi, curve)
+        m, rho = homogeneity._image_disc(phi, c)
+        for r, theta in polar:
+            zeta = m + rho * r * cmath.exp(1j * theta)
+            pulled_back = mobius_eval(mobius_invert(phi), zeta)
+            for side, image, point in [
+                (homogeneity._mapped_indices, mapped, zeta),
+                (homogeneity._pulled_back_indices, curve, pulled_back),
+            ]:
+                try:
+                    winding = int(principal.winding_numbers(image, point))
+                except TooCloseToCurve:
+                    continue
+                assert side(phi, c, np.array([zeta])) == [winding]
+
+    @given(
+        _LIMITS,
+        st.one_of(st.floats(0.0, 1.0 - 1e-9), st.floats(-9.0, -1.0).map(lambda k: 1.0 - 10.0**k)),
+        _ANGLES, _ANGLES, _ANGLES,
+        st.floats(-17.0, -1.0), st.sampled_from([-1.0, 1.0]),
+    )
+    @example(1.0, 0.9, 0.0, 0.0, np.pi, np.log10(200 * EPS), 1.0)
+    @example(1.0, 0.9, 0.0, 0.0, 0.0, np.log10(1000 * EPS), 1.0)
+    @settings(max_examples=400, deadline=None)
+    def test_decisions_match_mpmath_outside_the_band(
+        self, c, frac, a_arg, beta_arg, theta, log_offset, sign
+    ):
+        phi = _map(c, frac, a_arg, beta_arg)
+        zeta = _near_circle(phi, c, theta, sign * 10.0**log_offset)
+        gaps = _exact_gaps(phi, c, zeta)
+        for side, gap in zip([homogeneity._mapped_indices, homogeneity._pulled_back_indices], gaps):
+            index = _decide(side, phi, c, zeta)
+            assert index is None or index == int(gap < 0)
+
+    @given(_LIMITS, st.floats(0.0, 0.99), _ANGLES, _ANGLES, _ANGLES, st.sampled_from([-1.0, 1.0]))
+    @example(1.0, 0.99, 0.0, 0.0, np.pi, 1.0)
+    @example(1.2, 0.99, 0.0, 0.0, 0.0, -1.0)
+    @settings(max_examples=200, deadline=None)
+    def test_band_below_1e_12_of_the_scale(self, c, frac, a_arg, beta_arg, theta, sign):
+        # a point 1e-12 (|zeta| + |m| + rho) from the image circle is decided
+        phi = _map(c, frac, a_arg, beta_arg)
+        m, rho = homogeneity._image_disc(phi, c)
+        on = m + rho * cmath.exp(1j * theta)
+        offset = sign * 1e-12 * (abs(on) + abs(m) + rho) / rho
+        zeta = _near_circle(phi, c, theta, offset)
+        assert homogeneity._mapped_indices(phi, c, np.array([zeta])) == [int(sign < 0)]
 
 
 class TestResolventProbe:
@@ -283,6 +395,10 @@ class TestLibraryRefusals:
             pytest.param(lambda: witness_search(1.5), DomainError, id="c_out_of_range"),
             pytest.param(lambda: constancy_check(unilateral(), interior_points=[]), DomainError,
                          id="constancy_no_points"),
+            pytest.param(lambda: constancy_check(unilateral(), maps=()), DomainError,
+                         id="constancy_no_maps"),
+            pytest.param(lambda: change_of_variable_check(unilateral(), MobiusMap(a=0.5), []),
+                         DomainError, id="change_of_variable_no_points"),
         ],
     )
     def test_refuses(self, claim, error):
@@ -300,11 +416,21 @@ class TestLibraryRefusals:
     @example(2.8, 0.4565, 1.07)
     @settings(max_examples=100, deadline=None)
     def test_pole_refused_exactly_when_in_spectrum(self, limit, modulus, arg):
+        # the pole is refused before the empty list of points, which is refused too
         phi = MobiusMap(a=modulus * np.exp(1j * arg))
-        try:
+        refusal = PoleHit if abs(phi.a) * limit >= 1.0 else DomainError
+        with pytest.raises(refusal):
             change_of_variable_check(tabulated([limit], limit), phi, [])
-        except PoleHit:
-            refused = True
-        else:
-            refused = False
-        assert refused == (abs(phi.a) * limit >= 1.0)
+
+    @pytest.mark.parametrize("point", [np.nan, complex(np.inf, 0.0), complex(0.5, -np.inf)],
+                             ids=["nan", "inf", "inf_imag"])
+    @pytest.mark.parametrize(
+        "claim",
+        [lambda p: constancy_check(unilateral(), interior_points=[0.5, p]),
+         lambda p: change_of_variable_check(unilateral(), MobiusMap(a=0.5), [0.5, p])],
+        ids=["constancy", "change_of_variable"],
+    )
+    def test_refuses_non_finite_point(self, claim, point):
+        # a NaN is neither inside nor outside the circle: no check may read PASS
+        with pytest.raises(ValueError, match="finite"):
+            claim(point)
