@@ -24,25 +24,16 @@ import numpy as np
 from .errors import ConfigError, HyposhiftError
 from .homogeneity import (
     DEFAULT_MAP_GRID,
-    DEFAULT_WITNESS_GRID,
     change_of_variable_check,
     constancy_check,
     default_interior_points,
-    resolvent_norm_probe,
+    resolvent_probe_check,
     t_lambda_trace_check,
-    theorem_inequality_eval,
-    witness_search,
+    theorem_inequality_check,
 )
 from .mobius import MobiusMap
 from .principal import GridFunction, constant_grid, pincus_consistency, winding_numbers
-from .reporting import (
-    Check,
-    VerificationReport,
-    make_bound_check,
-    write_checks_csv,
-    write_grid_csv,
-    write_report,
-)
+from .reporting import VerificationReport, write_checks_csv, write_grid_csv, write_report
 from .shifts import WeightSequence, rational_family, symbol_curve, tabulated, unilateral
 from .traceforms import BivariatePolynomial, berger_shaw_putnam_check, helton_howe_check
 
@@ -227,11 +218,7 @@ def _run_pincus(
     grid=DEFAULT_GRID,
 ) -> list:
     """determinantal identity: resolvent determinant = disc integral of g = closed form"""
-    checks = []
-    for i, z in enumerate(points):
-        for w in points[i:]:
-            checks.extend(pincus_consistency(model, z, w, truncation, *grid))
-    return checks
+    return pincus_consistency(model, points, truncation, *grid)
 
 
 def _run_helton_howe(
@@ -248,35 +235,12 @@ def _run_change_of_variable(model=unilateral(), mobius=MobiusMap(), points=_INTE
 
 def _run_constancy(model=unilateral(), mobius=None, points=_INTERIOR) -> list:
     """index constant across interior points and disc automorphisms, zero outside"""
-    maps = (mobius,) if mobius is not None else DEFAULT_MAP_GRID
-    return constancy_check(model, maps=maps, interior_points=points)
+    return constancy_check(model, DEFAULT_MAP_GRID if mobius is None else (mobius,), points)
 
 
 def _run_theorem_inequality(c_values=(0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0)) -> list:
     """(1 - c/r^2) <= (1 - 1/r^2)^c holds only at c = 1; witnesses found for c < 1"""
-    # Both c = 1 checks hold by construction: inequality_gap is exactly 0 there,
-    # and 1 - 1/r^2 and (1 - 1/r^2) ** 1.0 are the same float; only c < 1 can fail.
-    checks = []
-    for c in c_values:
-        witness = witness_search(c)
-        if c < 1.0:
-            ok = witness is not None
-            label = f"witness exists for c={c}"
-            lhs = witness if witness is not None else -1.0
-        else:
-            ok = witness is None
-            label = "no witness for c=1"
-            lhs = witness if witness is not None else 0.0
-        checks.append(_bool_check(label, ok, lhs))
-        if c == 1.0:
-            probes = (theorem_inequality_eval(1.0, r) for r in DEFAULT_WITNESS_GRID)
-            worst = max(abs(probe.lhs - probe.rhs) for probe in probes)
-            checks.append(make_bound_check("equality gap at c=1", worst, 0.0, 1e-12))
-    return checks
-
-
-def _bool_check(name: str, ok: bool, value: float) -> Check:
-    return Check(name=name, lhs=complex(value), rhs=complex(value), tolerance=0.0, passed=ok)
+    return theorem_inequality_check(c_values)
 
 
 def _run_t_lambda(model, truncation=DEFAULT_TRUNCATION) -> list:
@@ -288,35 +252,11 @@ def _run_resolvent_probe(
     model=unilateral(), points=(2.0 + 0j, 10.0 + 0j), truncation=DEFAULT_TRUNCATION
 ) -> list:
     """resolvent norm of the truncated adjoint vs spectral and distance bounds"""
-    checks = []
-    for w in points:
-        probe = resolvent_norm_probe(model, w, truncation)
-        checks.append(
-            make_bound_check(
-                f"resolvent norm vs 1/(|w|-sup w_k) at w={w}",
-                probe.operator_norm,
-                probe.distance_bound,
-                5e-2,
-            )
-        )
-        checks.append(
-            make_bound_check(
-                f"rank-one vector norm vs ||x||/|w| at w={w}",
-                probe.vector_norm,
-                model.weights(1)[0] / abs(w),
-                1e-12,
-            )
-        )
-    return checks
+    return resolvent_probe_check(model, points, truncation)
 
 
 def _run_berger_shaw_putnam(model=unilateral(), area=None) -> list:
     """commutator trace and norm against the area bounds (Berger-Shaw, Putnam)"""
-    if area is None:
-        try:
-            area = math.pi * model.limit**2
-        except OverflowError:  # make_bound_check refuses the infinite bound
-            area = math.inf
     return berger_shaw_putnam_check(model, area)
 
 

@@ -23,16 +23,23 @@ def determining_det(model: WeightSequence, x: np.ndarray, z: complex, w: complex
 
     Only models whose infinite self-commutator is rank one (model.rank_one:
     constant weights, [T*, T] = w_0^2 e_0 (x) e_0) are admitted; z, w must lie
-    outside the closed disc of radius ||T||.
+    outside the closed disc of radius ||T|| (_admit).
     """
-    for name, point in (("z", z), ("w", w)):
-        if abs(point) <= model.sup:
-            raise SpectrumHit(f"|{name}| must exceed sup w_k = {model.sup}, got {abs(point)}")
-    if not model.rank_one:
-        raise NotRankOne("infinite-model self-commutator is not rank one")
+    _admit(model, (("z", z), ("w", w)))
     x = np.asarray(x, dtype=np.complex128)
     if x.shape != (n,):
         raise ValueError(f"x must have shape ({n},), got {x.shape}")
     u_w = adjoint_resolvent_solve(model, w, x)
     u_z = adjoint_resolvent_solve(model, z, x)
     return 1.0 - complex(np.vdot(u_z, u_w))
+
+
+def _admit(model: WeightSequence, named_points) -> None:
+    """The determining determinant's domain, for (name, point) pairs: SpectrumHit
+    for the first point with |point| <= sup w_k, then NotRankOne unless the
+    model's infinite self-commutator is rank one."""
+    for name, point in named_points:
+        if abs(point) <= model.sup:
+            raise SpectrumHit(f"|{name}| must exceed sup w_k = {model.sup}, got {abs(point)}")
+    if not model.rank_one:
+        raise NotRankOne("infinite-model self-commutator is not rank one")

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, PoleHit, SpectrumHit, TooCloseToCurve
 from .mobius import MobiusMap, mobius_eval, mobius_invert
-from .reporting import Check, make_check
+from .reporting import Check, make_bound_check, make_check
 from .shifts import KIND_RATIONAL, WeightSequence, adjoint_resolvent_smin, adjoint_resolvent_solve
 
 # Default automorphism grid: center, two moduli, two phases.
@@ -31,29 +30,14 @@ DEFAULT_MAP_GRID = tuple(
 )
 
 DEFAULT_WITNESS_GRID = tuple(1.05 + 0.05 * k for k in range(180))  # 1.05 .. 10.0
-# resolvent_norm_probe needs |w| above sup w_k times this, where Neumann's
+# resolvent_probe_check needs |w| above sup w_k times this, where Neumann's
 # bound 1/(|w| - ||T||) holds with ||T|| = sup w_k.
 PROBE_MIN_MODULUS = 1.0 + 1e-6
 
 
-@dataclass(frozen=True)
-class InequalityProbe:
-    c: float
-    r: float
-    lhs: float  # 1 - c/r^2
-    rhs: float  # (1 - 1/r^2)^c
-
-
-def _check_inequality_domain(c: float, r: float) -> None:
+def _refuse_exponent(c: float) -> None:
     if not (0.0 < c <= 1.0):
         raise DomainError(f"c must lie in (0, 1], got {c}")
-    if r <= 1.0:
-        raise DomainError(f"r must exceed 1, got {r}")
-
-
-def theorem_inequality_eval(c: float, r: float) -> InequalityProbe:
-    _check_inequality_domain(c, r)
-    return InequalityProbe(c=c, r=r, lhs=1.0 - c / r**2, rhs=(1.0 - 1.0 / r**2) ** c)
 
 
 def inequality_gap(c: float, r: float) -> tuple[float, float]:
@@ -64,9 +48,12 @@ def inequality_gap(c: float, r: float) -> tuple[float, float]:
     (subtracting the two sides directly leaves roundoff near 1e-16) and is
     exactly 0 at c = 1.  The rounding bound is 16 eps (d u + expm1(-d log1p(-u))):
     a few roundings per term, and the second term, the subtrahend over 1 - u,
-    also covers the gap's sensitivity to the rounding of u.
+    also covers the gap's sensitivity to the rounding of u.  DomainError
+    unless 0 < c <= 1 and r > 1.
     """
-    _check_inequality_domain(c, r)
+    _refuse_exponent(c)
+    if r <= 1.0:
+        raise DomainError(f"r must exceed 1, got {r}")
     d = 1.0 - c
     u = 1.0 / r**2
     growth = math.expm1(-d * math.log1p(-u))
@@ -90,6 +77,36 @@ def witness_search(c: float) -> float | None:
     return None
 
 
+def theorem_inequality_check(c_values) -> list[Check]:
+    """A witness for each c < 1 and none at c = 1, plus the gap at c = 1 across the grid.
+
+    Each witness check records the witness r, or -1.0 where none is found
+    (0.0 at c = 1), on both sides, and passes exactly when the search agrees
+    with the claim.  At c = 1 the largest |inequality_gap(1, r)| over
+    DEFAULT_WITNESS_GRID is bounded by 1e-12; the gap is exactly 0 there by
+    construction, so only the c < 1 checks can fail.  The whole list is
+    refused before any search: DomainError for an empty list or a c outside
+    (0, 1].
+    """
+    if len(c_values) == 0:
+        raise DomainError("theorem-inequality: an empty list of c values checks nothing")
+    for c in c_values:
+        _refuse_exponent(c)
+    checks = []
+    for c in c_values:
+        witness = witness_search(c)
+        if c < 1.0:
+            label, ok, miss = f"witness exists for c={c}", witness is not None, -1.0
+        else:
+            label, ok, miss = "no witness for c=1", witness is None, 0.0
+        value = complex(miss if witness is None else witness)
+        checks.append(Check(name=label, lhs=value, rhs=value, tolerance=0.0, passed=ok))
+        if c == 1.0:
+            worst = max(abs(inequality_gap(1.0, r)[0]) for r in DEFAULT_WITNESS_GRID)
+            checks.append(make_bound_check("equality gap at c=1", worst, 0.0, 1e-12))
+    return checks
+
+
 def _refuse_poles_on_spectrum(model: WeightSequence, maps) -> None:
     """PoleHit unless every map is analytic on the spectrum, the closed disc of
     radius model.limit: its pole 1/conj(a) must lie outside, |a| limit < 1."""
@@ -111,8 +128,7 @@ def _image_disc(phi: MobiusMap, c: float) -> tuple[complex, float]:
     (1 - x)(1 + x), so no difference cancels as t -> 1: the rounding of t,
     amplified by 1/(1 - t), is the one error that grows there (_disc_indices
     bounds it).  The product for m is grouped so that no factor overflows
-    while m and rho are finite.  beta is taken as unimodular, as MobiusMap
-    defines it; a beta rounded from exp(i theta) is within a few eps of it.
+    while m and rho are finite.  beta is unimodular, as MobiusMap stores it.
     """
     s = abs(phi.a)
     t = s * c
@@ -279,41 +295,44 @@ def default_exterior_points():
     return list((1.3 + 0.4 * k) * np.exp(2j * np.pi * k / 5))
 
 
-@dataclass(frozen=True)
-class ResolventProbe:
-    w: complex
-    operator_norm: float  # computed norm of (T_n* - conj(w))^{-1}
-    spectral_bound: float  # 1/|w|
-    distance_bound: float  # 1/(|w| - sup w_k)
-    vector_norm: float  # ||(T* - conj(w))^{-1} x|| for the rank-one vector x
+def resolvent_probe_check(model: WeightSequence, points, n: int) -> list[Check]:
+    """The resolvent norm of the truncated adjoint at each w against Neumann's
+    bound, and the exact rank-one vector norm against ||x||/|w|.
 
-
-def resolvent_norm_probe(model: WeightSequence, w: complex, n: int) -> ResolventProbe:
-    """Report the resolvent norm of the truncated adjoint next to both candidate
-    bounds, plus the exact rank-one vector norm (1/|w| scaled by w_0 for shifts).
-
-    The distance bound is Neumann's 1/(|w| - ||T||) with ||T|| = sup w_k; it
-    holds for the truncation too, whose adjoint is T* restricted to the
-    invariant span(e_0, ..., e_{n-1}).  This probe reports rather than
-    asserts: the two bounds differ and the data is the point.  Both numbers
-    come from the weight band in O(n).  Raises SpectrumHit unless
-    |w| > sup w_k PROBE_MIN_MODULUS; past that floor Weyl's bound
-    s_min >= |w| - sup w_k keeps T_n* - conj(w) invertible.
+    The first check bounds ||(T_n* - conj(w))^{-1}|| by 1/(|w| - ||T||) with
+    ||T|| = sup w_k, within 5e-2; the bound holds for the truncation too,
+    whose adjoint is T* restricted to the invariant span(e_0, ..., e_{n-1}).
+    The second compares ||(T* - conj(w))^{-1} x|| for x = w_0 e_0 with
+    w_0/|w| (T* e_0 = 0), within 1e-12.  Both numbers come from the weight
+    band in O(n).  The whole list is refused before any solve: DomainError
+    for an empty list, SpectrumHit unless every |w| > sup w_k
+    PROBE_MIN_MODULUS; past that floor Weyl's bound s_min >= |w| - sup w_k
+    keeps T_n* - conj(w) invertible.
     """
+    if len(points) == 0:
+        raise DomainError("resolvent-probe: an empty list of points checks nothing")
     floor = model.sup * PROBE_MIN_MODULUS
-    if abs(w) <= floor:
-        raise SpectrumHit(f"|w| must exceed {floor}, got {abs(w)}")
-    op_norm = 1.0 / adjoint_resolvent_smin(model, w, n)
+    for w in points:
+        if abs(w) <= floor:
+            raise SpectrumHit(f"|w| must exceed {floor}, got {abs(w)}")
+    w0 = model.weights(1)[0]
     x = np.zeros(n, dtype=np.complex128)
-    x[0] = model.weights(1)[0]
-    u = adjoint_resolvent_solve(model, w, x)
-    return ResolventProbe(
-        w=complex(w),
-        operator_norm=op_norm,
-        spectral_bound=1.0 / abs(w),
-        distance_bound=1.0 / (abs(w) - model.sup),
-        vector_norm=float(np.sqrt(np.vdot(u, u).real)),
-    )
+    x[0] = w0
+    checks = []
+    for w in points:
+        op_norm = 1.0 / adjoint_resolvent_smin(model, w, n)
+        u = adjoint_resolvent_solve(model, w, x)
+        checks += [
+            make_bound_check(
+                f"resolvent norm vs 1/(|w|-sup w_k) at w={w}",
+                op_norm, 1.0 / (abs(w) - model.sup), 5e-2,
+            ),
+            make_bound_check(
+                f"rank-one vector norm vs ||x||/|w| at w={w}",
+                float(np.sqrt(np.vdot(u, u).real)), w0 / abs(w), 1e-12,
+            ),
+        ]
+    return checks
 
 
 def t_lambda_trace_check(model: WeightSequence, n: int) -> Check:

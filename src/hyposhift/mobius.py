@@ -35,7 +35,11 @@ BAND_CUTOFF = 1e-17
 
 @dataclass(frozen=True)
 class MobiusMap:
-    """z -> beta (z - a) / (1 - conj(a) z), |beta| = 1, |a| < 1."""
+    """z -> beta (z - a) / (1 - conj(a) z), |beta| = 1, |a| < 1.
+
+    A beta within UNIMODULAR_TOL of the unit circle is admitted and stored as
+    beta/|beta|, so every use of the map reads one unimodular beta.
+    """
 
     beta: complex = 1.0 + 0j
     a: complex = 0.0 + 0j
@@ -47,7 +51,7 @@ class MobiusMap:
             raise ValueError(f"|beta| must be 1, got {abs(beta)}")
         if abs(a) >= 1.0:
             raise ValueError(f"|a| must be < 1, got {abs(a)}")
-        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "beta", beta / abs(beta))
         object.__setattr__(self, "a", a)
 
 

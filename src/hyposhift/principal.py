@@ -27,12 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .determinants import determining_det
-from .errors import SpectrumHit, TooCloseToCurve
+from .determinants import _admit, determining_det
+from .errors import DomainError, SpectrumHit, TooCloseToCurve
 from .reporting import make_check
 from .shifts import WeightSequence
 
-DEFAULT_CURVE_SAMPLES = 4096
 CURVE_MARGIN_FACTOR = 10.0
 WINDING_CHUNK = 4  # every winding temporary holds at most 4 x samples elements
 COARSE_STRIDE = 64  # edges per block of the block-chord winding
@@ -295,13 +294,13 @@ def closed_form_oracle(z: complex, w: complex) -> complex:
 
 def pincus_consistency(
     model: WeightSequence,
-    z: complex,
-    w: complex,
+    points,
     n: int = 256,
     n_r: int = 400,
     n_theta: int = 400,
 ) -> list:
-    """Triangle of oracles for the determinantal identity at one (z, w).
+    """Triangle of oracles for the determinantal identity at every pair (z, w),
+    w in points[i:] for z = points[i].
 
     Compares the resolvent-based determinant on the n-truncation, the disc
     quadrature, and the scalar closed form, pairwise.  A rank-one model has
@@ -311,18 +310,30 @@ def pincus_consistency(
     1 - c^2/(z conj(w)).  The resolvent value matches the closed form to
     machine precision (tolerance 1e-12); the quadrature carries the grid
     tolerance 5e-3.
+
+    The whole input is refused before the first solve: DomainError for an
+    empty list, then determining_det's SpectrumHit and NotRankOne, naming
+    points[0] z and every later point w, as in their pairs with points[0].
     """
+    if len(points) == 0:
+        raise DomainError("pincus-check: an empty list of points checks nothing")
+    _admit(model, [("z", points[0])] + [("w", w) for w in points[1:]])
     c = model.limit
     x = np.zeros(n, dtype=np.complex128)
     x[0] = model.weights(1)[0]
-    det_val = determining_det(model, x, z, w, n)
-    # disc_cauchy_exponential of constant_grid(1.0, n_r, n_theta), from its ring values
-    quad_val = _ring_cauchy_exponential(np.ones(n_r), n_theta, *_outside_unit_disc(z / c, w / c))
-    oracle_val = closed_form_oracle(z / c, w / c)
-    tag = f"z={z}, w={w}"
+    ones = np.ones(n_r)
     quad_tol = 5e-3
-    return [
-        make_check(f"determinant vs closed form [{tag}]", det_val, oracle_val, 1e-12),
-        make_check(f"quadrature vs closed form [{tag}]", quad_val, oracle_val, quad_tol),
-        make_check(f"determinant vs quadrature [{tag}]", det_val, quad_val, quad_tol),
-    ]
+    checks = []
+    for i, z in enumerate(points):
+        for w in points[i:]:
+            det_val = determining_det(model, x, z, w, n)
+            # disc_cauchy_exponential of constant_grid(1.0, n_r, n_theta), from its ring values
+            quad_val = _ring_cauchy_exponential(ones, n_theta, *_outside_unit_disc(z / c, w / c))
+            oracle_val = closed_form_oracle(z / c, w / c)
+            tag = f"z={z}, w={w}"
+            checks += [
+                make_check(f"determinant vs closed form [{tag}]", det_val, oracle_val, 1e-12),
+                make_check(f"quadrature vs closed form [{tag}]", quad_val, oracle_val, quad_tol),
+                make_check(f"determinant vs quadrature [{tag}]", det_val, quad_val, quad_tol),
+            ]
+    return checks

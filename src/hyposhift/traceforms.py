@@ -154,12 +154,14 @@ def helton_howe_check(
     return make_check("trace formula", lhs, complex(rhs), tol)
 
 
-def berger_shaw_putnam_check(model: WeightSequence, area: float) -> list[Check]:
+def berger_shaw_putnam_check(model: WeightSequence, area: float | None = None) -> list[Check]:
     """Trace and norm bounds for the exact infinite-model self-commutator, to 1e-12.
 
     tr [T*, T] (telescoped closed form w_inf^2) against (m/pi) * area with
     multiplicity m = 1, and ||[T*, T]|| (largest exact diagonal entry) against
-    area/pi.  The area of the spectrum is supplied analytically by the caller.
+    area/pi.  The area of the spectrum defaults to pi limit^2, that of the
+    disc of radius model.limit, taken as inf when it overflows
+    (make_bound_check then refuses the bound with DomainError).
     Putnam's bound holds for hyponormal T only: any other model raises
     DomainError.  A table's diagonal is 0 from two past its end on, so the
     norm reads it whole.  The rational family's entry w_k^2 - w_{k-1}^2
@@ -173,6 +175,11 @@ def berger_shaw_putnam_check(model: WeightSequence, area: float) -> list[Check]:
             "with the limit at least the last one"
         )
     trace_val = model.limit * model.limit
+    if area is None:
+        try:
+            area = math.pi * model.limit**2
+        except OverflowError:
+            area = math.inf
     if model.kind == KIND_RATIONAL:
         peak = int(model.lam / 2.0)
         start, stop = max(peak - 2, 0), peak + 3

@@ -19,6 +19,9 @@ write_checks_csv the row-by-row csv.writer dumps that reporting's writers match
 byte for byte, report_json the indented json.dumps that
 VerificationReport.to_json matches byte for byte, and constancy_names the
 per-check f-strings that homogeneity.constancy_check's names match.
+inequality_sides is the naive two-sided evaluation of the scalar inequality
+that the witness search's cancellation-free gap is compared against, and
+DEFAULT_CURVE_SAMPLES the symbol-curve sampling of the winding oracles.
 count_below is the Sturm count that tests every pivot for zero before it
 divides, which shifts._count_below matches count for count.
 adjoint_resolvent_recurrence is the back-substitution over every row that
@@ -38,7 +41,7 @@ import numpy as np
 from hyposhift import shifts, traceforms
 from hyposhift.errors import HyposhiftError, NotAContraction, SpectrumHit, TooCloseToCurve
 from hyposhift.mobius import CONTRACTION_TOL, MobiusMap
-from hyposhift.principal import CURVE_MARGIN_FACTOR, DEFAULT_CURVE_SAMPLES, winding_numbers
+from hyposhift.principal import CURVE_MARGIN_FACTOR, winding_numbers
 from hyposhift.shifts import KIND_RATIONAL, band
 from hyposhift.traceforms import BivariatePolynomial
 
@@ -74,6 +77,7 @@ RANK_TOL = 1e-8
 LOGSERIES_TERM_TOL = 1e-16
 LOGSERIES_MAX_TERMS = 200
 PSD_CLIP = 1e-12
+DEFAULT_CURVE_SAMPLES = 4096
 
 
 def as_matrix(m) -> np.ndarray:
@@ -430,6 +434,11 @@ def winding_number(curve: np.ndarray, point: complex) -> int:
 def principal_value_at(model, point: complex) -> int:
     """g(point) = minus the Fredholm index = winding of the symbol curve about the point."""
     return int(winding_numbers(shifts.symbol_curve(model, DEFAULT_CURVE_SAMPLES), point))
+
+
+def inequality_sides(c: float, r: float) -> tuple[float, float]:
+    """(1 - c/r^2, (1 - 1/r^2)^c), each side evaluated as written."""
+    return 1.0 - c / r**2, (1.0 - 1.0 / r**2) ** c
 
 
 def disc_cauchy_exponential(g, z: complex, w: complex) -> complex:

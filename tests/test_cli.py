@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from hyposhift import determinants, homogeneity, principal
 from hyposhift.cli import EXPERIMENTS, main, parse_config, run_experiment
 from hyposhift.errors import ConfigError
 from hyposhift.homogeneity import DEFAULT_MAP_GRID, default_exterior_points, default_interior_points
@@ -592,6 +593,41 @@ class TestMain:
         assert err.endswith(f", got {abs(complex(*points[index]))}\n")
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "refused, admitted",
+        [
+            ({"experiment": "pincus-check", "points": [[2, 0], [0, 1]]},
+             {"experiment": "pincus-check", "points": [[2, 0]]}),
+            ({"experiment": "resolvent-probe", "points": [[2, 0], [0, 0.5]]},
+             {"experiment": "resolvent-probe", "points": [[2, 0]]}),
+            ({"experiment": "theorem-inequality", "c_values": [0.5, 1.5]},
+             {"experiment": "theorem-inequality", "c_values": [0.5]}),
+        ],
+        ids=["pincus", "resolvent_probe", "theorem_inequality"],
+    )
+    def test_run_refuses_before_any_work(self, tmp_path, monkeypatch, refused, admitted):
+        # the whole list is refused before the first solve or search; its first
+        # entry alone is admitted and does the work that the refusal skips
+        calls = []
+        for module, name in [
+            (principal, "determining_det"),
+            (determinants, "adjoint_resolvent_solve"),
+            (homogeneity, "adjoint_resolvent_solve"),
+            (homogeneity, "adjoint_resolvent_smin"),
+            (homogeneity, "witness_search"),
+        ]:
+            original = getattr(module, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        assert self.run_config(tmp_path, refused)[0] == 2
+        assert calls == []
+        assert self.run_config(tmp_path, admitted)[0] == 0
+        assert calls
 
     def test_cli_runs_without_dense_linalg(self, tmp_path, no_dense_linalg):
         # every bundled config and both default grids pass on the weight band alone

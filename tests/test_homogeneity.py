@@ -19,9 +19,9 @@ from hyposhift.homogeneity import (
     default_exterior_points,
     default_interior_points,
     inequality_gap,
-    resolvent_norm_probe,
+    resolvent_probe_check,
     t_lambda_trace_check,
-    theorem_inequality_eval,
+    theorem_inequality_check,
     witness_search,
 )
 from hyposhift.mobius import MobiusMap, mobius_eval, mobius_invert
@@ -30,27 +30,31 @@ from hyposhift.shifts import rational_family, symbol_curve, tabulated, unilatera
 EPS = sys.float_info.epsilon
 
 
+def _naive_gap_at_one() -> float:
+    """max |lhs - rhs| at c = 1 over the witness grid, each side evaluated as written."""
+    sides = [oracles.inequality_sides(1.0, r) for r in DEFAULT_WITNESS_GRID]
+    return max(abs(lhs - rhs) for lhs, rhs in sides)
+
+
 class TestInequality:
     def test_worked_example(self):
-        probe = theorem_inequality_eval(0.5, 2.0)
-        assert probe.lhs == pytest.approx(0.875, abs=1e-15)
-        assert probe.rhs == pytest.approx(0.8660254, abs=1e-7)
-        assert probe.lhs > probe.rhs + 8e-3
+        lhs, rhs = oracles.inequality_sides(0.5, 2.0)
+        assert lhs == pytest.approx(0.875, abs=1e-15)
+        assert rhs == pytest.approx(0.8660254, abs=1e-7)
+        assert inequality_gap(0.5, 2.0)[0] == pytest.approx(lhs - rhs, abs=1e-15)
+        assert inequality_gap(0.5, 2.0)[0] > 8e-3
 
     def test_domain_guards(self):
-        with pytest.raises(DomainError):
-            theorem_inequality_eval(0.0, 2.0)
-        with pytest.raises(DomainError):
-            theorem_inequality_eval(1.5, 2.0)
-        with pytest.raises(DomainError):
-            theorem_inequality_eval(0.5, 1.0)
+        for c, r in [(0.0, 2.0), (1.5, 2.0), (0.5, 1.0)]:
+            with pytest.raises(DomainError):
+                inequality_gap(c, r)
 
     def test_witness_for_every_c_below_one(self):
         for c in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
             r = witness_search(c)
             assert r is not None
-            probe = theorem_inequality_eval(c, r)
-            assert probe.lhs > probe.rhs
+            lhs, rhs = oracles.inequality_sides(c, r)
+            assert lhs > rhs
 
     def test_no_witness_at_one(self):
         assert witness_search(1.0) is None
@@ -82,15 +86,23 @@ class TestInequality:
     @given(st.floats(1.01, 50.0))
     @settings(max_examples=60, deadline=None)
     def test_identity_at_c_one(self, r):
-        probe = theorem_inequality_eval(1.0, r)
-        assert abs(probe.lhs - probe.rhs) <= 1e-12
+        lhs, rhs = oracles.inequality_sides(1.0, r)
+        assert abs(lhs - rhs) <= 1e-12
 
     def test_equality_gap_across_grid(self):
-        worst = max(
-            abs(theorem_inequality_eval(1.0, r).lhs - theorem_inequality_eval(1.0, r).rhs)
-            for r in DEFAULT_WITNESS_GRID
-        )
-        assert worst <= 1e-12
+        assert _naive_gap_at_one() <= 1e-12
+
+    def test_check_records_each_witness(self):
+        checks = theorem_inequality_check([0.5, 1.0])
+        assert [c.name for c in checks] == [
+            "witness exists for c=0.5", "no witness for c=1", "equality gap at c=1",
+        ]
+        assert all(c.passed for c in checks)
+        r = witness_search(0.5)
+        assert (checks[0].lhs, checks[0].rhs) == (r, r)
+        assert (checks[1].lhs, checks[2].lhs, checks[2].rhs) == (0.0, 0.0, 0.0)
+        # the equality row's gap is the naive row it replaces, exactly
+        assert checks[2].lhs == _naive_gap_at_one()
 
 
 class TestSymbolCurveTransport:
@@ -245,7 +257,7 @@ class TestImageDisc:
     @settings(max_examples=60, deadline=None)
     def test_polygon_agrees_where_it_decides(self, c, frac, a_arg, beta_arg, polar):
         phi = _map(c, frac, a_arg, beta_arg)
-        curve = symbol_curve(tabulated([c], c), principal.DEFAULT_CURVE_SAMPLES)
+        curve = symbol_curve(tabulated([c], c), oracles.DEFAULT_CURVE_SAMPLES)
         mapped = mobius_eval(phi, curve)
         m, rho = homogeneity._image_disc(phi, c)
         for r, theta in polar:
@@ -294,47 +306,80 @@ class TestImageDisc:
         assert homogeneity._mapped_indices(phi, c, np.array([zeta])) == [int(sign < 0)]
 
 
+    def test_beta_off_the_circle_is_stored_unimodular(self):
+        # |beta| = 1 + 5e-13 is admitted; were it kept, both sides would read the
+        # point 2.5e-13 outside the unit circle as outside an image circle that
+        # |beta| widens past it.  Stored as beta/|beta|, both sides decide the
+        # map that is stored, and agree with 50 digits of it.
+        phi = MobiusMap(beta=1 + 5e-13, a=0.5)
+        assert abs(phi.beta) == 1.0
+        zeta = 1 + 2.5e-13
+        gaps = _exact_gaps(phi, 1.0, zeta)
+        for side, gap in zip([homogeneity._mapped_indices, homogeneity._pulled_back_indices], gaps):
+            assert side(phi, 1.0, np.array([zeta])) == [int(gap < 0)]
+        checks = change_of_variable_check(unilateral(), phi, [zeta])
+        assert (checks[0].lhs, checks[0].rhs) == (int(gaps[0] < 0), int(gaps[1] < 0))
+
+
+def _probe(model, w, n):
+    """(operator norm, distance bound, vector norm) at one point, from resolvent_probe_check."""
+    norm, vector = resolvent_probe_check(model, [w], n)
+    return norm.lhs.real, norm.rhs.real, vector.lhs.real
+
+
 class TestResolventProbe:
     def test_unilateral_at_two(self):
-        probe = resolvent_norm_probe(unilateral(), 2.0, 128)
-        assert probe.spectral_bound == pytest.approx(0.5)
-        assert probe.distance_bound == pytest.approx(1.0)
+        op_norm, distance_bound, vector_norm = _probe(unilateral(), 2.0, 128)
+        assert distance_bound == pytest.approx(1.0)
         # the exact adjoint resolvent sends e_0 to -(1/conj(w)) e_0
-        assert probe.vector_norm == pytest.approx(0.5, abs=1e-14)
-        assert probe.operator_norm <= probe.distance_bound + 5e-2
-        # the spectral bound underestimates the truncation's resolvent norm
-        assert probe.operator_norm > probe.spectral_bound
+        assert vector_norm == pytest.approx(0.5, abs=1e-14)
+        assert op_norm <= distance_bound + 5e-2
+        # the spectral bound 1/|w| underestimates the truncation's resolvent norm
+        assert op_norm > 0.5
+        assert all(c.passed for c in resolvent_probe_check(unilateral(), [2.0], 128))
 
     def test_rank_one_vector_is_scaled_by_first_weight(self):
         # x = w_0 e_0 and T* e_0 = 0, so the resolvent vector has norm w_0/|w|
-        probe = resolvent_norm_probe(rational_family(2.0), 3.0, 32)
-        assert probe.vector_norm == pytest.approx(0.5 / 3.0, abs=1e-14)
+        _, vector = resolvent_probe_check(rational_family(2.0), [3.0], 32)
+        assert vector.lhs.real == pytest.approx(0.5 / 3.0, abs=1e-14)
+        assert vector.rhs.real == pytest.approx(0.5 / 3.0, abs=1e-15)
+        assert vector.passed
 
     def test_far_point_bounds_converge(self):
-        probe = resolvent_norm_probe(unilateral(), 10.0, 128)
-        assert probe.operator_norm <= probe.distance_bound + 1e-12
-        assert probe.operator_norm == pytest.approx(probe.spectral_bound, abs=2e-2)
+        op_norm, distance_bound, _ = _probe(unilateral(), 10.0, 128)
+        assert op_norm <= distance_bound + 1e-12
+        assert op_norm == pytest.approx(1.0 / 10.0, abs=2e-2)
 
     def test_rejects_small_point(self):
         with pytest.raises(SpectrumHit):
-            resolvent_norm_probe(unilateral(), 0.9, 32)
+            resolvent_probe_check(unilateral(), [0.9], 32)
 
     def test_distance_bound_is_past_sup(self):
         # ||T|| = sup w_k = 2: Neumann's 1/(|w| - 2) bounds the norm at |w| = 2.5
-        probe = resolvent_norm_probe(tabulated([2.0], limit=2.0), 2.5, 128)
-        assert probe.distance_bound == 2.0
-        assert probe.operator_norm <= probe.distance_bound
+        op_norm, distance_bound, _ = _probe(tabulated([2.0], limit=2.0), 2.5, 128)
+        assert distance_bound == 2.0
+        assert op_norm <= distance_bound
         # inside sup w_k the bound is vacuous, and the probe refuses the point
         with pytest.raises(SpectrumHit, match="must exceed"):
-            resolvent_norm_probe(tabulated([3.0], limit=3.0), 2.0, 40)
+            resolvent_probe_check(tabulated([3.0], limit=3.0), [2.0], 40)
 
     def test_floor_follows_sup_below_one(self):
         # sup w_k = 0.5: |w| = 0.9 lies past ||T||, where Neumann's bound is 1/0.4
-        probe = resolvent_norm_probe(tabulated([0.5], limit=0.5), 0.9, 128)
-        assert probe.distance_bound == pytest.approx(2.5)
-        assert probe.operator_norm <= probe.distance_bound
+        op_norm, distance_bound, _ = _probe(tabulated([0.5], limit=0.5), 0.9, 128)
+        assert distance_bound == pytest.approx(2.5)
+        assert op_norm <= distance_bound
         with pytest.raises(SpectrumHit):
-            resolvent_norm_probe(tabulated([0.5], limit=0.5), 0.5, 128)
+            resolvent_probe_check(tabulated([0.5], limit=0.5), [0.5], 128)
+
+    def test_two_checks_per_point_in_order(self):
+        checks = resolvent_probe_check(unilateral(), [2.0 + 0j, 10.0 + 0j], 64)
+        assert [c.name for c in checks] == [
+            "resolvent norm vs 1/(|w|-sup w_k) at w=(2+0j)",
+            "rank-one vector norm vs ||x||/|w| at w=(2+0j)",
+            "resolvent norm vs 1/(|w|-sup w_k) at w=(10+0j)",
+            "rank-one vector norm vs ||x||/|w| at w=(10+0j)",
+        ]
+        assert [c.tolerance for c in checks] == [5e-2, 1e-12] * 2
 
 
 class TestTLambdaTrace:
@@ -393,17 +438,31 @@ class TestLibraryRefusals:
             pytest.param(lambda: constancy_check(tabulated([1.5], 1.5)), PoleHit,
                          id="constancy_default_maps"),
             pytest.param(lambda: witness_search(1.5), DomainError, id="c_out_of_range"),
-            pytest.param(lambda: constancy_check(unilateral(), interior_points=[]), DomainError,
-                         id="constancy_no_points"),
+            pytest.param(lambda: theorem_inequality_check([0.5, 1.5]), DomainError,
+                         id="theorem_inequality_c_out_of_range"),
             pytest.param(lambda: constancy_check(unilateral(), maps=()), DomainError,
                          id="constancy_no_maps"),
-            pytest.param(lambda: change_of_variable_check(unilateral(), MobiusMap(a=0.5), []),
-                         DomainError, id="change_of_variable_no_points"),
         ],
     )
     def test_refuses(self, claim, error):
         assert issubclass(error, HyposhiftError)
         with pytest.raises(error):
+            claim()
+
+    @pytest.mark.parametrize(
+        "claim",
+        [
+            lambda: principal.pincus_consistency(unilateral(), [], 16),
+            lambda: resolvent_probe_check(unilateral(), [], 16),
+            lambda: theorem_inequality_check([]),
+            lambda: constancy_check(unilateral(), interior_points=[]),
+            lambda: change_of_variable_check(unilateral(), MobiusMap(a=0.5), []),
+        ],
+        ids=["pincus", "resolvent_probe", "theorem_inequality", "constancy", "change_of_variable"],
+    )
+    def test_refuses_an_empty_list(self, claim):
+        # a list-taking experiment with nothing to check would report no checks, and pass
+        with pytest.raises(DomainError, match="checks nothing"):
             claim()
 
     @given(

@@ -501,13 +501,18 @@ class TestClosedFormOracle:
 class TestPincusConsistency:
     def test_triangle_passes(self):
         model = unilateral()
-        checks = pincus_consistency(model, 2.0, 3.0, n=64, n_r=200, n_theta=200)
-        assert len(checks) == 3
+        checks = pincus_consistency(model, [2.0, 3.0], n=64, n_r=200, n_theta=200)
+        # three checks for each of the pairs (2, 2), (2, 3) and (3, 3)
+        assert len(checks) == 9
         assert all(c.passed for c in checks)
+        assert [c.name.split("[")[1] for c in checks[::3]] == [
+            "z=2.0, w=2.0]", "z=2.0, w=3.0]", "z=3.0, w=3.0]",
+        ]
 
     @pytest.mark.parametrize("c, z, w", [(0.5, 2.0, 2.0), (1.5, 2.0, 3.0j), (1.5, 1.6, -1.7)])
     def test_constant_weight_scales_the_disc(self, c, z, w):
         # g = 1 on the disc of radius c: the determinant is 1 - c^2/(z conj(w))
-        checks = pincus_consistency(tabulated([c], limit=c), z, w, n=64)
+        checks = pincus_consistency(tabulated([c], limit=c), [z, w], n=64)
         assert all(check.passed for check in checks)
-        assert checks[0].lhs == pytest.approx(1.0 - c * c / (z * np.conj(w)), abs=1e-12)
+        # the pair (z, w) comes after (z, z)
+        assert checks[3].lhs == pytest.approx(1.0 - c * c / (z * np.conj(w)), abs=1e-12)
