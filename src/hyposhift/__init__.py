@@ -9,7 +9,6 @@ verification reports.  The dense general-matrix algebra that the banded
 kernels are checked against lives with the tests, as their oracle.
 """
 from . import (
-    determinants,
     errors,
     homogeneity,
     mobius,
@@ -20,7 +19,6 @@ from . import (
 )
 
 __all__ = [
-    "determinants",
     "errors",
     "homogeneity",
     "mobius",

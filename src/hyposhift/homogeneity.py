@@ -206,7 +206,8 @@ def _pulled_back_indices(phi: MobiusMap, c: float, zeta: np.ndarray) -> list[int
         raise DomainError("change-of-variable: a pulled-back point phi^{-1}(zeta) overflows")
     s = abs(phi.a)
     size = np.abs(q)
-    lift = s * (1.0 + np.abs(zeta) * size) * np.abs(1.0 - np.conj(phi.a) * q)
+    # s + s |zeta| |q| is exactly 0 at a = 0, where s (1 + |zeta| |q|) can be 0 inf
+    lift = (s + s * np.abs(zeta) * size) * np.abs(1.0 - np.conj(phi.a) * q)
     try:
         return _disc_indices(q, 0.0, c, 1.0 + lift / ((1.0 - s) * (1.0 + s) * (size + c)))
     except TooCloseToCurve as exc:

@@ -1,4 +1,4 @@
-"""Principal function estimation and the disc-integral exponential.
+"""Principal function estimation and the determinantal identity's three corners.
 
 The principal function of a weighted shift with convergent weights equals the
 winding number of its symbol curve (the essential-spectrum circle) about the
@@ -18,6 +18,13 @@ is computed by midpoint polar quadrature for a g constant on each ring, whose
 angular sums have a closed form (see disc_cauchy_exponential), and is
 cross-checked against the closed form (1 - 1/(z conj(w)))^c, itself evaluated
 through an independent scalar series.
+
+The determining determinant 1 - <(T* - conj(w))^{-1} x, (T* - conj(z))^{-1} x>
+of a shift whose infinite self-commutator is the rank-one x (x) x takes two
+O(n) back-substitutions on the weight band (shifts.adjoint_resolvent_solve).
+The finite multiplicative commutator's determinant is identically 1, so it
+must go through the rank-one perturbation, never through finite products; the
+dense tripwire that shows the collapse lives with the test oracles.
 """
 from __future__ import annotations
 
@@ -27,10 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .determinants import _admit, determining_det
-from .errors import DomainError, SpectrumHit, TooCloseToCurve
+from .errors import DomainError, NotRankOne, SpectrumHit, TooCloseToCurve
 from .reporting import make_check
-from .shifts import WeightSequence
+from .shifts import WeightSequence, adjoint_resolvent_solve
 
 CURVE_MARGIN_FACTOR = 10.0
 WINDING_CHUNK = 4  # every winding temporary holds at most 4 x samples elements
@@ -292,6 +298,31 @@ def closed_form_oracle(z: complex, w: complex) -> complex:
     return complex(np.exp(log_val))
 
 
+def determining_det(model: WeightSequence, x: np.ndarray, z: complex, w: complex) -> complex:
+    """1 - <(T* - conj(w))^{-1} x, (T* - conj(z))^{-1} x> on the len(x)-truncation.
+
+    Only models whose infinite self-commutator is rank one (model.rank_one:
+    constant weights, [T*, T] = w_0^2 e_0 (x) e_0) are admitted; z, w must lie
+    outside the closed disc of radius ||T|| (_admit).  ValueError unless x is
+    a vector.
+    """
+    _admit(model, (("z", z), ("w", w)))
+    u_w = adjoint_resolvent_solve(model, w, x)
+    u_z = adjoint_resolvent_solve(model, z, x)
+    return 1.0 - complex(np.vdot(u_z, u_w))
+
+
+def _admit(model: WeightSequence, named_points) -> None:
+    """The determining determinant's domain, for (name, point) pairs: SpectrumHit
+    for the first point with |point| <= sup w_k, then NotRankOne unless the
+    model's infinite self-commutator is rank one."""
+    for name, point in named_points:
+        if abs(point) <= model.sup:
+            raise SpectrumHit(f"|{name}| must exceed sup w_k = {model.sup}, got {abs(point)}")
+    if not model.rank_one:
+        raise NotRankOne("infinite-model self-commutator is not rank one")
+
+
 def pincus_consistency(
     model: WeightSequence,
     points,
@@ -313,23 +344,32 @@ def pincus_consistency(
 
     The whole input is refused before the first solve: DomainError for an
     empty list, then determining_det's SpectrumHit and NotRankOne, naming
-    points[0] z and every later point w, as in their pairs with points[0].
+    points[0] z and every later point w, as in their pairs with points[0],
+    then DomainError for a point p with p/c or |p/c|^2 not finite, so that no
+    pair's (z/c) conj(w/c) overflows.  Each point's resolvent vector is solved
+    once, and each pair's determinant is determining_det's expression on the
+    two vectors.
     """
     if len(points) == 0:
         raise DomainError("pincus-check: an empty list of points checks nothing")
     _admit(model, [("z", points[0])] + [("w", w) for w in points[1:]])
     c = model.limit
+    scaled = [p / c for p in points]
+    for p, s in zip(points, scaled):
+        if not math.isfinite(abs(s) * abs(s)):
+            raise DomainError(f"pincus-check: |p/c|^2 must be finite, got p = {p} with c = {c}")
     x = np.zeros(n, dtype=np.complex128)
     x[0] = model.weights(1)[0]
+    per_point = [(p, s, adjoint_resolvent_solve(model, p, x)) for p, s in zip(points, scaled)]
     ones = np.ones(n_r)
     quad_tol = 5e-3
     checks = []
-    for i, z in enumerate(points):
-        for w in points[i:]:
-            det_val = determining_det(model, x, z, w, n)
+    for i, (z, z_c, u_z) in enumerate(per_point):
+        for w, w_c, u_w in per_point[i:]:
+            det_val = 1.0 - complex(np.vdot(u_z, u_w))
             # disc_cauchy_exponential of constant_grid(1.0, n_r, n_theta), from its ring values
-            quad_val = _ring_cauchy_exponential(ones, n_theta, *_outside_unit_disc(z / c, w / c))
-            oracle_val = closed_form_oracle(z / c, w / c)
+            quad_val = _ring_cauchy_exponential(ones, n_theta, *_outside_unit_disc(z_c, w_c))
+            oracle_val = closed_form_oracle(z_c, w_c)
             tag = f"z={z}, w={w}"
             checks += [
                 make_check(f"determinant vs closed form [{tag}]", det_val, oracle_val, 1e-12),

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from hyposhift.cli import parse_config, run_experiment
-from hyposhift.determinants import determining_det
+from hyposhift.principal import determining_det
 from hyposhift.homogeneity import (
     DEFAULT_MAP_GRID,
     DEFAULT_WITNESS_GRID,
@@ -61,7 +61,7 @@ def test_criterion_02_determinant_triangle():
     g = constant_grid(1.0, 400, 400)
     ok = True
     for z, w in ((2.0, 2.0), (2.0, 3.0), (2j, 2j)):
-        det_val = determining_det(model, basis(256), z, w, 256)
+        det_val = determining_det(model, basis(256), z, w)
         quad_val = disc_cauchy_exponential(g, z, w)
         oracle = closed_form_oracle(z, w)
         ok &= abs(det_val - oracle) <= 1e-12
@@ -86,7 +86,7 @@ def test_criterion_03_multiplicative_tripwire():
     ok = True
     for z, w in ((2.0, 3.0), (2j, 2j), (-1.7, 2.5 + 1j)):
         pitfall = multiplicative_commutator_pitfall(t, z, w)
-        honest = determining_det(model, basis(32), z, w, 32)
+        honest = determining_det(model, basis(32), z, w)
         ok &= abs(pitfall - 1.0) <= 1e-10
         ok &= abs(honest - 1.0) > 1e-2
     report("criterion 3: finite multiplicative determinant collapses to 1", ok)

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from hyposhift import determinants, homogeneity, shifts
-from hyposhift.determinants import determining_det
+from hyposhift import homogeneity, principal, shifts
+from hyposhift.principal import determining_det
 from hyposhift.errors import InvalidDimension, SpectrumHit
 from hyposhift.shifts import (
     adjoint_resolvent_smin,
@@ -129,7 +129,7 @@ def test_determining_det_matches_dense_oracle(data, weight, n, seed):
     z = data.draw(outside_points(weight))
     w = data.draw(outside_points(weight))
     x = random_vector(seed, n)
-    val = determining_det(model, x, z, w, n)
+    val = determining_det(model, x, z, w)
     oracle = oracles.determining_det(model, x, z, w)
     assert abs(val - oracle) <= REL_TOL * max(1.0, abs(1.0 - oracle))
 
@@ -463,14 +463,14 @@ class TestSupportLimitedSolve:
         z, w = c * rz * np.exp(1j * tz), c * rw * np.exp(1j * tw)
         x = np.zeros(n, dtype=np.complex128)
         x[0] = c
-        det = determining_det(model, x, z, w, n)
+        det = determining_det(model, x, z, w)
         probe = homogeneity.resolvent_probe_check(model, [w], n)
         full = oracles.adjoint_resolvent_recurrence
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(determinants, "adjoint_resolvent_solve", full)
+            mp.setattr(principal, "adjoint_resolvent_solve", full)
             mp.setattr(homogeneity, "adjoint_resolvent_solve", full)
             mp.setattr(homogeneity, "adjoint_resolvent_smin", bisection_smin)
-            want = determining_det(model, x, z, w, n)
+            want = determining_det(model, x, z, w)
             reference = homogeneity.resolvent_probe_check(model, [w], n)
         assert (det.real.hex(), det.imag.hex()) == (want.real.hex(), want.imag.hex())
         # the operator norm, then the rank-one vector norm

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from hyposhift import determinants, homogeneity, principal
+from hyposhift import homogeneity, principal
 from hyposhift.cli import EXPERIMENTS, main, parse_config, run_experiment
 from hyposhift.errors import ConfigError
 from hyposhift.homogeneity import DEFAULT_MAP_GRID, default_exterior_points, default_interior_points
@@ -611,8 +611,7 @@ class TestMain:
         # entry alone is admitted and does the work that the refusal skips
         calls = []
         for module, name in [
-            (principal, "determining_det"),
-            (determinants, "adjoint_resolvent_solve"),
+            (principal, "adjoint_resolvent_solve"),
             (homogeneity, "adjoint_resolvent_solve"),
             (homogeneity, "adjoint_resolvent_smin"),
             (homogeneity, "witness_search"),
@@ -628,6 +627,17 @@ class TestMain:
         assert calls == []
         assert self.run_config(tmp_path, admitted)[0] == 0
         assert calls
+
+    def test_bundled_pincus_solves_once_per_point(self, monkeypatch):
+        # 3 points make 6 pairs, and 3 O(n) solves
+        calls = []
+        solve = principal.adjoint_resolvent_solve
+        monkeypatch.setattr(
+            principal, "adjoint_resolvent_solve", lambda *a: calls.append(a[1]) or solve(*a)
+        )
+        report = run_experiment(parse_config((CONFIG_DIR / "pincus_check.json").read_text()))
+        assert len(report.checks) == 18
+        assert calls == [2, 3, 2j]
 
     def test_cli_runs_without_dense_linalg(self, tmp_path, no_dense_linalg):
         # every bundled config and both default grids pass on the weight band alone
@@ -721,6 +731,10 @@ class TestMain:
              "model": {"kind": "tabulated", "weights": [1.5], "limit": 1.5}},
             {"experiment": "pincus-check",
              "model": {"kind": "tabulated", "weights": [3.0], "limit": 3.0}},
+            # z/c overflows for a tiny limit, and |z/c|^2 for a huge point
+            {"experiment": "pincus-check",
+             "model": {"kind": "tabulated", "weights": [1e-310], "limit": 1e-310}},
+            {"experiment": "pincus-check", "points": [[2, 0], [1e300, 1e300]]},
             # Putnam's norm bound holds for hyponormal models: nondecreasing weights
             {"experiment": "berger-shaw-putnam",
              "model": {"kind": "tabulated", "weights": [2, 1], "limit": 1}},
@@ -734,6 +748,7 @@ class TestMain:
              "berger_shaw_putnam_default_area_overflow", "berger_shaw_putnam_overflow",
              "window_margin", "pincus_not_rank_one", "pincus_not_rank_one_past_truncation",
              "pincus_near_constant", "pincus_point_inside_sup", "pincus_default_point_inside_sup",
+             "pincus_tiny_limit_overflow", "pincus_huge_point_overflow",
              "putnam_decreasing_table", "putnam_limit_below_table", "t_lambda_not_rational",
              "c_out_of_range"],
     )

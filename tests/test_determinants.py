@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyposhift.determinants import determining_det
+from hyposhift.principal import determining_det
 from hyposhift.errors import NotRankOne, SpectrumHit
 from hyposhift.shifts import rational_family, tabulated, unilateral
 
@@ -65,20 +65,20 @@ class TestDeterminingDet:
     def test_real_points(self):
         model = unilateral()
         x = basis_vector(256, 0)
-        val = determining_det(model, x, 2.0, 3.0, 256)
+        val = determining_det(model, x, 2.0, 3.0)
         assert val == pytest.approx(1.0 - 1.0 / 6.0, abs=1e-12)
 
     def test_imaginary_point(self):
         model = unilateral()
         x = basis_vector(64, 0)
-        val = determining_det(model, x, 2j, 2j, 64)
+        val = determining_det(model, x, 2j, 2j)
         assert val == pytest.approx(0.75, abs=1e-12)
 
     def test_truncation_invariant(self):
         # the adjoint resolvent acts on e_0 identically at every truncation size
         model = unilateral()
         vals = [
-            determining_det(model, basis_vector(n, 0), 2.0 - 1j, 3.0 + 0.5j, n)
+            determining_det(model, basis_vector(n, 0), 2.0 - 1j, 3.0 + 0.5j)
             for n in (8, 32, 256)
         ]
         assert vals[0] == pytest.approx(vals[1], abs=1e-14)
@@ -89,21 +89,21 @@ class TestDeterminingDet:
         x = basis_vector(32, 0)
         for z in (2.0, 3.0 - 1j, 2j, -1.5 + 1.5j):
             for w in (2.0, 2j, 4.0 + 1j):
-                val = determining_det(model, x, z, w, 32)
+                val = determining_det(model, x, z, w)
                 assert val == pytest.approx(1.0 - 1.0 / (z * np.conj(w)), abs=1e-12)
 
     def test_rejects_points_in_disc(self):
         # the message names the point that failed, its modulus and sup w_k
         model = unilateral()
         with pytest.raises(SpectrumHit, match=r"^\|z\| must exceed sup w_k = 1.0, got 0.5$"):
-            determining_det(model, basis_vector(16, 0), 0.5, 2.0, 16)
+            determining_det(model, basis_vector(16, 0), 0.5, 2.0)
         with pytest.raises(SpectrumHit, match=r"^\|w\| must exceed sup w_k = 1.0, got 1.0$"):
-            determining_det(model, basis_vector(16, 0), 2.0, 1j, 16)
+            determining_det(model, basis_vector(16, 0), 2.0, 1j)
 
     def test_rejects_higher_rank_model(self):
         model = rational_family(2.0)
         with pytest.raises(NotRankOne):
-            determining_det(model, basis_vector(16, 0), 2.0, 3.0, 16)
+            determining_det(model, basis_vector(16, 0), 2.0, 3.0)
 
 
 class TestCheckRankOne:
@@ -144,7 +144,7 @@ class TestCheckRankOne:
         model = tabulated([1.0, 1.0 + 4e-15], limit=1.0 + 4e-15)
         assert not model.rank_one
         with pytest.raises(NotRankOne):
-            determining_det(model, basis_vector(16, 0), 2.0, 3.0, 16)
+            determining_det(model, basis_vector(16, 0), 2.0, 3.0)
 
 
 class TestCartesianPair:
@@ -228,7 +228,7 @@ class TestMultiplicativePitfall:
     def test_differs_from_determining_det(self):
         # the tripwire: the finite product collapses to 1 while the true value does not
         model = unilateral()
-        val = determining_det(model, basis_vector(32, 0), 2.0, 2.0, 32)
+        val = determining_det(model, basis_vector(32, 0), 2.0, 2.0)
         assert abs(val - 1.0) > 0.2
 
     def test_singular_factor_raises(self):

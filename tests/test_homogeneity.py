@@ -152,6 +152,13 @@ class TestSymbolCurveTransport:
         with pytest.raises(TooCloseToCurve):
             change_of_variable_check(model, phi, [zeta])
 
+    @pytest.mark.parametrize("zeta", [1e308, 3e200 + 3e200j, -1e308j])
+    def test_change_of_variable_band_finite_at_a_zero(self, zeta):
+        # |zeta| |q| overflows; at a = 0 the pulled-back band's lift is exactly 0, not 0 inf
+        with np.errstate(all="raise"):
+            checks = change_of_variable_check(unilateral(), MobiusMap(), [zeta])
+        assert [(c.lhs, c.rhs) for c in checks] == [(0, 0)]
+
     def test_constancy_unilateral(self):
         checks = constancy_check(unilateral())
         assert len(checks) == len(DEFAULT_MAP_GRID) * 25

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from hyposhift import principal
-from hyposhift.errors import SpectrumHit, TooCloseToCurve
+from hyposhift.errors import DomainError, SpectrumHit, TooCloseToCurve
 from hyposhift.mobius import MobiusMap, mobius_eval
 from hyposhift.principal import (
     COARSE_STRIDE,
@@ -14,6 +14,7 @@ from hyposhift.principal import (
     GridFunction,
     closed_form_oracle,
     constant_grid,
+    determining_det,
     disc_cauchy_exponential,
     pincus_consistency,
     winding_numbers,
@@ -516,3 +517,50 @@ class TestPincusConsistency:
         assert all(check.passed for check in checks)
         # the pair (z, w) comes after (z, z)
         assert checks[3].lhs == pytest.approx(1.0 - c * c / (z * np.conj(w)), abs=1e-12)
+
+    @given(
+        st.floats(0.1, 4.0),
+        st.lists(st.tuples(st.floats(1.01, 4.0), st.floats(-np.pi, np.pi)), min_size=1, max_size=4),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_one_solve_per_point_keeps_the_bits(self, c, polar):
+        # each pair's determinant, from the two solves of its points, has the
+        # bits that determining_det gives from its own two solves
+        model = tabulated([c], limit=c)
+        points = [c * r * np.exp(1j * t) for r, t in polar]
+        checks = pincus_consistency(model, points, n=32, n_r=16, n_theta=16)
+        x = np.zeros(32, dtype=np.complex128)
+        x[0] = c
+        pairs = [(z, w) for i, z in enumerate(points) for w in points[i:]]
+        assert len(checks) == 3 * len(pairs)
+        for check, (z, w) in zip(checks[::3], pairs):
+            assert check.name.startswith("determinant vs closed form")
+            want = determining_det(model, x, z, w)
+            assert (check.lhs.real.hex(), check.lhs.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_one_solve_per_point(self, monkeypatch, k):
+        # k points make k(k + 1)/2 pairs, and k O(n) solves
+        solves = []
+        solve = principal.adjoint_resolvent_solve
+        monkeypatch.setattr(
+            principal, "adjoint_resolvent_solve", lambda *a: solves.append(a[1]) or solve(*a)
+        )
+        points = [2.0, 3.0j, -2.5, 1.5 + 1.5j][:k]
+        checks = pincus_consistency(unilateral(), points, n=32, n_r=16, n_theta=16)
+        assert len(checks) == 3 * k * (k + 1) // 2
+        assert solves == points
+
+    @pytest.mark.parametrize(
+        "model, points",
+        [(tabulated([1e-310], limit=1e-310), [2.0, 3.0]), (unilateral(), [2.0, 1e300 + 1e300j])],
+        ids=["tiny_limit", "huge_point"],
+    )
+    def test_refuses_overflowing_scaled_point(self, monkeypatch, model, points):
+        # p/c (tiny c) or |p/c|^2 (huge p) overflows: refused before any solve,
+        # so that no pair's (z/c) conj(w/c) overflows on the way to a verdict;
+        # a solve would call None
+        monkeypatch.setattr(principal, "adjoint_resolvent_solve", None)
+        with np.errstate(all="raise"):
+            with pytest.raises(DomainError, match=r"\|p/c\|\^2 must be finite"):
+                pincus_consistency(model, points, n=16)

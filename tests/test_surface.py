@@ -17,7 +17,6 @@ PUBLIC_NAMES = {
         "DEFAULT_GRID", "DEFAULT_TRUNCATION", "EXPERIMENTS", "ExperimentConfig", "MIN_GRID",
         "MIN_TRUNCATION", "build_parser", "main", "parse_config", "run_experiment",
     ],
-    "determinants": ["determining_det"],
     "errors": [
         "ConfigError", "DomainError", "HyposhiftError", "InvalidDimension", "IoError",
         "NotAContraction", "NotRankOne", "PoleHit", "SpectrumHit",
@@ -35,8 +34,8 @@ PUBLIC_NAMES = {
     ],
     "principal": [
         "COARSE_STRIDE", "CURVE_MARGIN_FACTOR", "GridFunction", "WINDING_CHUNK",
-        "closed_form_oracle", "constant_grid", "disc_cauchy_exponential", "pincus_consistency",
-        "winding_numbers",
+        "closed_form_oracle", "constant_grid", "determining_det", "disc_cauchy_exponential",
+        "pincus_consistency", "winding_numbers",
     ],
     "reporting": [
         "Check", "VerificationReport", "make_bound_check", "make_check", "write_checks_csv",
