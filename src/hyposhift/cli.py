@@ -32,9 +32,9 @@ from .homogeneity import (
     theorem_inequality_check,
 )
 from .mobius import MobiusMap
-from .principal import GridFunction, constant_grid, pincus_consistency, winding_numbers
+from .principal import GridFunction, constant_grid, disc_indices, pincus_consistency
 from .reporting import VerificationReport, write_checks_csv, write_grid_csv, write_report
-from .shifts import WeightSequence, rational_family, symbol_curve, tabulated, unilateral
+from .shifts import WeightSequence, rational_family, tabulated, unilateral
 from .traceforms import BivariatePolynomial, berger_shaw_putnam_check, helton_howe_check
 
 DEFAULT_TRUNCATION = 256
@@ -331,13 +331,15 @@ def _cmd_grid(args) -> int:
     if args.n_r < 1 or args.n_theta < 1:
         print("config error: --n-r and --n-theta must be >= 1", file=sys.stderr)
         return 2
+    # --samples is validated but no longer read: the index is decided in
+    # closed form.  It goes with the benchmark argv that passes it (ROADMAP 3(a))
     if args.samples < 3:
         print("config error: --samples must be >= 3", file=sys.stderr)
         return 2
     n_r, n_theta = args.n_r, args.n_theta
     try:
         nodes = constant_grid(0.0, n_r, n_theta).nodes()
-        values = winding_numbers(symbol_curve(model, args.samples), nodes)
+        values = disc_indices(nodes, 0.0, model.limit)
         write_grid_csv(GridFunction(n_r, n_theta, values), args.out)
     except HyposhiftError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -362,11 +364,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid = sub.add_parser("grid", help="dump a principal-function grid as CSV")
     p_grid.add_argument("--experiment", required=True)
     p_grid.add_argument("--out", required=True)
-    # defaults keep the outermost ring far enough from the symbol curve for the
-    # winding-number margin: distance 0.5/n_r must exceed 10 * 2 pi / samples
+    # every node lies strictly inside the unit disc, at distance >= 0.5/n_r from
+    # the essential circle of the shift and of the rational family
     p_grid.add_argument("--n-r", dest="n_r", type=int, default=24)
     p_grid.add_argument("--n-theta", dest="n_theta", type=int, default=48)
-    p_grid.add_argument("--samples", type=int, default=8192)
+    p_grid.add_argument(
+        "--samples", type=int, default=8192,
+        help="ignored (must be >= 3): the index is decided in closed form; "
+        "kept for existing scripts until ROADMAP 3(a) removes it",
+    )
     p_grid.add_argument(
         "--model-lambda", dest="model_lambda", type=float, default=None,
         help="use the rational weight family with this parameter instead of the shift",

@@ -8,7 +8,8 @@ spectrum of every model here is the circle |z| = c = model.limit, and a disc
 automorphism phi with |a| c < 1 maps its disc onto the disc with centre m and
 radius rho (_image_disc), so the index of phi(T) - zeta is 1 when
 |zeta - m| < rho and 0 when |zeta - m| > rho.  A point within a stated
-rounding band of that circle is refused (_disc_indices); no curve is sampled.
+rounding band of that circle is refused (principal.disc_indices); no curve is
+sampled.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import numpy as np
 
 from .errors import DomainError, PoleHit, SpectrumHit, TooCloseToCurve
 from .mobius import MobiusMap, mobius_eval, mobius_invert
+from .principal import disc_indices
 from .reporting import Check, make_bound_check, make_check
 from .shifts import KIND_RATIONAL, WeightSequence, adjoint_resolvent_smin, adjoint_resolvent_solve
 
@@ -126,7 +128,7 @@ def _image_disc(phi: MobiusMap, c: float) -> tuple[complex, float]:
     and the disc inside onto the disc inside, as its pole 1/conj(a) lies
     outside.  1 - t^2, 1 - |a|^2 and c^2 - 1 are each formed as a product
     (1 - x)(1 + x), so no difference cancels as t -> 1: the rounding of t,
-    amplified by 1/(1 - t), is the one error that grows there (_disc_indices
+    amplified by 1/(1 - t), is the one error that grows there (disc_indices
     bounds it).  The product for m is grouped so that no factor overflows
     while m and rho are finite.  beta is unimodular, as MobiusMap stores it.
     """
@@ -137,53 +139,11 @@ def _image_disc(phi: MobiusMap, c: float) -> tuple[complex, float]:
     return m, c * ((1.0 - s) * (1.0 + s) / shrink)
 
 
-def _disc_indices(points: np.ndarray, centre: complex, radius: float, condition=1.0) -> list[int]:
-    """1 for each point inside the circle |p - centre| = radius and 0 for each
-    outside, as Python ints.
-
-    The gap |p - centre| - radius decides.  A point whose computed gap is
-    within the rounding band
-        32 eps (|p| + |centre| + radius) condition
-    of zero raises TooCloseToCurve, and a non-finite point raises ValueError
-    (a NaN gap would otherwise read as outside).  condition is a scalar or
-    one factor per point.
-
-    The band bounds the rounding of the gap for a centre and radius from
-    _image_disc with condition = 1/(1 - t), t = |a| c.  Write u = eps/2 and
-    S = |p| + |m| + rho; S >= c, since the image circle reaches modulus
-    max |phi| >= c on |z| = c.  |a| and t carry 2 u and 3 u, so 1 - t is off
-    by 3 u/(1 - t) relative; 1 - |a| by 2 u |a| absolute, which in rho is
-    2 u |a| c (1 + |a|)/(1 - t^2) <= 4 u S/(1 - t); the other factors,
-    products and quotients add 12 u relative to m and to rho.  So rho is off
-    by at most 19 u S/(1 - t), and m by 16 u |m|/(1 - t).  |p - m| adds 3 u
-    (|p| + |m|) for the subtraction and the modulus, and the gap u S.  The
-    total is below 39 u S/(1 - t) = 19.5 eps S/(1 - t); 32 also covers the
-    band's own rounding while 1 - t is above a few hundred eps.  Once
-    1 - t <= 32 eps the band reaches S, which no gap exceeds, so every point
-    is refused.
-    The circle |z| = c itself (centre 0, radius c) has condition 1.  A
-    caller with other inputs passes the factor that bounds their rounding
-    relative to S, as _pulled_back_indices does.
-    """
-    if not np.isfinite(points).all():
-        raise ValueError("the index needs finite points")
-    gap = np.abs(points - centre) - radius
-    band = 32.0 * sys.float_info.epsilon * condition * (np.abs(points) + (abs(centre) + radius))
-    close = np.abs(gap) <= band
-    if close.any():
-        i = int(close.argmax())
-        raise TooCloseToCurve(
-            f"point {complex(points[i])} is {abs(gap[i]):.3e} from the circle "
-            f"|z - {complex(centre)}| = {radius}; need > {band[i]:.3e}"
-        )
-    return (gap < 0.0).astype(int).tolist()
-
-
 def _mapped_indices(phi: MobiusMap, c: float, points: np.ndarray) -> list[int]:
     """Index of phi(T) - zeta at each point, T with essential spectrum |z| = c:
     1 inside phi's image disc and 0 outside."""
     m, rho = _image_disc(phi, c)
-    return _disc_indices(points, m, rho, 1.0 / (1.0 - abs(phi.a) * c))
+    return disc_indices(points, m, rho, 1.0 / (1.0 - abs(phi.a) * c))
 
 
 def _pulled_back_indices(phi: MobiusMap, c: float, zeta: np.ndarray) -> list[int]:
@@ -194,7 +154,7 @@ def _pulled_back_indices(phi: MobiusMap, c: float, zeta: np.ndarray) -> list[int
     comes from mobius_eval and mobius_invert.  Its rounding is about 12 u |q|
     from the operations, plus that of a beta and of conj(a beta) zeta,
     6 u |a| (1 + |zeta| |q|), over the denominator, whose modulus is
-    (1 - |a|^2)/|1 - conj(a) q|.  So the band of _disc_indices about the
+    (1 - |a|^2)/|1 - conj(a) q|.  So the band of disc_indices about the
     circle |q| = c takes the condition
         1 + |a| (1 + |zeta| |q|) |1 - conj(a) q| / ((1 - |a|^2)(|q| + c)).
     DomainError if q overflows, as it can for a finite zeta near the largest
@@ -209,7 +169,7 @@ def _pulled_back_indices(phi: MobiusMap, c: float, zeta: np.ndarray) -> list[int
     # s + s |zeta| |q| is exactly 0 at a = 0, where s (1 + |zeta| |q|) can be 0 inf
     lift = (s + s * np.abs(zeta) * size) * np.abs(1.0 - np.conj(phi.a) * q)
     try:
-        return _disc_indices(q, 0.0, c, 1.0 + lift / ((1.0 - s) * (1.0 + s) * (size + c)))
+        return disc_indices(q, 0.0, c, 1.0 + lift / ((1.0 - s) * (1.0 + s) * (size + c)))
     except TooCloseToCurve as exc:
         raise TooCloseToCurve(f"zeta pulled back by phi^-1: {exc}") from None
 
@@ -231,7 +191,7 @@ def change_of_variable_check(model: WeightSequence, phi: MobiusMap, points) -> l
     |phi^{-1}(zeta)| < c.  These are two formulas for one disc, so the check
     tests phi, phi^{-1} and the image-disc formula against each other; it
     touches no operator.  Each side refuses a point within its own rounding
-    band with TooCloseToCurve (_disc_indices, _pulled_back_indices).
+    band with TooCloseToCurve (disc_indices, _pulled_back_indices).
 
     Raises PoleHit unless phi is analytic on the spectrum, DomainError for an
     empty list of points or a pulled-back point that overflows, and
@@ -253,7 +213,7 @@ def constancy_check(model: WeightSequence, maps=DEFAULT_MAP_GRID, interior_point
 
     Each index comes from the map's image disc (m, rho) of the spectrum's
     disc |z| < c, c = model.limit: 1 when |zeta - m| < rho and 0 when
-    |zeta - m| > rho (see _disc_indices, which refuses a point within its
+    |zeta - m| > rho (see disc_indices, which refuses a point within its
     rounding band with TooCloseToCurve).  The constant is the first interior
     point's index about |z| = c.  Raises PoleHit unless every map in the
     sequence maps is analytic on the spectrum, DomainError for an empty
@@ -269,7 +229,7 @@ def constancy_check(model: WeightSequence, maps=DEFAULT_MAP_GRID, interior_point
     exterior_points = default_exterior_points()
     interior = _complex_points(interior_points, "constancy: interior")
     c = model.limit
-    base = _disc_indices(interior[:1], 0.0, c)[0]
+    base = disc_indices(interior[:1], 0.0, c)[0]
     # one decision per map: every point against the map's image disc
     points = np.concatenate((interior, exterior_points))
     # each point and each map is formatted once; a name is their concatenation
@@ -307,8 +267,9 @@ def resolvent_probe_check(model: WeightSequence, points, n: int) -> list[Check]:
     w_0/|w| (T* e_0 = 0), within 1e-12.  Both numbers come from the weight
     band in O(n).  The whole list is refused before any solve: DomainError
     for an empty list, SpectrumHit unless every |w| > sup w_k
-    PROBE_MIN_MODULUS; past that floor Weyl's bound s_min >= |w| - sup w_k
-    keeps T_n* - conj(w) invertible.
+    PROBE_MIN_MODULUS, and DomainError for a w with |w|^2 not finite, which
+    the singular-value count squares; past that floor Weyl's bound
+    s_min >= |w| - sup w_k keeps T_n* - conj(w) invertible.
     """
     if len(points) == 0:
         raise DomainError("resolvent-probe: an empty list of points checks nothing")
@@ -316,6 +277,8 @@ def resolvent_probe_check(model: WeightSequence, points, n: int) -> list[Check]:
     for w in points:
         if abs(w) <= floor:
             raise SpectrumHit(f"|w| must exceed {floor}, got {abs(w)}")
+        if not math.isfinite(abs(w) * abs(w)):
+            raise DomainError(f"resolvent-probe: |w|^2 must be finite, got |w| = {abs(w)}")
     w0 = model.weights(1)[0]
     x = np.zeros(n, dtype=np.complex128)
     x[0] = w0

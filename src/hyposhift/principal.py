@@ -1,17 +1,12 @@
 """Principal function estimation and the determinantal identity's three corners.
 
-The principal function of a weighted shift with convergent weights equals the
-winding number of its symbol curve (the essential-spectrum circle) about the
-evaluation point, i.e. minus the Fredholm index of T - lambda.  Windings are
-computed for a batch of points on one shared sampled curve: the curve's
-adjacent gaps, and with them the margin of CURVE_MARGIN_FACTOR x the largest
-gap, are computed once.  The curve is cut into blocks of COARSE_STRIDE edges;
-a block far from a point winds about it exactly as the chord between its end
-knots does, so a point's winding is the signed count of ray crossings by the
-far blocks' chords and the few near blocks' edges: an exact integer, with no
-angle summed and nothing rounded.  The chords are sorted by height, so a
-binary search gives each point only the chords level with it, and no points x
-blocks or points x samples matrix is ever formed (see winding_numbers).
+The principal function of a weighted shift with convergent weights is minus
+the Fredholm index of T - lambda, the winding of its essential-spectrum circle
+|z| = c about lambda: 1 inside the circle and 0 outside.  disc_indices decides
+that in closed form for a batch of points, from the gap |p - centre| - radius,
+and refuses a point within a stated rounding band of the circle; no curve is
+sampled.  homogeneity passes it the image discs of the Moebius experiments,
+and the CLI's grid the circle |z| = c itself.
 
 The disc integral exp(-(1/pi) int g(zeta) / ((zeta - z)(conj(zeta) - conj(w))) dA)
 is computed by midpoint polar quadrature for a g constant on each ring, whose
@@ -30,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,11 +33,6 @@ import numpy as np
 from .errors import DomainError, NotRankOne, SpectrumHit, TooCloseToCurve
 from .reporting import make_check
 from .shifts import WeightSequence, adjoint_resolvent_solve
-
-CURVE_MARGIN_FACTOR = 10.0
-WINDING_CHUNK = 4  # every winding temporary holds at most 4 x samples elements
-COARSE_STRIDE = 64  # edges per block of the block-chord winding
-
 
 @dataclass(frozen=True)
 class GridFunction:
@@ -88,140 +79,46 @@ def constant_grid(value: float, n_r: int, n_theta: int) -> GridFunction:
     return GridFunction(n_r, n_theta, np.broadcast_to(float(value), (n_r, n_theta)))
 
 
-def winding_numbers(curve: np.ndarray, points) -> np.ndarray:
-    """Windings of a closed sampled curve about each point, by signed ray crossings.
+def disc_indices(points: np.ndarray, centre: complex, radius: float, condition=1.0) -> list:
+    """1 for each point inside the circle |p - centre| = radius and 0 for each
+    outside, as Python ints nested like points (tolist of its shape).
 
-    Every point must keep a distance of more than CURVE_MARGIN_FACTOR x the
-    maximal adjacent-point spacing (gap) from the curve's vertices, which makes
-    the winding refinement-stable; otherwise TooCloseToCurve names the first
-    offending point in input order.  Curve and points must be finite and the
-    curve non-empty (ValueError).  Returns an int array shaped like points.
+    The gap |p - centre| - radius decides.  A point whose computed gap is
+    within the rounding band
+        32 eps (|p| + |centre| + radius) condition
+    of zero raises TooCloseToCurve, and a non-finite point raises ValueError
+    (a NaN gap would otherwise read as outside).  condition is a scalar or
+    one factor per point.
 
-    Blocks.  The closed polygon is cut into blocks of COARSE_STRIDE edges (the
-    last may be shorter; a curve of at most COARSE_STRIDE samples is one
-    block).  Block j runs from the knot a_j = curve[j COARSE_STRIDE] to the
-    next knot (the last block ends at curve[0]), and l_j is its path length.
-    A point p and block j are far when |p - a_j| > reach_j = l_j + margin (up
-    to a relative rounding guard of 1e-12, which only moves pairs to near), and
-    near otherwise.  The block's path and its chord, the segment between its
-    knots, lie in the disc of radius l_j about a_j, which a far p is outside
-    of: the loop they form winds 0 about p, so swapping the block for its
-    chord leaves the winding unchanged, and every vertex of the block clears
-    the margin.  The winding about p is therefore that of the polygon made of
-    the far blocks' chords and the near blocks' edges.  A vertex within the
-    margin always lies in a near block, so TooCloseToCurve fires on exactly
-    the points that are too close, with the full curve's minimum distance.
-
-    Crossings.  The polygon's winding is the signed count of its segments that
-    cross the ray {p + t : t > 0}: a segment crosses when exactly one end lies
-    above p (Im > Im p, the half-open rule), counting +1 upward with p on its
-    left and -1 downward with p on its right, as the sign of the cross product
-    of its ends relative to p decides.  Each segment stays at least
-    margin - gap/2 from p, more than a tenth of its length, so rounding cannot
-    flip that sign.  The count is that of the knot polygon's chords
-    plus, for each near block, its edges' crossings less its chord's:
-    integers, with no angle and nothing to round.
-
-    Windows.  The chords are sorted by the lower Im of their ends.  A chord is
-    no taller than R = max reach_j, and a near knot has |Im(p - a_j)| <= R, so
-    the lower end of every chord that crosses, and of every near block's chord,
-    lies in [Im p - 2R, Im p + R] (widened to cover the rounding of its
-    bounds).  Two binary searches per point find those few candidates, and
-    the exact reach test on them finds the near blocks: the same set as a test
-    of every pair would.  Points run in chunks of at most WINDING_CHUNK x
-    samples candidates, and near pairs in batches of at most that many
-    vertices.
+    The band bounds the rounding of the gap for a centre and radius from
+    homogeneity._image_disc with condition = 1/(1 - t), t = |a| c.  Write u = eps/2 and
+    S = |p| + |m| + rho; S >= c, since the image circle reaches modulus
+    max |phi| >= c on |z| = c.  |a| and t carry 2 u and 3 u, so 1 - t is off
+    by 3 u/(1 - t) relative; 1 - |a| by 2 u |a| absolute, which in rho is
+    2 u |a| c (1 + |a|)/(1 - t^2) <= 4 u S/(1 - t); the other factors,
+    products and quotients add 12 u relative to m and to rho.  So rho is off
+    by at most 19 u S/(1 - t), and m by 16 u |m|/(1 - t).  |p - m| adds 3 u
+    (|p| + |m|) for the subtraction and the modulus, and the gap u S.  The
+    total is below 39 u S/(1 - t) = 19.5 eps S/(1 - t); 32 also covers the
+    band's own rounding while 1 - t is above a few hundred eps.  Once
+    1 - t <= 32 eps the band reaches S, which no gap exceeds, so every point
+    is refused.
+    The circle |z| = c itself (centre 0, radius c) has condition 1.  A
+    caller with other inputs passes the factor that bounds their rounding
+    relative to S, as homogeneity._pulled_back_indices does.
     """
-    curve = np.asarray(curve, dtype=np.complex128)
-    points = np.asarray(points, dtype=np.complex128)
     if not np.isfinite(points).all():
-        raise ValueError("winding needs a finite curve and finite points")
-    if curve.size == 0:
-        raise ValueError("winding needs a non-empty curve")
-    flat = points.reshape(-1)
-    samples = curve.size
-    block = min(COARSE_STRIDE, samples)
-    starts = np.arange(0, samples, block)
-    # the curve closed by its first sample and padded with it up to whole
-    # blocks: block j's vertices are closed[j block : (j + 1) block + 1], and
-    # a short last block repeats its end vertex, an edge that never crosses
-    closed = np.concatenate([curve, np.full(starts.size * block + 1 - samples, curve[0])])
-    with np.errstate(invalid="ignore"):  # inf - inf: a curve refused just below
-        edges = np.abs(closed[1 : samples + 1] - curve)
-    gap = float(edges.max())
-    # a non-finite vertex makes its edges, and so the gap, non-finite
-    if not (math.isfinite(gap) or np.isfinite(curve).all()):
-        raise ValueError("winding needs a finite curve and finite points")
-    margin = CURVE_MARGIN_FACTOR * gap
-    reach = (np.add.reduceat(edges, starts) + margin) * (1.0 + 1e-12)
-    # chord j runs from knots[j] to knots[j + 1]; rank them by their lower end
-    knots = closed[::block]
-    order = np.minimum(knots[:-1].imag, knots[1:].imag).argsort()
-    tail, head, reach = knots[order], knots[order + 1], reach[order]
-    lower = np.minimum(tail.imag, head.imag)
-    widest = float(reach.max())
-    # a power of two near 1/R for _crossings, capped where 1/R would overflow
-    scale = math.ldexp(1.0, min(1000, -math.frexp(widest)[1]))
-    # a window that can hold a candidate has |Im p| <= max |Im a_j| + 2R, and
-    # its bounds round by far less than 1e-12 of that
-    pad = 1e-12 * (float(np.abs(knots.imag).max()) + 2.0 * widest)
-    first = lower.searchsorted(flat.imag - (2.0 * widest + pad))
-    sizes = lower.searchsorted(flat.imag + (widest + pad), "right") - first
-    ends = sizes.cumsum()
-    # the rank of candidate k, counted across all points, is shift[its point] + k
-    shift = first - (ends - sizes)
-    per_batch = WINDING_CHUNK * samples // (block + 1)
-    vertex = np.arange(block + 1)
-    out = np.empty(flat.shape, dtype=np.int64)
-    start = 0
-    while start < flat.size:
-        done = int(ends[start] - sizes[start])
-        stop = int(ends.searchsorted(done + WINDING_CHUNK * samples, "right"))
-        size = sizes[start:stop]
-        owner = np.repeat(np.arange(stop - start), size)
-        rank = np.repeat(shift[start:stop], size)
-        rank += np.arange(done, int(ends[stop - 1]))
-        p = flat[start:stop][owner]
-        rel = tail[rank]
-        rel -= p
-        turn = _crossings(rel, head[rank] - p, scale)
-        near = np.flatnonzero(np.abs(rel) <= reach[rank])
-        del rel
-        for lo in range(0, near.size, per_batch):
-            pair = near[lo : lo + per_batch]
-            rel = closed[order[rank[pair], None] * block + vertex]
-            rel -= p[pair, None]
-            close = pair[np.min(np.abs(rel), axis=1) <= margin]
-            if close.size:
-                i = owner[close[0]]
-                mine = order[rank[near[owner[near] == i]], None] * block + vertex
-                dist = float(np.min(np.abs(closed[mine] - flat[start + i])))
-                raise TooCloseToCurve(
-                    f"point {complex(flat[start + i])} is {dist:.3e} from the curve; "
-                    f"need > {margin:.3e}"
-                )
-            turn[pair] = np.sum(_crossings(rel[:, :-1], rel[:, 1:], scale), axis=1)
-        out[start:stop] = np.bincount(owner, turn, stop - start)
-        start = stop
-    return out.reshape(points.shape)
-
-
-def _crossings(a: np.ndarray, b: np.ndarray, scale: float) -> np.ndarray:
-    """Signed crossings (+1, -1 or 0) of the ray {t > 0} by the segments from a
-    to b, their ends taken relative to the ray's origin.
-
-    The side comes from the cross product with both imaginary parts times
-    scale, a power of two near 1/R, which changes no sign.  Every segment
-    passed here has |Im| of at most about 2R at both ends, so those parts are
-    O(1): a product cannot underflow on a tiny curve, nor overflow on a far
-    point unless its real part is itself within a factor of 4 of overflow.
-    """
-    turn = np.subtract(b.imag > 0, a.imag > 0, dtype=np.int64)
-    side = a.real * (b.imag * scale)
-    side -= (a.imag * scale) * b.real
-    side *= turn
-    turn *= side > 0
-    return turn
+        raise ValueError("the index needs finite points")
+    gap = np.abs(points - centre) - radius
+    band = 32.0 * sys.float_info.epsilon * condition * (np.abs(points) + (abs(centre) + radius))
+    close = np.abs(gap) <= band
+    if close.any():
+        i = np.unravel_index(close.argmax(), close.shape)  # the first, in C order
+        raise TooCloseToCurve(
+            f"point {complex(points[i])} is {abs(gap[i]):.3e} from the circle "
+            f"|z - {complex(centre)}| = {radius}; need > {band[i]:.3e}"
+        )
+    return (gap < 0.0).astype(int).tolist()
 
 
 def disc_cauchy_exponential(g: GridFunction, z: complex, w: complex) -> complex:

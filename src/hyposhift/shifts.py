@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidDimension, SpectrumHit
+from .errors import DomainError, InvalidDimension, SpectrumHit
 
 KIND_RATIONAL = "rational"
 KIND_TABULATED = "tabulated"
@@ -196,7 +196,8 @@ def adjoint_resolvent_solve(model: WeightSequence, w: complex, x) -> np.ndarray:
 def adjoint_resolvent_smin(model: WeightSequence, w: complex, n: int) -> float:
     """Smallest singular value of T_n* - conj(w), i.e. 1 / ||(T_n* - conj(w))^{-1}||.
 
-    Raises SpectrumHit unless |w| >= max w_k (see _resolvent_guard).  Sturm
+    Raises SpectrumHit unless |w| >= max w_k (see _resolvent_guard), and
+    DomainError if |w|^2, an entry of the Golub-Kahan squares, overflows.  Sturm
     counts on the Golub-Kahan tridiagonal certify s_min, to relative
     accuracy, from an estimate (see _certify_singular_value).  On a constant
     band c < |w| the estimate is _constant_band_smin; elsewhere, or when that
@@ -207,6 +208,8 @@ def adjoint_resolvent_smin(model: WeightSequence, w: complex, n: int) -> float:
     sub = band(model, n)
     lo = _resolvent_guard(sub, w)
     a = abs(w)
+    if not math.isfinite(a * a):
+        raise DomainError(f"|w|^2 must be finite, got |w| = {a}")
     e2 = _golub_kahan_squares(sub, w)
     c = float(sub[0])
     if sub.min() == sub.max() and a > c:
@@ -438,10 +441,3 @@ def exact_commutator_diagonal(model: WeightSequence, n: int, start: int = 0) -> 
             diag[0] = w2[0]
     return diag
 
-
-def symbol_curve(model: WeightSequence, samples: int) -> np.ndarray:
-    """Essential-spectrum circle w_inf * exp(2 pi i k / samples), k = 0..samples-1."""
-    if samples < 3:
-        raise ValueError(f"need at least 3 samples, got {samples}")
-    k = np.arange(samples)
-    return model.limit * np.exp(2j * np.pi * k / samples)

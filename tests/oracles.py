@@ -6,10 +6,13 @@ singular values, polynomial commutators and Moebius action on it; the matrix
 helpers, the determining function E(z, w) of a Cartesian pair, the
 multiplicative-determinant tripwire and the closed-form Moebius commutators
 back the acceptance criteria.  All are O(n^3), for small n only.  Inner
-products are <u, v> = sum u_k conj(v_k).  winding_number is the one-point,
-division-form winding that the batched principal.winding_numbers is compared
-against, principal_value_at the principal function at one point (the
-winding of the model's symbol curve) that criterion 7 reads,
+products are <u, v> = sum u_k conj(v_k).  symbol_curve samples a model's
+essential-spectrum circle, and winding_number is the one-point, division-form
+winding about such a sampled polygon (refused within CURVE_MARGIN_FACTOR x
+its largest gap) that the closed-form principal.disc_indices is compared
+against where the polygon decides; principal_value_at is the principal
+function at one point (the winding of the model's symbol curve) that
+criterion 7 reads,
 disc_cauchy_exponential the node-by-node disc quadrature behind the ring sums
 of principal.disc_cauchy_exponential, helton_howe_area the
 node-by-node Jacobian quadrature behind the ring moments of
@@ -41,7 +44,6 @@ import numpy as np
 from hyposhift import shifts, traceforms
 from hyposhift.errors import HyposhiftError, NotAContraction, SpectrumHit, TooCloseToCurve
 from hyposhift.mobius import CONTRACTION_TOL, MobiusMap
-from hyposhift.principal import CURVE_MARGIN_FACTOR, winding_numbers
 from hyposhift.shifts import KIND_RATIONAL, band
 from hyposhift.traceforms import BivariatePolynomial
 
@@ -78,6 +80,8 @@ LOGSERIES_TERM_TOL = 1e-16
 LOGSERIES_MAX_TERMS = 200
 PSD_CLIP = 1e-12
 DEFAULT_CURVE_SAMPLES = 4096
+# winding_number refuses a point within this many largest curve gaps of the curve
+CURVE_MARGIN_FACTOR = 10.0
 
 
 def as_matrix(m) -> np.ndarray:
@@ -415,6 +419,14 @@ def apply_to_operator(phi, t: np.ndarray) -> np.ndarray:
     return phi.beta * x
 
 
+def symbol_curve(model, samples: int) -> np.ndarray:
+    """Essential-spectrum circle w_inf * exp(2 pi i k / samples), k = 0..samples-1."""
+    if samples < 3:
+        raise ValueError(f"need at least 3 samples, got {samples}")
+    k = np.arange(samples)
+    return model.limit * np.exp(2j * np.pi * k / samples)
+
+
 def winding_number(curve: np.ndarray, point: complex) -> int:
     """Winding about one point by argument increments arg((next - p) / (curve - p))."""
     curve = np.asarray(curve, dtype=np.complex128)
@@ -433,7 +445,7 @@ def winding_number(curve: np.ndarray, point: complex) -> int:
 
 def principal_value_at(model, point: complex) -> int:
     """g(point) = minus the Fredholm index = winding of the symbol curve about the point."""
-    return int(winding_numbers(shifts.symbol_curve(model, DEFAULT_CURVE_SAMPLES), point))
+    return winding_number(symbol_curve(model, DEFAULT_CURVE_SAMPLES), point)
 
 
 def inequality_sides(c: float, r: float) -> tuple[float, float]:

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from hyposhift import homogeneity, principal
 from hyposhift.cli import EXPERIMENTS, main, parse_config, run_experiment
-from hyposhift.errors import ConfigError
+from hyposhift.errors import ConfigError, TooCloseToCurve
 from hyposhift.homogeneity import DEFAULT_MAP_GRID, default_exterior_points, default_interior_points
 from hyposhift.mobius import MobiusMap
 from hyposhift.reporting import (
@@ -28,7 +28,7 @@ from hyposhift.reporting import (
     write_report,
 )
 from hyposhift.principal import GridFunction, constant_grid
-from hyposhift.shifts import rational_family, symbol_curve, unilateral
+from hyposhift.shifts import rational_family, unilateral
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -378,7 +378,7 @@ class TestMain:
         assert main(argv) == 0
         with open(out, newline="") as fh:
             values = [float(row[4]) for row in list(csv.reader(fh))[1:]]
-        curve = symbol_curve(model, 1024)
+        curve = oracles.symbol_curve(model, 1024)
         expected = [
             float(oracles.winding_number(curve, r * np.exp(1j * th)))
             for r in (np.arange(3) + 0.5) / 3
@@ -392,10 +392,8 @@ class TestMain:
             ["--n-r", "0"],
             ["--n-theta", "0"],
             ["--samples", "2"],
-            # the default outer ring falls inside the winding margin of 64 samples
-            ["--samples", "64"],
         ],
-        ids=["n_r_zero", "n_theta_zero", "two_samples", "ring_inside_margin"],
+        ids=["n_r_zero", "n_theta_zero", "two_samples"],
     )
     def test_grid_bad_input_exits_two(self, tmp_path, capsys, extra):
         argv = ["grid", "--experiment", "pincus-check", "--out", str(tmp_path / "g.csv")]
@@ -403,6 +401,49 @@ class TestMain:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("extra", [[], ["--model-lambda", "2.5"]], ids=["shift", "rational"])
+    def test_grid_samples_are_not_read(self, tmp_path, extra):
+        # the index is decided in closed form: --samples is validated, then ignored
+        written = []
+        for samples in (["--samples", "3"], ["--samples", "64"], []):
+            out = tmp_path / f"grid{len(written)}.csv"
+            argv = ["grid", "--experiment", "pincus-check", "--out", str(out)]
+            assert main(argv + samples + extra) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1] == written[2]
+
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 8),
+        st.sampled_from([None, 1.5, 2.0, 5.0]),
+        st.sampled_from([256, 1024, 8192]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_grid_matches_polygon_where_it_decides(self, n_r, n_theta, lam, samples):
+        # each node's value against the oracle polygon's winding, at every node
+        # clear of that polygon's sampling margin; the innermost ring always is
+        model = unilateral() if lam is None else rational_family(lam)
+        extra = [] if lam is None else ["--model-lambda", repr(lam)]
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "grid.csv")
+            argv = ["grid", "--experiment", "pincus-check", "--out", out]
+            argv += ["--n-r", str(n_r), "--n-theta", str(n_theta)] + extra
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            with open(out, newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+        assert len(rows) == n_r * n_theta
+        curve = oracles.symbol_curve(model, samples)
+        decided = 0
+        for r, th, _, _, g in rows:
+            try:
+                winding = oracles.winding_number(curve, float(r) * np.exp(1j * float(th)))
+            except TooCloseToCurve:
+                continue
+            assert float(g) == winding
+            decided += 1
+        assert decided >= n_theta
 
     def test_grid_unwritable_out_exits_two(self, tmp_path, capsys):
         out = tmp_path / "missing-dir" / "g.csv"
@@ -735,6 +776,8 @@ class TestMain:
             {"experiment": "pincus-check",
              "model": {"kind": "tabulated", "weights": [1e-310], "limit": 1e-310}},
             {"experiment": "pincus-check", "points": [[2, 0], [1e300, 1e300]]},
+            # the singular-value count squares |w|, which overflows past 1.34e154
+            {"experiment": "resolvent-probe", "points": [[2, 0], [1.4e308, 0]]},
             # Putnam's norm bound holds for hyponormal models: nondecreasing weights
             {"experiment": "berger-shaw-putnam",
              "model": {"kind": "tabulated", "weights": [2, 1], "limit": 1}},
@@ -749,6 +792,7 @@ class TestMain:
              "window_margin", "pincus_not_rank_one", "pincus_not_rank_one_past_truncation",
              "pincus_near_constant", "pincus_point_inside_sup", "pincus_default_point_inside_sup",
              "pincus_tiny_limit_overflow", "pincus_huge_point_overflow",
+             "resolvent_probe_huge_point",
              "putnam_decreasing_table", "putnam_limit_below_table", "t_lambda_not_rational",
              "c_out_of_range"],
     )
@@ -798,12 +842,12 @@ class TestMain:
 
     @pytest.mark.parametrize("extra", [[], ["--model-lambda", "2.5"]], ids=["shift", "rational"])
     def test_default_grid_matches_full_curve_oracle(self, tmp_path, extra):
-        # the default grid's outer ring sums edges in near blocks, its inner rings only chords
+        # the default outer ring lies 0.021 from the circle, clear of the 8192-sample margin
         out = tmp_path / "grid.csv"
         assert main(["grid", "--experiment", "pincus-check", "--out", str(out)] + extra) == 0
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))[1:]
-        curve = symbol_curve(rational_family(2.5) if extra else unilateral(), 8192)
+        curve = oracles.symbol_curve(rational_family(2.5) if extra else unilateral(), 8192)
         expected = [
             float(oracles.winding_number(curve, float(r) * np.exp(1j * float(th))))
             for r, th, *_ in rows

@@ -25,7 +25,7 @@ from hyposhift.homogeneity import (
     witness_search,
 )
 from hyposhift.mobius import MobiusMap, mobius_eval, mobius_invert
-from hyposhift.shifts import rational_family, symbol_curve, tabulated, unilateral
+from hyposhift.shifts import rational_family, tabulated, unilateral
 
 EPS = sys.float_info.epsilon
 
@@ -108,14 +108,13 @@ class TestInequality:
 class TestSymbolCurveTransport:
     def test_identity_map_fixes_curve(self):
         model = unilateral()
-        np.testing.assert_allclose(
-            mobius_eval(MobiusMap(), symbol_curve(model, 64)), symbol_curve(model, 64)
-        )
+        curve = oracles.symbol_curve(model, 64)
+        np.testing.assert_allclose(mobius_eval(MobiusMap(), curve), curve)
 
     def test_image_stays_on_unit_circle(self):
         model = unilateral()
         for phi in DEFAULT_MAP_GRID:
-            image = mobius_eval(phi, symbol_curve(model, 256))
+            image = mobius_eval(phi, oracles.symbol_curve(model, 256))
             np.testing.assert_allclose(np.abs(image), 1.0, atol=1e-12)
 
     def test_change_of_variable_default_points(self):
@@ -172,7 +171,7 @@ class TestSymbolCurveTransport:
 
     # default points are np.complex128, config points Python complex; the
     # centres include signed zeros, which the names must keep.  Drawn points and
-    # centres stay clear of the mapped curve's winding margin
+    # centres stay clear of the image circle's rounding band
     @given(
         st.one_of(
             st.just(default_interior_points()),
@@ -199,17 +198,18 @@ class TestSymbolCurveTransport:
     @pytest.mark.parametrize("config", ["constancy.json", "change_of_variable.json"])
     def test_no_curve_sampled(self, monkeypatch, config):
         # both experiments decide each index from the image disc in closed
-        # form: sampling a symbol curve or winding about one fails the run
-        def refuse(*args):
-            raise AssertionError("an index experiment sampled or wound a curve")
-
-        for module in (shifts, homogeneity):
-            monkeypatch.setattr(module, "symbol_curve", refuse, raising=False)
-        for module in (principal, homogeneity):
-            monkeypatch.setattr(module, "winding_numbers", refuse, raising=False)
+        # form: the library has no curve sampler or polygon winding to call,
+        # and every index goes through principal.disc_indices
+        for module in (shifts, principal, homogeneity):
+            assert not hasattr(module, "symbol_curve")
+            assert not hasattr(module, "winding_numbers")
+        calls = []
+        decide = principal.disc_indices
+        monkeypatch.setattr(homogeneity, "disc_indices", lambda *a: calls.append(a) or decide(*a))
         text = (Path(__file__).resolve().parents[1] / "configs" / config).read_text()
         report = run_experiment(parse_config(text))
         assert report.checks and all(c.passed for c in report.checks)
+        assert calls
 
 
 def _map(c, frac, a_arg, beta_arg):
@@ -264,7 +264,7 @@ class TestImageDisc:
     @settings(max_examples=60, deadline=None)
     def test_polygon_agrees_where_it_decides(self, c, frac, a_arg, beta_arg, polar):
         phi = _map(c, frac, a_arg, beta_arg)
-        curve = symbol_curve(tabulated([c], c), oracles.DEFAULT_CURVE_SAMPLES)
+        curve = oracles.symbol_curve(tabulated([c], c), oracles.DEFAULT_CURVE_SAMPLES)
         mapped = mobius_eval(phi, curve)
         m, rho = homogeneity._image_disc(phi, c)
         for r, theta in polar:
@@ -275,7 +275,7 @@ class TestImageDisc:
                 (homogeneity._pulled_back_indices, curve, pulled_back),
             ]:
                 try:
-                    winding = int(principal.winding_numbers(image, point))
+                    winding = oracles.winding_number(image, point)
                 except TooCloseToCurve:
                     continue
                 assert side(phi, c, np.array([zeta])) == [winding]
@@ -377,6 +377,21 @@ class TestResolventProbe:
         assert op_norm <= distance_bound
         with pytest.raises(SpectrumHit):
             resolvent_probe_check(tabulated([0.5], limit=0.5), [0.5], 128)
+
+    def test_refuses_huge_point_before_any_solve(self, monkeypatch):
+        # the singular-value count squares |w|: past |w| = 1.34e154 the whole
+        # list is refused, with no solve and no floating-point exception
+        calls = []
+        for name in ("adjoint_resolvent_smin", "adjoint_resolvent_solve"):
+            monkeypatch.setattr(homogeneity, name, lambda *a, _n=name: calls.append(_n))
+        with np.errstate(all="raise"), pytest.raises(DomainError, match=r"\|w\|\^2"):
+            resolvent_probe_check(unilateral(), [2.0, 1.4e308], 16)
+        assert calls == []
+        with np.errstate(all="raise"), pytest.raises(DomainError, match=r"\|w\|\^2"):
+            shifts.adjoint_resolvent_smin(unilateral(), 1.4e308j, 16)
+        monkeypatch.undo()
+        with np.errstate(all="raise"):
+            assert all(c.passed for c in resolvent_probe_check(unilateral(), [1e154], 16))
 
     def test_two_checks_per_point_in_order(self):
         checks = resolvent_probe_check(unilateral(), [2.0 + 0j, 10.0 + 0j], 64)

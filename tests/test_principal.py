@@ -5,19 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from hyposhift import principal
+from hyposhift import homogeneity, principal
 from hyposhift.errors import DomainError, SpectrumHit, TooCloseToCurve
 from hyposhift.mobius import MobiusMap, mobius_eval
 from hyposhift.principal import (
-    COARSE_STRIDE,
-    WINDING_CHUNK,
     GridFunction,
     closed_form_oracle,
     constant_grid,
     determining_det,
     disc_cauchy_exponential,
+    disc_indices,
     pincus_consistency,
-    winding_numbers,
 )
 from hyposhift.shifts import rational_family, tabulated, unilateral
 
@@ -65,39 +63,33 @@ class TestGridFunction:
 
 
 class TestWindingNumber:
+    """The division-form polygon winding that the test oracles sample."""
+
     def test_origin_inside(self):
-        assert int(winding_numbers(unit_circle(256), 0.0)) == 1
+        assert oracles.winding_number(unit_circle(256), 0.0) == 1
 
     def test_point_outside(self):
-        assert int(winding_numbers(unit_circle(256), 2.0 + 1j)) == 0
+        assert oracles.winding_number(unit_circle(256), 2.0 + 1j) == 0
 
     def test_double_loop(self):
-        assert int(winding_numbers(unit_circle(512, loops=2), 0.1)) == 2
+        assert oracles.winding_number(unit_circle(512, loops=2), 0.1) == 2
 
     def test_reversed_orientation(self):
-        assert int(winding_numbers(unit_circle(256)[::-1], 0.0)) == -1
+        assert oracles.winding_number(unit_circle(256)[::-1], 0.0) == -1
 
     def test_margin_enforced(self):
         with pytest.raises(TooCloseToCurve):
-            winding_numbers(unit_circle(64), 0.95)
+            oracles.winding_number(unit_circle(64), 0.95)
 
     @given(st.floats(0.0, 2 * np.pi), st.floats(0.0, 0.6))
     @settings(max_examples=40, deadline=None)
     def test_any_interior_point(self, theta, r):
         point = r * np.exp(1j * theta)
-        assert int(winding_numbers(unit_circle(1024), point)) == 1
-
-
-def oracle_windings(curve, points):
-    return [oracles.winding_number(curve, p) for p in points]
-
-
-# points per chunk on a curve of whole blocks: WINDING_CHUNK x samples / blocks
-PER_CHUNK = WINDING_CHUNK * COARSE_STRIDE
+        assert oracles.winding_number(unit_circle(1024), point) == 1
 
 
 class TestWindingNumbers:
-    """The batched winding against the one-point division-form oracle."""
+    """The windings of a circle about many points in closed form, disc_indices."""
 
     @given(
         st.floats(0.0, 2 * np.pi),
@@ -111,240 +103,52 @@ class TestWindingNumbers:
     )
     @settings(max_examples=80, deadline=None)
     def test_matches_oracle_on_mobius_images(self, beta_arg, a, variant, points):
+        # the polygon winds loops times about the image disc, reversed -loops times
         loops, reverse = variant
-        curve = mobius_eval(MobiusMap(beta=np.exp(1j * beta_arg), a=a), unit_circle(2048, loops))
+        phi = MobiusMap(beta=np.exp(1j * beta_arg), a=a)
+        curve = mobius_eval(phi, unit_circle(2048, loops))
         if reverse:
             curve = curve[::-1]
-        try:
-            expected = oracle_windings(curve, points)
-        except TooCloseToCurve:
-            with pytest.raises(TooCloseToCurve):
-                winding_numbers(curve, points)
-            return
-        got = winding_numbers(curve, points)
-        assert got.dtype.kind == "i"
-        assert got.tolist() == expected
+        m, rho = homogeneity._image_disc(phi, 1.0)
+        for p in points:
+            try:
+                expected = oracles.winding_number(curve, p)
+            except TooCloseToCurve:
+                continue
+            index = disc_indices(np.array([p]), m, rho)
+            assert [(-1 if reverse else 1) * loops * i for i in index] == [expected]
 
     def test_no_points(self):
-        got = winding_numbers(unit_circle(256), [])
-        assert got.shape == (0,)
-        assert got.dtype.kind == "i"
-
-    @pytest.mark.parametrize("count", [1, PER_CHUNK, PER_CHUNK + 1])
-    def test_chunk_boundaries(self, count):
-        curve = unit_circle(512)
-        k = np.arange(count)
-        # alternate inside and outside points, so each chunk holds both windings
-        points = np.where(k % 2 == 0, 0.3, 1.7) * np.exp(0.7j * k)
-        got = winding_numbers(curve, points)
-        assert got.shape == (count,)
-        assert got.tolist() == oracle_windings(curve, points)
+        assert disc_indices(np.zeros(0, dtype=complex), 0.0, 1.0) == []
 
     def test_keeps_2d_shape(self):
-        curve = unit_circle(512, loops=2)
         points = np.array([[0.0, 0.5j, 2.0], [-0.4, 3.0 + 1j, 0.2 - 0.2j]])
-        got = winding_numbers(curve, points)
-        assert got.shape == (2, 3)
-        assert got.tolist() == [[2, 2, 0], [2, 0, 2]]
+        assert disc_indices(points, 0.0, 1.0) == [[1, 1, 0], [1, 0, 1]]
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("center", [0.0, 5.0 - 2.0j])
     def test_far_points_wind_zero(self, center):
-        # products of differences near 1e300 overflow; past the bounding circle the winding is 0
-        curve = unit_circle(4096) + center
-        points = [center, 1e300 + 1e300j, center + 0.5j, -1e300j, center + 3.0]
-        assert winding_numbers(curve, points).tolist() == [1, 0, 1, 0, 0]
-        assert winding_numbers(curve, 1e300 + 1e300j) == 0
+        # points near 1e300 are far outside; no difference or modulus overflows
+        points = np.array([center, 1e300 + 1e300j, center + 0.5j, -1e300j, center + 3.0])
+        assert disc_indices(points, center, 1.0) == [1, 0, 1, 0, 0]
+        assert disc_indices(np.array(1e300 + 1e300j), center, 1.0) == 0
 
     def test_names_first_close_point_in_input_order(self):
-        points = [0.0] * (PER_CHUNK + 2) + [0.99, 1.01]
-        points[PER_CHUNK + 1] = 1.0 + 1e-3j
-        with pytest.raises(TooCloseToCurve, match=r"point \(1\+0\.001j\)"):
-            winding_numbers(unit_circle(256), points)
-
-    def test_names_first_close_point_after_far_chunks(self):
-        # the centre is far from every block; the chunk holding the close
-        # points starts with far ones, and a far chunk follows
-        points = [0.0] * PER_CHUNK + [0.5, -0.3j, 1.0 + 1e-3j, 0.999] + [0.1] * PER_CHUNK
-        with pytest.raises(TooCloseToCurve, match=r"point \(1\+0\.001j\)"):
-            winding_numbers(unit_circle(8192), points)
+        points = np.array([0.0] * 300 + [0.99, 1j, 1.01, -1.0])
+        with pytest.raises(TooCloseToCurve, match=r"point 1j is 0\.000e\+00 from the circle"):
+            disc_indices(points, 0.0, 1.0)
+        # the first in row-major order of a 2-d array
+        with pytest.raises(TooCloseToCurve, match=r"point \(-1\+0j\)"):
+            disc_indices(np.array([[0.5, 2.0], [-1.0, 1j]]), 0.0, 1.0)
 
     @pytest.mark.parametrize(
-        "curve, points",
-        [
-            (unit_circle(256), [0.5, np.nan]),
-            (unit_circle(256), [complex(np.inf, 0.0)]),
-            (unit_circle(256), np.nan + 0j),
-            (np.append(unit_circle(256), np.nan), [0.0]),
-        ],
-        ids=["nan_point", "inf_point", "nan_scalar", "nan_curve"],
+        "points",
+        [[0.5, np.nan], [complex(np.inf, 0.0)], np.nan + 0j],
+        ids=["nan_point", "inf_point", "nan_scalar"],
     )
-    def test_rejects_non_finite(self, curve, points):
+    def test_rejects_non_finite(self, points):
         with pytest.raises(ValueError, match="finite"):
-            winding_numbers(curve, points)
-
-    def test_rejects_empty_curve(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            winding_numbers(np.zeros(0, dtype=complex), [0.0])
-
-
-# distances from the unit circle, from inside the winding margin of these curves
-# through near blocks to far off
-BLOCK_DISTANCES = (1e-3, 0.02, 0.05, 0.1, 0.2, 0.4, 0.7, 0.95)
-
-
-class TestStrideWinding:
-    """Block-chord windings against the full-curve division-form oracle."""
-
-    @given(
-        st.sampled_from([3, 5, 63, 64, 65, 1000, 4096, 6000, 16384]),
-        st.floats(0.0, 2 * np.pi),
-        # up to |a| = 0.95 the image curve's spacing varies by a factor of 1500
-        st.floats(0.0, 0.95),
-        st.floats(0.0, 2 * np.pi),
-        st.sampled_from([(1, False), (1, True), (2, False), (2, True)]),
-        st.lists(
-            st.tuples(
-                st.sampled_from(BLOCK_DISTANCES),
-                st.sampled_from([-1.0, 1.0, 3.0]),
-                st.floats(0.0, 2 * np.pi),
-            ),
-            min_size=1,
-            max_size=24,
-        ),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_matches_oracle(self, samples, beta_arg, modulus, a_arg, variant, offsets):
-        loops, reverse = variant
-        phi = MobiusMap(beta=np.exp(1j * beta_arg), a=modulus * np.exp(1j * a_arg))
-        curve = mobius_eval(phi, unit_circle(samples, loops))
-        if reverse:
-            curve = curve[::-1]
-        # inside (-1), just outside (+1) or far outside (+3) the circle, by the chosen distance
-        points = [
-            (1.0 + side * dist if side != 3.0 else 1.0 + side / dist) * np.exp(1j * theta)
-            for dist, side, theta in offsets
-        ]
-        clear, refusals = [], []
-        for p in points:
-            try:
-                clear.append((p, oracles.winding_number(curve, p)))
-            except TooCloseToCurve as exc:
-                refusals.append(str(exc))
-        if refusals:
-            # the first close point, with its full-curve distance and margin
-            with pytest.raises(TooCloseToCurve) as info:
-                winding_numbers(curve, points)
-            assert str(info.value) == refusals[0]
-        got = winding_numbers(curve, [p for p, _ in clear])
-        assert got.tolist() == [expected for _, expected in clear]
-
-    def test_strided_kernel_agrees_with_full_curve(self, monkeypatch):
-        # the same kernel with one whole-curve block, on points near and far from the curve
-        curve = mobius_eval(MobiusMap(beta=1.0, a=0.4 - 0.2j), unit_circle(16384, loops=2))
-        points = np.outer(1.0 + np.array([-0.95, -0.5, -0.2, -0.06, 0.06, 0.2, 0.5, 2.0]),
-                          np.exp(0.37j * np.arange(8) * np.pi)).T
-        strided = winding_numbers(curve, points)
-        monkeypatch.setattr(principal, "COARSE_STRIDE", curve.size + 1)
-        assert winding_numbers(curve, points).tolist() == strided.tolist()
-        assert set(strided.ravel().tolist()) == {0, 2}
-
-    @pytest.mark.parametrize("samples", [4096, 4097, 4159])
-    def test_short_last_block(self, samples):
-        # 4096 = 64 whole blocks; 4097 and 4159 leave a last block of 1 and 63 edges,
-        # which the points 5 % inside and outside curve[0] take as a chord and edge by edge
-        curve = mobius_eval(MobiusMap(beta=1.0, a=0.3j), unit_circle(samples))
-        points = [0.0, 0.5j, -0.6, 2.0, 1.5 - 1.5j, 0.95 * curve[0], 1.05 * curve[0]]
-        assert winding_numbers(curve, points).tolist() == oracle_windings(curve, points)
-
-    def test_temporaries_stay_within_the_chunk_bound(self):
-        # 3000 points in near blocks of a 4096-sample curve; one points x samples
-        # complex matrix would take 197 MB
-        curve = unit_circle(4096)
-        points = 0.98 * np.exp(2j * np.pi * np.arange(3000) / 3000)
-        tracemalloc.start()
-        try:
-            winding_numbers(curve, points)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # a few complex temporaries of WINDING_CHUNK x samples elements at a time
-        assert peak < 8 * WINDING_CHUNK * curve.size * 16
-
-
-def oracle_outcome(curve, points):
-    """The oracle's windings of the points clear of the curve, and the message
-    that names the first point too close to it (None if there is none)."""
-    clear, refusals = [], []
-    for p in points:
-        try:
-            clear.append((p, oracles.winding_number(curve, p)))
-        except TooCloseToCurve as exc:
-            refusals.append(str(exc))
-    return clear, refusals[0] if refusals else None
-
-
-class TestRayCrossings:
-    """Ray-crossing windings against the division-form oracle where the
-    half-open rule decides: points level with a vertex or a knot, and points on
-    the real axis, which holds the symbol circle's vertex at (c, 0)."""
-
-    @given(
-        st.sampled_from([3, 63, 64, 65, 4097]),
-        st.sampled_from([(1, False), (1, True), (2, False), (2, True)]),
-        st.sampled_from([0.5, 1.0, 2.5]),
-        # None keeps the circle of radius c; otherwise a Moebius image up to |a| = 0.95
-        st.one_of(
-            st.none(),
-            st.tuples(st.floats(0.0, 2 * np.pi), st.floats(0.0, 0.95), st.floats(0.0, 2 * np.pi)),
-        ),
-        st.lists(
-            st.tuples(
-                st.sampled_from(["vertex", "knot", "axis"]),
-                st.integers(0, 10**6),
-                st.floats(-3.0, 3.0),
-            ),
-            min_size=1,
-            max_size=16,
-        ),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_level_points_match_oracle(self, samples, variant, radius, phi, picks):
-        loops, reverse = variant
-        circle = unit_circle(samples, loops)
-        if phi is not None:
-            beta_arg, modulus, a_arg = phi
-            circle = mobius_eval(
-                MobiusMap(beta=np.exp(1j * beta_arg), a=modulus * np.exp(1j * a_arg)), circle
-            )
-        curve = radius * circle
-        if reverse:
-            curve = curve[::-1]
-        knots = curve[::COARSE_STRIDE]
-        levels = {"vertex": curve.imag, "knot": knots.imag, "axis": np.zeros(1)}
-        points = [
-            complex(radius * x, levels[kind][k % levels[kind].size]) for kind, k, x in picks
-        ]
-        clear, refusal = oracle_outcome(curve, points)
-        if refusal is not None:
-            with pytest.raises(TooCloseToCurve) as info:
-                winding_numbers(curve, points)
-            assert str(info.value) == refusal
-        got = winding_numbers(curve, [p for p, _ in clear])
-        assert got.tolist() == [expected for _, expected in clear]
-
-    @pytest.mark.parametrize("scale", [1e-200, 1e-100, 1e100, 1e200])
-    def test_any_curve_scale(self, scale):
-        # the cross products scale imaginary parts to O(1), so none under- or
-        # overflows; 0.96 lies in near blocks, the others only meet chords
-        curve = scale * unit_circle(4096)
-        points = scale * np.array([0.0, 0.5j, -0.7, 0.96, 1.5, 2.0 + 2.0j])
-        assert winding_numbers(curve, points).tolist() == [1, 1, 1, 1, 0, 0]
-
-    def test_subnormal_spacing(self):
-        # 1/R for a curve spaced 1e-310 apart is past the largest float
-        curve = np.array([0.0, 1e-310j, 2e-310j])
-        assert winding_numbers(curve, [1.0, 1e-300]).tolist() == [0, 0]
+            disc_indices(np.asarray(points, dtype=complex), 0.0, 1.0)
 
 
 class TestPrincipalValue:
