@@ -338,9 +338,9 @@ def _cmd_grid(args) -> int:
         return 2
     n_r, n_theta = args.n_r, args.n_theta
     try:
-        nodes = constant_grid(0.0, n_r, n_theta).nodes()
-        values = disc_indices(nodes, 0.0, model.limit)
-        write_grid_csv(GridFunction(n_r, n_theta, values), args.out)
+        # g is radial: each ring is decided once, at its radius
+        radii = constant_grid(0.0, n_r, n_theta).radii()
+        write_grid_csv(GridFunction(n_r, n_theta, disc_indices(radii, 0.0, model.limit)), args.out)
     except HyposhiftError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

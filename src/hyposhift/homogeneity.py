@@ -131,12 +131,17 @@ def _image_disc(phi: MobiusMap, c: float) -> tuple[complex, float]:
     amplified by 1/(1 - t), is the one error that grows there (disc_indices
     bounds it).  The product for m is grouped so that no factor overflows
     while m and rho are finite.  beta is unimodular, as MobiusMap stores it.
+    DomainError unless |m| is finite and rho finite and positive, as they
+    need not be for a limit near the largest float.
     """
     s = abs(phi.a)
     t = s * c
     shrink = (1.0 - t) * (1.0 + t)
     m = phi.beta * phi.a * (c - 1.0) * ((c + 1.0) / shrink)
-    return m, c * ((1.0 - s) * (1.0 + s) / shrink)
+    rho = c * ((1.0 - s) * (1.0 + s) / shrink)
+    if not (math.isfinite(abs(m)) and 0.0 < rho < math.inf):
+        raise DomainError(f"the image of |z| < {c} under a = {phi.a} has centre {m}, radius {rho}")
+    return m, rho
 
 
 def _mapped_indices(phi: MobiusMap, c: float, points: np.ndarray) -> list[int]:
@@ -194,8 +199,8 @@ def change_of_variable_check(model: WeightSequence, phi: MobiusMap, points) -> l
     band with TooCloseToCurve (disc_indices, _pulled_back_indices).
 
     Raises PoleHit unless phi is analytic on the spectrum, DomainError for an
-    empty list of points or a pulled-back point that overflows, and
-    ValueError for a non-finite point.
+    empty list of points, an image disc or a pulled-back point that
+    overflows, and ValueError for a non-finite point.
     """
     _refuse_poles_on_spectrum(model, (phi,))
     zeta = _complex_points(points, "change-of-variable")
@@ -217,8 +222,8 @@ def constancy_check(model: WeightSequence, maps=DEFAULT_MAP_GRID, interior_point
     rounding band with TooCloseToCurve).  The constant is the first interior
     point's index about |z| = c.  Raises PoleHit unless every map in the
     sequence maps is analytic on the spectrum, DomainError for an empty
-    sequence of maps or an empty list of interior points, and ValueError for
-    a non-finite point.
+    sequence of maps, an empty list of interior points or an image disc that
+    overflows, and ValueError for a non-finite point.
     """
     maps = tuple(maps)
     _refuse_poles_on_spectrum(model, maps)

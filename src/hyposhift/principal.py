@@ -8,11 +8,14 @@ and refuses a point within a stated rounding band of the circle; no curve is
 sampled.  homogeneity passes it the image discs of the Moebius experiments,
 and the CLI's grid the circle |z| = c itself.
 
-The disc integral exp(-(1/pi) int g(zeta) / ((zeta - z)(conj(zeta) - conj(w))) dA)
-is computed by midpoint polar quadrature for a g constant on each ring, whose
-angular sums have a closed form (see disc_cauchy_exponential), and is
-cross-checked against the closed form (1 - 1/(z conj(w)))^c, itself evaluated
-through an independent scalar series.
+That principal function is radial (a weighted shift T is unitarily
+equivalent to e^{i theta} T), so a GridFunction stores one value per ring of
+its midpoint polar grid.  The disc integral
+exp(-(1/pi) int g(zeta) / ((zeta - z)(conj(zeta) - conj(w))) dA) is computed
+by midpoint polar quadrature, whose angular sums have a closed form (see
+disc_cauchy_exponential), in O(n_r), and is cross-checked against the closed
+form (1 - 1/(z conj(w)))^c, itself evaluated through an independent scalar
+series.
 
 The determining determinant 1 - <(T* - conj(w))^{-1} x, (T* - conj(z))^{-1} x>
 of a shift whose infinite self-commutator is the rank-one x (x) x takes two
@@ -36,11 +39,12 @@ from .shifts import WeightSequence, adjoint_resolvent_solve
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Values of a principal-function candidate on a midpoint polar grid.
+    """A radial principal-function candidate on a midpoint polar grid.
 
     Node (i, j) sits at radius (i + 1/2)/n_r and angle 2 pi (j + 1/2)/n_theta,
-    strictly interior to the unit disc.  Values must lie in [0, 1].  They may
-    be a read-only zero-stride view, as constant_grid's are.
+    strictly interior to the unit disc.  values has shape (n_r,): values[i] is
+    g on every node of ring i.  ValueError unless n_r, n_theta >= 1, values
+    has that shape, and every value lies in [0, 1] (NaN refused).
     """
 
     n_r: int
@@ -48,16 +52,18 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
+        if self.n_r < 1 or self.n_theta < 1:
+            raise ValueError(f"a grid needs n_r, n_theta >= 1, got {self.n_r}, {self.n_theta}")
         vals = np.asarray(self.values, dtype=np.float64)
-        if vals.shape != (self.n_r, self.n_theta):
-            raise ValueError(f"values shape {vals.shape} != ({self.n_r}, {self.n_theta})")
+        if vals.shape != (self.n_r,):
+            raise ValueError(f"values shape {vals.shape} != ({self.n_r},): one value per ring")
         # written so that a NaN, which np.min and np.max propagate, fails too
         if not (np.min(vals) >= 0.0 and np.max(vals) <= 1.0):
             raise ValueError("grid values must lie in [0, 1]")
         object.__setattr__(self, "values", vals)
 
     def radii(self) -> np.ndarray:
-        return _ring_radii(self.n_r)
+        return (np.arange(self.n_r) + 0.5) / self.n_r
 
     def angles(self) -> np.ndarray:
         return 2.0 * np.pi * (np.arange(self.n_theta) + 0.5) / self.n_theta
@@ -68,15 +74,9 @@ class GridFunction:
         return r * np.exp(1j * th)
 
 
-def _ring_radii(n_r: int) -> np.ndarray:
-    """Midpoint radii (i + 1/2)/n_r of the rings of an n_r-ring polar grid."""
-    return (np.arange(n_r) + 0.5) / n_r
-
-
 def constant_grid(value: float, n_r: int, n_theta: int) -> GridFunction:
-    """g == value on the n_r x n_theta grid, stored as one float: its values
-    are a read-only view with strides (0, 0)."""
-    return GridFunction(n_r, n_theta, np.broadcast_to(float(value), (n_r, n_theta)))
+    """g == value on the n_r x n_theta grid."""
+    return GridFunction(n_r, n_theta, np.full(n_r, float(value)))
 
 
 def disc_indices(points: np.ndarray, centre: complex, radius: float, condition=1.0) -> list:
@@ -86,9 +86,10 @@ def disc_indices(points: np.ndarray, centre: complex, radius: float, condition=1
     The gap |p - centre| - radius decides.  A point whose computed gap is
     within the rounding band
         32 eps (|p| + |centre| + radius) condition
-    of zero raises TooCloseToCurve, and a non-finite point raises ValueError
-    (a NaN gap would otherwise read as outside).  condition is a scalar or
-    one factor per point.
+    of zero raises TooCloseToCurve.  A non-finite point, a non-finite centre
+    and a radius that is not finite and positive each raise ValueError before
+    anything is decided (a NaN gap would otherwise read as outside).
+    condition is a scalar or one factor per point.
 
     The band bounds the rounding of the gap for a centre and radius from
     homogeneity._image_disc with condition = 1/(1 - t), t = |a| c.  Write u = eps/2 and
@@ -107,6 +108,8 @@ def disc_indices(points: np.ndarray, centre: complex, radius: float, condition=1
     caller with other inputs passes the factor that bounds their rounding
     relative to S, as homogeneity._pulled_back_indices does.
     """
+    if not (cmath.isfinite(centre) and 0.0 < radius < math.inf):
+        raise ValueError(f"the index needs a finite centre and radius > 0, got {centre}, {radius}")
     if not np.isfinite(points).all():
         raise ValueError("the index needs finite points")
     gap = np.abs(points - centre) - radius
@@ -124,9 +127,9 @@ def disc_indices(points: np.ndarray, centre: complex, radius: float, condition=1
 def disc_cauchy_exponential(g: GridFunction, z: complex, w: complex) -> complex:
     """exp(-(1/pi) int_D g(zeta) / ((zeta - z)(conj(zeta) - conj(w))) dA(zeta)).
 
-    Midpoint polar quadrature of a g that is constant on each ring (ValueError
-    otherwise); z and w must be finite (ValueError) and lie strictly outside
-    the closed unit disc so the kernel stays bounded on the grid.
+    Midpoint polar quadrature of the radial g; z and w must be finite
+    (ValueError) and lie strictly outside the closed unit disc (SpectrumHit)
+    so the kernel stays bounded on the grid.
 
     Ring sums.  On the ring of radius r the M = n_theta midpoint angles are
     u_j = exp(2 pi i (j + 1/2)/M), the roots of u^M = -1, and
@@ -139,39 +142,27 @@ def disc_cauchy_exponential(g: GridFunction, z: complex, w: complex) -> complex:
 
     with A = (r/z)^M and B = (r/conj(w))^M.  Since |z|, |w| > 1 > r both
     |A|, |B| < 1: no power of a number of modulus above 1 is formed, and no
-    denominator comes near 0.  The sums take O(n_r) time and memory; the
-    ring check reads all n_r x n_theta values and holds a boolean for each.
+    denominator comes near 0.  The whole quadrature takes O(n_r) time and
+    memory.
     """
-    z, w = _outside_unit_disc(z, w)
-    ring_values = g.values[:, 0]
-    if np.any(g.values != ring_values[:, None]):
-        raise ValueError("disc_cauchy_exponential needs g constant on each ring")
-    return _ring_cauchy_exponential(ring_values, g.n_theta, z, w)
-
-
-def _outside_unit_disc(z: complex, w: complex) -> tuple[complex, complex]:
-    """z and w as complex numbers; ValueError unless both are finite, and
-    SpectrumHit unless both lie strictly outside the closed unit disc."""
     z, w = complex(z), complex(w)
     if not (cmath.isfinite(z) and cmath.isfinite(w)):
         raise ValueError(f"z and w must be finite, got {z}, {w}")
     if abs(z) <= 1.0 or abs(w) <= 1.0:
         raise SpectrumHit("z and w must satisfy |z|, |w| > 1")
-    return z, w
-
-
-def _ring_cauchy_exponential(ring_values: np.ndarray, m: int, z: complex, w: complex) -> complex:
-    """disc_cauchy_exponential's quadrature from the value of g on each ring,
-    with m angles per ring, for checked z and w."""
-    r = _ring_radii(ring_values.size)
+    r, m = g.radii(), g.n_theta
     inv_z, conj_w = 1.0 / z, w.conjugate()
     outer = (r * inv_z) ** m
     inner = (r / conj_w) ** m
     # 1/(z conj(w) - r^2) as (1/z)/(conj(w) - r^2/z): no product overflows
     ring_sums = m * inv_z / (conj_w - r * r * inv_z) * (1.0 - outer * inner)
-    ring_sums /= (1.0 + outer) * (1.0 + inner)
+    # (1 + outer)(1 + inner), formed in place: one ring array fewer at the peak
+    outer += 1.0
+    inner += 1.0
+    ring_sums /= outer * inner
     # cell measure r dr dtheta with dr = 1/n_r and dtheta = 2 pi/M
-    integral = np.sum(ring_values * r * ring_sums) * (2.0 * np.pi / (r.size * m))
+    ring_sums *= g.values * r
+    integral = np.sum(ring_sums) * (2.0 * np.pi / (r.size * m))
     return complex(np.exp(-integral / np.pi))
 
 
@@ -258,14 +249,13 @@ def pincus_consistency(
     x = np.zeros(n, dtype=np.complex128)
     x[0] = model.weights(1)[0]
     per_point = [(p, s, adjoint_resolvent_solve(model, p, x)) for p, s in zip(points, scaled)]
-    ones = np.ones(n_r)
+    g = constant_grid(1.0, n_r, n_theta)
     quad_tol = 5e-3
     checks = []
     for i, (z, z_c, u_z) in enumerate(per_point):
         for w, w_c, u_w in per_point[i:]:
             det_val = 1.0 - complex(np.vdot(u_z, u_w))
-            # disc_cauchy_exponential of constant_grid(1.0, n_r, n_theta), from its ring values
-            quad_val = _ring_cauchy_exponential(ones, n_theta, *_outside_unit_disc(z_c, w_c))
+            quad_val = disc_cauchy_exponential(g, z_c, w_c)
             oracle_val = closed_form_oracle(z_c, w_c)
             tag = f"z={z}, w={w}"
             checks += [

@@ -141,7 +141,8 @@ def _csv_field(text: str) -> str:
 
 
 def write_grid_csv(grid, path: str) -> None:
-    """Dump a GridFunction as rows r, theta, re, im, g (one row per node).
+    """Dump a GridFunction as rows r, theta, re, im, g (one row per node; each
+    ring's g is formatted once).
 
     The text is what csv.writer makes of the same rows (repr of each float,
     CRLF line ends), built in one string and written at once.
@@ -151,10 +152,9 @@ def write_grid_csv(grid, path: str) -> None:
     sin = [math.sin(th) for th in angles]
     thetas = [repr(th) for th in angles]
     lines = ["r,theta,re,im,g\r\n"]
-    for r, row in zip(grid.radii().tolist(), grid.values.tolist()):
-        head = repr(r)
+    for r, g in zip(grid.radii().tolist(), grid.values.tolist()):
+        head, tail = repr(r), repr(g)
         lines.extend(
-            f"{head},{th},{r * c!r},{r * s!r},{g!r}\r\n"
-            for th, c, s, g in zip(thetas, cos, sin, row)
+            f"{head},{th},{r * c!r},{r * s!r},{tail}\r\n" for th, c, s in zip(thetas, cos, sin)
         )
     _write_text(path, "".join(lines), "", "grid CSV")

@@ -459,7 +459,7 @@ def disc_cauchy_exponential(g, z: complex, w: complex) -> complex:
         raise SpectrumHit("z and w must satisfy |z|, |w| > 1")
     zeta = g.nodes()
     kernel = 1.0 / ((zeta - z) * (np.conj(zeta) - np.conj(w)))
-    integral = np.sum(g.values * cell_measure(g) * kernel)
+    integral = np.sum(g.values[:, None] * cell_measure(g) * kernel)
     return complex(np.exp(-integral / np.pi))
 
 
@@ -540,7 +540,7 @@ def helton_howe_area(p, q, g, c: float = 1.0) -> complex:
     The node zeta of g's unit-disc grid stands for c zeta, and its cell for c^2 times its area.
     """
     jac = wirtinger_jacobian(p, q)
-    terms = jac.eval_grid(c * g.nodes()) * g.values * (c * c) * cell_measure(g)
+    terms = jac.eval_grid(c * g.nodes()) * g.values[:, None] * (c * c) * cell_measure(g)
     return complex(np.sum(terms) / np.pi)
 
 
@@ -551,7 +551,7 @@ def write_grid_csv(grid, path: str) -> None:
         writer.writerow(["r", "theta", "re", "im", "g"])
         for i, r in enumerate(grid.radii()):
             for j, th in enumerate(grid.angles()):
-                writer.writerow([r, th, r * math.cos(th), r * math.sin(th), grid.values[i, j]])
+                writer.writerow([r, th, r * math.cos(th), r * math.sin(th), grid.values[i]])
 
 
 def write_checks_csv(report, path: str) -> None:

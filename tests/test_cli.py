@@ -27,7 +27,7 @@ from hyposhift.reporting import (
     write_grid_csv,
     write_report,
 )
-from hyposhift.principal import GridFunction, constant_grid
+from hyposhift.principal import GridFunction, constant_grid, disc_indices
 from hyposhift.shifts import rational_family, unilateral
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -235,7 +235,7 @@ class TestReporting:
     def test_grid_csv_matches_row_writer(self, tmp_path, n_r, n_theta):
         # the one-string writer against csv.writer row by row, byte for byte; an
         # n_theta = 2 (mod 4) grid has a node at theta = pi/2, where re is ~1e-17
-        values = np.random.default_rng(n_r * n_theta).random((n_r, n_theta))
+        values = np.random.default_rng(n_r * n_theta).random(n_r)
         values[0] = 1.0
         grid = GridFunction(n_r, n_theta, values)
         write_grid_csv(grid, str(tmp_path / "fast.csv"))
@@ -444,6 +444,25 @@ class TestMain:
             assert float(g) == winding
             decided += 1
         assert decided >= n_theta
+
+    @given(st.integers(1, 64), st.integers(1, 64), st.sampled_from([None, 1.5, 2.0, 5.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_grid_rings_match_node_indices(self, n_r, n_theta, lam):
+        # grid decides each ring once, at its radius: node by node, that is the
+        # index of every node of the ring about the circle |z| = c
+        model = unilateral() if lam is None else rational_family(lam)
+        extra = [] if lam is None else ["--model-lambda", repr(lam)]
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "grid.csv")
+            argv = ["grid", "--experiment", "pincus-check", "--out", out]
+            argv += ["--n-r", str(n_r), "--n-theta", str(n_theta)] + extra
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            with open(out, newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+        nodes = constant_grid(0.0, n_r, n_theta).nodes()
+        want = [float(i) for ring in disc_indices(nodes, 0.0, model.limit) for i in ring]
+        assert [float(row[4]) for row in rows] == want
 
     def test_grid_unwritable_out_exits_two(self, tmp_path, capsys):
         out = tmp_path / "missing-dir" / "g.csv"

@@ -246,11 +246,16 @@ def _near_circle(phi, c, theta, offset):
 
 
 def _decide(side, phi, c, zeta):
-    """The side's index at zeta, or None where it refuses the point."""
+    """The side's index at zeta, or None where it refuses the point: within its
+    band, or, pulling back, at the pole of phi^{-1}, |1 + conj(a beta) zeta| < 1e-15."""
     try:
         return side(phi, c, np.array([zeta]))[0]
     except TooCloseToCurve:
         return None
+    except PoleHit:
+        if abs(1.0 + np.conj(phi.a * phi.beta) * zeta) < 1e-15:
+            return None
+        raise
 
 
 class TestImageDisc:
@@ -288,6 +293,7 @@ class TestImageDisc:
     )
     @example(1.0, 0.9, 0.0, 0.0, np.pi, np.log10(200 * EPS), 1.0)
     @example(1.0, 0.9, 0.0, 0.0, 0.0, np.log10(1000 * EPS), 1.0)
+    @example(1.0, 0.99999999, np.pi, np.pi, np.pi, -8.0, 1.0)  # zeta at phi^{-1}'s pole
     @settings(max_examples=400, deadline=None)
     def test_decisions_match_mpmath_outside_the_band(
         self, c, frac, a_arg, beta_arg, theta, log_offset, sign
@@ -326,6 +332,16 @@ class TestImageDisc:
             assert side(phi, 1.0, np.array([zeta])) == [int(gap < 0)]
         checks = change_of_variable_check(unilateral(), phi, [zeta])
         assert (checks[0].lhs, checks[0].rhs) == (int(gaps[0] < 0), int(gaps[1] < 0))
+
+    def test_an_image_disc_that_overflows_is_refused(self):
+        # limit 1e300 and |a| c = 1 - 1e-16: the centre reads inf + nan j and
+        # the radius inf, a circle that every point used to lie outside
+        model = tabulated([1e300], 1e300)
+        phi = MobiusMap(beta=1.0, a=0.9999999999999999e-300)
+        with pytest.raises(DomainError, match=r"image of \|z\| < 1e\+300"):
+            change_of_variable_check(model, phi, [0.5 + 0.5j])
+        with pytest.raises(DomainError, match=r"image of \|z\| < 1e\+300"):
+            constancy_check(model, [phi])
 
 
 def _probe(model, w, n):
